@@ -1,8 +1,8 @@
 """Command-line surface: every computation behind one deterministic tool.
 
 Exit codes: 0 success, 1 invalid input file, 2 precondition violation,
-3 internal assertion failure (an identity the library guarantees broke,
-which is always a bug).
+3 internal error (an identity the library guarantees broke, or any other
+unexpected exception; always a bug, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -115,25 +115,26 @@ def cmd_tnn(args):
     return 0
 
 
+def _chart(net, source: str):
+    """Representing matrix from the response or the resistance chart."""
+    if source == "response":
+        return grassmann.chart_from_response(electrical.response_matrix(net))
+    r = electrical.resistance_matrix(net)
+    return grassmann.chart_from_lstar(electrical.lstar_from_resistance(r))
+
+
 def cmd_chart(args):
     net = _load_valid(args.network)
-    if args.source == "response":
-        m = grassmann.chart_from_response(electrical.response_matrix(net))
-    else:
-        r = electrical.resistance_matrix(net)
-        m = grassmann.chart_from_lstar(electrical.lstar_from_resistance(r))
-    _emit(netfile.matrix_to_doc(m), args)
+    _emit(netfile.matrix_to_doc(_chart(net, args.source)), args)
     return 0
 
 
 def cmd_extract(args):
     net = _load_valid(args.network)
-    mode = "response" if args.chart == "not-shorted" else "dual"
-    if mode == "response":
-        m = grassmann.chart_from_response(electrical.response_matrix(net))
+    if args.chart == "not-shorted":
+        m, mode = _chart(net, "response"), "response"
     else:
-        r = electrical.resistance_matrix(net)
-        m = grassmann.chart_from_lstar(electrical.lstar_from_resistance(r))
+        m, mode = _chart(net, "resistance"), "dual"
     _emit(netfile.matrix_to_doc(grassmann.extract_symmetric(m, mode)), args)
     return 0
 
@@ -250,8 +251,9 @@ def main(argv=None) -> int:
         # precondition of the requested computation does not hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # anything else, assertion failures included, is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

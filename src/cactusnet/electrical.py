@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Inconsistent, RationalMatrix, solve_linear
+from .linalg import Inconsistent, RationalMatrix, solve_many
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 
@@ -44,16 +44,13 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
         return -bb
     bi = lap.submatrix(range(nb), range(nb, nb + ni))
     ii = lap.submatrix(range(nb, nb + ni), range(nb, nb + ni))
-    ib = bi.transpose()
-    # solve II X = IB column by column; II is invertible exactly when
-    # every internal vertex connects to the boundary
-    cols = []
-    for j in range(nb):
-        sol = solve_linear(ii, [ib[(i, j)] for i in range(ni)])
-        if isinstance(sol, Inconsistent) or sol.nullspace:
-            raise ValueError("an internal vertex is isolated from the boundary")
-        cols.append(sol.particular)
-    x = RationalMatrix(cols).transpose()
+    # solve II X = IB for all columns at once (the columns of IB are the
+    # rows of BI); II is invertible exactly when every internal vertex
+    # connects to the boundary
+    sol = solve_many(ii, bi.rows)
+    if isinstance(sol, Inconsistent) or sol.nullspace:
+        raise ValueError("an internal vertex is isolated from the boundary")
+    x = RationalMatrix(sol.particulars).transpose()
     return -(bb - bi @ x)
 
 
@@ -67,29 +64,20 @@ def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
     part = net.shape_partition()
     resp = response_matrix(net)
     nb = resp.nrows
-    block_index = {b: k for k, b in enumerate(part.blocks)}
-
-    n = net.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for bu in range(nb):
-        for bv in range(bu + 1, nb):
-            rhs = [Fraction(0)] * nb
-            rhs[bu] += 1
-            rhs[bv] -= 1
-            sol = solve_linear(resp, rhs)
-            if isinstance(sol, Inconsistent):
-                raise ValueError(
-                    "boundary components are disconnected; resistance is infinite"
-                )
-            # gauge: shift the potential so V(u) = 0 (deterministic choice;
-            # R depends only on the difference)
-            v_pot = [x - sol.particular[bu] for x in sol.particular]
-            r = v_pot[bv] - v_pot[bu]
-            for i in part.blocks[bu]:
-                for j in part.blocks[bv]:
-                    rows[i - 1][j - 1] = r
-                    rows[j - 1][i - 1] = r
-    return RationalMatrix(rows)
+    # ground block 0 and invert the reduced Laplacian -L once: with G that
+    # inverse (and G = 0 on the ground), R(u, v) = G_uu + G_vv - 2 G_uv
+    reduced = -resp.submatrix(range(1, nb), range(1, nb))
+    sol = solve_many(reduced, RationalMatrix.identity(nb - 1).rows)
+    if isinstance(sol, Inconsistent):
+        raise ValueError(
+            "boundary components are disconnected; resistance is infinite"
+        )
+    g = [[Fraction(0)] * nb] + [[Fraction(0)] + col for col in sol.particulars]
+    block_of = {i: k for k, b in enumerate(part.blocks) for i in b}
+    ks = [block_of[i] for i in range(1, net.n + 1)]
+    return RationalMatrix(
+        [[g[u][u] + g[v][v] - 2 * g[u][v] for v in ks] for u in ks]
+    )
 
 
 def lstar_from_resistance(r: RationalMatrix) -> RationalMatrix:

@@ -22,7 +22,7 @@ from .combinat import (
     enumerate_noncrossing,
 )
 from .groves import GroveMeasurements
-from .linalg import RationalMatrix
+from .linalg import Inconsistent, RationalMatrix, solve_many
 
 
 class ExteriorVector:
@@ -175,18 +175,7 @@ def omega(n: int) -> RationalMatrix:
 
 def omega_d(n: int) -> RationalMatrix:
     """The sign-simplified conjugate form: D Omega D."""
-    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-
-    def put(p, q, v):
-        m[p][q] += v
-        m[q][p] -= v
-
-    for i in range(1, n + 1):
-        put(circle_position(n, i), circle_position(n, n + i), 1)
-    for j in range(1, n + 1):
-        jp = j % n + 1
-        put(circle_position(n, n + j), circle_position(n, jp), 1)
-    return RationalMatrix(m)
+    return d_matrix(n) @ omega(n) @ d_matrix(n)
 
 
 def omega_kernel(n: int):
@@ -304,49 +293,57 @@ def shift_partition(sigma: NoncrossingPartition) -> NoncrossingPartition:
 # Charts: response / dual-response matrices to representing matrices
 # ---------------------------------------------------------------------------
 
+def _chart_columns(n: int, plain_pivots: bool):
+    """(pivot columns, other columns) of a chart, in label order."""
+    plain = [circle_position(n, i) for i in range(1, n + 1)]
+    tilde = [circle_position(n, n + i) for i in range(1, n + 1)]
+    return (plain, tilde) if plain_pivots else (tilde, plain)
+
+
+def _chart(sums, plain_pivots: bool) -> RationalMatrix:
+    """Representing matrix of a chart from its cumulative sums.
+
+    Row pattern: a top row of ones on the non-pivot columns, then one row
+    per label j with a 1 in the pivot column of j and ``sums[j][i]`` in
+    the other column of label i, everything multiplied by the sign matrix.
+    """
+    n = len(sums)
+    pivot_cols, other_cols = _chart_columns(n, plain_pivots)
+    rows = [[Fraction(0)] * (2 * n) for _ in range(n + 1)]
+    for c in other_cols:
+        rows[0][c] = Fraction(1)
+    for row, pc, sums_j in zip(rows[1:], pivot_cols, sums):
+        row[pc] = Fraction(1)
+        for c, s in zip(other_cols, sums_j):
+            row[c] = s
+    return RationalMatrix(rows) @ d_matrix(n)
+
+
 def chart_from_response(resp: RationalMatrix) -> RationalMatrix:
     """Representing matrix of the isotropic plane of a response matrix.
 
-    Row pattern: a top row supported on tilde columns, then one row per
-    label j with a 1 in the plain column of j and the cumulative sums
-    S(j, i) in tilde columns, everything multiplied by the sign matrix.
-    Gauge: S(j, n) = 0.
+    Pivots on the plain columns; the tilde entries of row j are the
+    cumulative sums S(j, i) = L(i+1, j) + ... + L(n, j), so S(j, n) = 0.
     """
-    n = resp.nrows
-    s = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]  # s[j][i], 1-based
-    for j in range(1, n + 1):
-        for i in range(n, 1, -1):
-            s[j][i - 1] = s[j][i] + resp[(i - 1, j - 1)]
-    rows = [[Fraction(0)] * (2 * n) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        rows[0][circle_position(n, n + i)] = Fraction(1)
-    for j in range(1, n + 1):
-        rows[j][circle_position(n, j)] = Fraction(1)
-        for i in range(1, n + 1):
-            rows[j][circle_position(n, n + i)] = s[j][i]
-    return RationalMatrix(rows) @ d_matrix(n)
+    return _chart(
+        [list(itertools.accumulate(reversed(col[1:]), initial=Fraction(0)))[::-1]
+         for col in resp.transpose().rows],
+        plain_pivots=True,
+    )
 
 
 def chart_from_lstar(lstar: RationalMatrix) -> RationalMatrix:
     """Representing matrix of the isotropic plane of a dual response.
 
-    Same layout with the roles of plain and tilde columns exchanged and
-    cumulative sums T(j, i) satisfying T(j, i+1) - T(j, i) = L*(i, j).
-    Gauge: T(j, 1) = 0.
+    Pivots on the tilde columns; the plain entries of row j are the
+    cumulative sums T(j, i) = L*(1, j) + ... + L*(i-1, j), so T(j, 1) = 0
+    and T(j, i+1) - T(j, i) = L*(i, j).
     """
-    n = lstar.nrows
-    t = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        for i in range(1, n):
-            t[j][i + 1] = t[j][i] + lstar[(i - 1, j - 1)]
-    rows = [[Fraction(0)] * (2 * n) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        rows[0][circle_position(n, i)] = Fraction(1)
-    for j in range(1, n + 1):
-        rows[j][circle_position(n, n + j)] = Fraction(1)
-        for i in range(1, n + 1):
-            rows[j][circle_position(n, i)] = t[j][i]
-    return RationalMatrix(rows) @ d_matrix(n)
+    return _chart(
+        [list(itertools.accumulate(col[:-1], initial=Fraction(0)))
+         for col in lstar.transpose().rows],
+        plain_pivots=False,
+    )
 
 
 def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
@@ -359,48 +356,27 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
     n = m.ncols // 2
     if m.nrows != n + 1 or m.ncols != 2 * n:
         raise ValueError("matrix must be (n+1) x 2n")
-    md = m @ d_matrix(n)
-    if mode == "response":
-        pivot_cols = [circle_position(n, i) for i in range(1, n + 1)]
-        other_cols = [circle_position(n, n + i) for i in range(1, n + 1)]
-    elif mode == "dual":
-        pivot_cols = [circle_position(n, n + i) for i in range(1, n + 1)]
-        other_cols = [circle_position(n, i) for i in range(1, n + 1)]
-    else:
+    if mode not in ("response", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    from .linalg import Inconsistent, solve_linear
-
-    piv = md.submatrix(range(n + 1), pivot_cols)   # (n+1) x n
-    # left kernel of the pivot block: the residual top row direction
-    sol = solve_linear(piv.transpose(), [Fraction(0)] * n)
-    if len(sol.nullspace) != 1:
+    md = m @ d_matrix(n)
+    pivot_cols, other_cols = _chart_columns(n, mode == "response")
+    # one solve of piv^T x = e_j for every label j; its nullspace is the
+    # left kernel of the pivot block, the residual top row direction
+    rows = range(n + 1)
+    sol = solve_many(md.submatrix(rows, pivot_cols).transpose(),
+                     RationalMatrix.identity(n).rows)
+    if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
         raise ValueError("plane is not in this chart")
-    u = sol.nullspace[0]
-    top = [sum(u[r] * md[(r, c)] for r in range(n + 1)) for c in other_cols]
+    top, *entries = (RationalMatrix(sol.nullspace + sol.particulars)
+                     @ md.submatrix(rows, other_cols)).rows
     if len(set(top)) != 1 or top[0] == 0:
         raise ValueError("plane is not in this chart")
-    # rows of the pattern: solve piv^T x = e_j for each label j
-    entries = [[Fraction(0)] * n for _ in range(n)]  # entries[j-1][i-1]
-    for j in range(n):
-        rhs = [Fraction(int(k == j)) for k in range(n)]
-        sol = solve_linear(piv.transpose(), rhs)
-        if isinstance(sol, Inconsistent):
-            raise ValueError("plane is not in this chart")
-        x = sol.particular
-        for i, c in enumerate(other_cols):
-            entries[j][i] = sum(x[r] * md[(r, c)] for r in range(n + 1)) / top[0]
-
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if mode == "response":
-                prev = (i - 2) % n
-                out[i - 1][j - 1] = entries[j - 1][prev] - entries[j - 1][i - 1]
-            else:
-                nxt = i % n
-                out[i - 1][j - 1] = entries[j - 1][nxt] - entries[j - 1][i - 1]
-    return RationalMatrix(out)
+    # entries[j][i] / top is the chart entry of label j in the column of i
+    step = -1 if mode == "response" else 1
+    return RationalMatrix(
+        [[(row[(i + step) % n] - row[i]) / top[0] for row in entries]
+         for i in range(n)]
+    )
 
 
 def extreme_coordinates(vec: ExteriorVector):
@@ -410,9 +386,7 @@ def extreme_coordinates(vec: ExteriorVector):
     plus one tilde column" and "one plain column plus all tilde".  Each
     family is constant on isotropic network images.
     """
-    n = vec.n
-    plain = [circle_position(n, i) for i in range(1, n + 1)]
-    tilde = [circle_position(n, n + i) for i in range(1, n + 1)]
+    plain, tilde = _chart_columns(vec.n, plain_pivots=True)
     not_shorted = [vec[tuple(sorted(plain + [tk]))] for tk in tilde]
     connected = [vec[tuple(sorted([p] + tilde))] for p in plain]
     if len(set(not_shorted)) != 1 or len(set(connected)) != 1:

@@ -1,9 +1,9 @@
-"""Dense exact-rational matrices: Bareiss determinants, rank, solving.
+"""Dense exact-rational matrices and one elimination kernel.
 
 Everything is a ``Fraction``; no floating point enters this module.
-Matrices are small (a few hundred rows at most), so plain Gaussian
-elimination over Fraction is used for rank/solve and fraction-free
-Bareiss elimination for determinants.
+Matrices are small (a few hundred rows at most), so a single
+Gauss-Jordan routine over Fraction serves rank, determinant (the signed
+product of its pivots) and solving with any number of right-hand sides.
 """
 
 from __future__ import annotations
@@ -106,49 +106,47 @@ class RationalMatrix:
         return all(x == 0 for r in self.rows for x in r)
 
     def determinant(self) -> Fraction:
-        """Determinant by Bareiss fraction-free elimination."""
+        """Determinant: the signed product of the elimination pivots."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        m = [row[:] for row in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = Fraction(0)
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        pivots, sign, product = _eliminate([r[:] for r in self.rows], self.ncols)
+        return sign * product if len(pivots) == self.nrows else Fraction(0)
 
     def rank(self) -> int:
-        m = [row[:] for row in self.rows]
-        r = 0
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            r += 1
-            if r == len(m):
-                break
-        return r
+        return len(_eliminate([r[:] for r in self.rows], self.ncols)[0])
+
+
+def _eliminate(rows, ncols: int):
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+
+    ``rows`` becomes reduced row echelon form in those columns; any
+    further columns (right-hand sides) undergo the same row operations.
+    Returns the pivot columns, the sign of the row swaps and the product
+    of the pivots, so a square matrix of full rank has determinant
+    ``sign * product``.
+    """
+    pivots = []
+    sign, product = 1, Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        p = rows[r][c]
+        product *= p
+        # columns left of c are zero in the pivot row, so only the tail moves
+        tail = rows[r][c:] = [x / p if x else x for x in rows[r][c:]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [x - f * y if y else x for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+    return pivots, sign, product
 
 
 @dataclass
@@ -166,47 +164,61 @@ class Inconsistent:
     certificate: list
 
 
+@dataclass
+class LinearSolutions:
+    """One particular solution per right-hand side, plus a kernel basis."""
+
+    particulars: list
+    nullspace: list
+
+
+def solve_many(a: RationalMatrix, rhs_columns):
+    """Solve A x = b exactly for every b in ``rhs_columns`` at once.
+
+    One elimination of ``[A | b_1 ... b_k]`` gives, for every column, the
+    particular solution whose free variables are zero, and a nullspace
+    basis of A.  If some b_k is not in the column space, returns an
+    :class:`Inconsistent` certificate for the first such column instead.
+    """
+    nr, nc = a.nrows, a.ncols
+    cols = [[Fraction(x) for x in b] for b in rhs_columns]
+    if any(len(b) != nr for b in cols):
+        raise ValueError("rhs length mismatch")
+    m = [row + [b[i] for b in cols] for i, row in enumerate(a.rows)]
+    pivots = _eliminate(m, nc)[0]
+    rank = len(pivots)
+    bad = next((k for k in range(len(cols))
+                if any(m[i][nc + k] for i in range(rank, nr))), None)
+    if bad is not None:
+        # redo the same row operations on an identity block to record them
+        m = [row + [cols[bad][i]] + [Fraction(int(i == j)) for j in range(nr)]
+             for i, row in enumerate(a.rows)]
+        _eliminate(m, nc)
+        cert = next(row[nc + 1:] for row in m[rank:] if row[nc])
+        return Inconsistent(certificate=cert)
+    particulars = []
+    for k in range(len(cols)):
+        x = [Fraction(0)] * nc
+        for row, c in zip(m, pivots):
+            x[c] = row[nc + k]
+        particulars.append(x)
+    nullspace = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for row, c in zip(m, pivots):
+            v[c] = -row[fc]
+        nullspace.append(v)
+    return LinearSolutions(particulars=particulars, nullspace=nullspace)
+
+
 def solve_linear(a: RationalMatrix, b):
     """Solve A x = b exactly.
 
     Returns a :class:`LinearSolution` (any particular solution together
     with a nullspace basis) or an :class:`Inconsistent` certificate.
     """
-    nr, nc = a.nrows, a.ncols
-    b = [Fraction(x) for x in b]
-    if len(b) != nr:
-        raise ValueError("rhs length mismatch")
-    m = [row[:] + [b[i]] + [Fraction(int(i == j)) for j in range(nr)]
-         for i, row in enumerate(a.rows)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if m[i][nc] != 0:
-            return Inconsistent(certificate=[m[i][nc + 1 + j] for j in range(nr)])
-    particular = [Fraction(0)] * nc
-    for row_i, c in enumerate(pivots):
-        particular[c] = m[row_i][nc]
-    free = [c for c in range(nc) if c not in pivots]
-    nullspace = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for row_i, c in enumerate(pivots):
-            v[c] = -m[row_i][fc]
-        nullspace.append(v)
-    return LinearSolution(particular=particular, nullspace=nullspace)
+    sol = solve_many(a, [b])
+    if isinstance(sol, Inconsistent):
+        return sol
+    return LinearSolution(particular=sol.particulars[0], nullspace=sol.nullspace)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .combinat import NoncrossingPartition, format_element
+from .combinat import format_element
 from .grassmann import ExteriorVector
 from .linalg import RationalMatrix
 from .network import CactusNetwork
@@ -52,6 +52,8 @@ def network_from_dict(doc: dict) -> CactusNetwork:
     ids = [e[0] for e in edges]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate edge ids")
+    if len(set(internal)) != len(internal):
+        raise ValueError("duplicate internal vertex names")
     return CactusNetwork.build(n, shape, internal, edges, rotations)
 
 
@@ -96,10 +98,6 @@ def exterior_to_doc(vec: ExteriorVector) -> dict:
         index_set_string(vec.n, key): format_rational(val)
         for key, val in sorted(vec.coords.items())
     }
-
-
-def partition_string(sigma: NoncrossingPartition) -> str:
-    return str(sigma)
 
 
 def dump_document(doc, compact: bool = False) -> str:

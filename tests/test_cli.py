@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import make_delta, make_disconnected, make_glued_tree, make_y
-from cactusnet import netfile
+from cactusnet import electrical, netfile
 from cactusnet.cli import main
 from fractions import Fraction
 
@@ -162,3 +162,26 @@ def test_outputs_are_deterministic(paths, capsys):
         _, out, _ = run(capsys, "plucker", paths["glued"], "--compact")
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_duplicate_internal_vertex_is_invalid_input(paths, capsys, tmp_path):
+    doc = json.loads(open(paths["y"]).read())
+    doc["internal_vertices"] = ["v", "v"]
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("validate", "response", "resistance"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 1
+        assert out == ""
+        assert "duplicate internal vertex names" in err
+
+
+def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
+    def broken(net):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(electrical, "response_matrix", broken)
+    code, out, err = run(capsys, "response", paths["y"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: IndexError: list index out of range\n"

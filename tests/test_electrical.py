@@ -1,5 +1,6 @@
 """Response, resistance, and dual response, with a floating-point oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,9 @@ from cactusnet.electrical import (
     resistance_matrix,
     response_matrix,
 )
+from cactusnet import electrical
 from cactusnet.groves import lambda_vector
+from cactusnet.linalg import Inconsistent, RationalMatrix, solve_linear
 from cactusnet.network import CactusNetwork, dual, quotient_graph
 
 
@@ -181,3 +184,53 @@ def test_resistance_from_concordant_sums(rng):
                     Fraction(0),
                 )
                 assert R[(i - 1, j - 1)] == tot / top
+
+
+def per_pair_resistance(net):
+    """Exact oracle: one solve of L V = e_u - e_v per pair of blocks,
+    R(u, v) = V[v] - V[u]; None when some pair is disconnected."""
+    part = net.shape_partition()
+    resp = response_matrix(net)
+    nb = resp.nrows
+    rows = [[Fraction(0)] * net.n for _ in range(net.n)]
+    for bu in range(nb):
+        for bv in range(bu + 1, nb):
+            rhs = [Fraction(0)] * nb
+            rhs[bu], rhs[bv] = Fraction(1), Fraction(-1)
+            sol = solve_linear(resp, rhs)
+            if isinstance(sol, Inconsistent):
+                return None
+            r = sol.particular[bv] - sol.particular[bu]
+            for i in part.blocks[bu]:
+                for j in part.blocks[bv]:
+                    rows[i - 1][j - 1] = rows[j - 1][i - 1] = r
+    return RationalMatrix(rows)
+
+
+def test_grounded_resistance_matches_per_pair_oracle(rng):
+    nets = [make_glued_tree(), make_y(1, 2, 3), make_disconnected()]
+    nets += [random_planar_net(rng, rng.randint(2, 7), connected=rng.random() < 0.5)
+             for _ in range(40)]
+    disconnected = 0
+    for net in nets:
+        expect = per_pair_resistance(net)
+        if expect is None:
+            disconnected += 1
+            with pytest.raises(ValueError, match="disconnected"):
+                resistance_matrix(net)
+        else:
+            assert resistance_matrix(net) == expect
+    assert disconnected >= 2
+
+
+def test_one_solve_per_matrix(monkeypatch):
+    calls = []
+    solve = electrical.solve_many
+    monkeypatch.setattr(electrical, "solve_many",
+                        lambda a, rhs: calls.append(a.nrows) or solve(a, rhs))
+    net = random_planar_net(random.Random(3), 6, connected=True)
+    response_matrix(net)
+    assert calls == [1]             # the single internal vertex
+    calls.clear()
+    resistance_matrix(net)
+    assert calls == [1, 5]          # the response, then the grounded inverse

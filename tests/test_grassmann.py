@@ -16,6 +16,7 @@ from conftest import (
     make_y,
     random_planar_net,
 )
+from cactusnet import grassmann
 from cactusnet.combinat import (
     KrewerasPair,
     NoncrossingPartition,
@@ -257,3 +258,13 @@ def test_duality_via_cyclic_shift(rng):
         lhs = plucker(cyclic_shift(rep))
         rhs = lam_map(lambda_vector(dual(net)))
         assert proportionality_factor(rhs, lhs) is not None
+
+
+def test_extract_solves_once(monkeypatch):
+    calls = []
+    solve = grassmann.solve_many
+    monkeypatch.setattr(grassmann, "solve_many",
+                        lambda a, rhs: calls.append(len(rhs)) or solve(a, rhs))
+    resp = response_matrix(make_y(1, 2, 3))
+    assert extract_symmetric(chart_from_response(resp), "response") == resp
+    assert calls == [3]

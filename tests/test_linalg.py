@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cactusnet.linalg import Inconsistent, RationalMatrix, solve_linear
+from cactusnet.linalg import Inconsistent, RationalMatrix, solve_linear, solve_many
 
 
 def random_matrix(rng, rows, cols, sparse=False):
@@ -49,6 +49,24 @@ def test_determinant_against_sympy():
             det = m.determinant()
             assert sympy.Rational(det.numerator, det.denominator) == \
                 to_sympy(m).det()
+    # inputs that need row swaps: a zero leading entry, a permutation, and
+    # row permutations of random matrices (each swap flips the sign)
+    swapped = [
+        RationalMatrix([[0, 1], [1, 0]]),
+        RationalMatrix([[0, 0, 2], [0, 3, 1], [5, 1, 1]]),
+        RationalMatrix([[0, 2, 1], [0, 4, 2], [1, 0, 0]]),  # singular
+    ]
+    for size in (2, 3, 4, 5):
+        for _ in range(6):
+            m = random_matrix(rng, size, size, sparse=True)
+            m.rows[0][0] = Fraction(0)
+            perm = list(range(size))
+            rng.shuffle(perm)
+            swapped += [m, RationalMatrix([m.rows[i] for i in perm])]
+    for m in swapped:
+        det = m.determinant()
+        assert sympy.Rational(det.numerator, det.denominator) == \
+            to_sympy(m).det()
 
 
 def test_rank_against_sympy():
@@ -115,3 +133,72 @@ def test_submatrix():
 def test_determinant_requires_square():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2, 3]]).determinant()
+
+
+def to_fractions(vec):
+    return [Fraction(int(x.p), int(x.q)) for x in vec]
+
+
+def test_solve_many_matches_sympy():
+    """Particular solutions (free variables zero) and the nullspace basis
+    agree exactly with sympy's Gauss-Jordan solve and nullspace."""
+    rng = random.Random(29)
+    with_kernel = 0
+    for _ in range(40):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 6)
+        a = random_matrix(rng, rows, cols, sparse=True)
+        xs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+               for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+        rhs = [a.matvec(x) for x in xs]
+        sol = solve_many(a, rhs)
+        assert not isinstance(sol, Inconsistent)
+        sa = to_sympy(a)
+        assert [to_fractions(v) for v in sa.nullspace()] == sol.nullspace
+        with_kernel += bool(sol.nullspace)
+        assert len(sol.particulars) == len(rhs)
+        for b, x in zip(rhs, sol.particulars):
+            assert a.matvec(x) == b
+            gen, params = sa.gauss_jordan_solve(sympy.Matrix(
+                [sympy.Rational(y.numerator, y.denominator) for y in b]))
+            expected = gen.subs({t: 0 for t in params})
+            assert to_fractions(expected) == x
+            assert solve_linear(a, b).particular == x
+    assert with_kernel >= 5
+
+
+def test_solve_many_inconsistent_certificate():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(100):
+        a = random_matrix(rng, 4, 3, sparse=True)
+        consistent = a.matvec([Fraction(rng.randint(-3, 3)) for _ in range(3)])
+        other = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
+        rhs = [consistent, other]
+        sol = solve_many(a, rhs)
+        sa = to_sympy(a)
+        try:
+            sa.gauss_jordan_solve(sympy.Matrix(other))
+        except ValueError:
+            assert isinstance(sol, Inconsistent)
+        else:
+            assert not isinstance(sol, Inconsistent)
+            continue
+        found += 1
+        cert = sol.certificate
+        lhs = [sum(cert[i] * a[(i, j)] for i in range(4)) for j in range(3)]
+        assert all(x == 0 for x in lhs)
+        assert sum(c * y for c, y in zip(cert, other)) != 0
+        # the single-column wrapper reports the same certificate
+        assert solve_linear(a, other).certificate == cert
+    assert found >= 5
+
+
+def test_solve_many_shapes():
+    a = RationalMatrix([[1, 2], [2, 4]])
+    sol = solve_many(a, [])
+    assert sol.particulars == [] and sol.nullspace == [[-2, 1]]
+    empty = solve_many(RationalMatrix([]), [])
+    assert empty.particulars == [] and empty.nullspace == []
+    with pytest.raises(ValueError):
+        solve_many(a, [[1, 2, 3]])
