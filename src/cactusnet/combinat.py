@@ -77,7 +77,7 @@ def is_noncrossing_on_circle(blocks, position) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoncrossingPartition:
     """A noncrossing partition of {1..n}, blocks in canonical order."""
 

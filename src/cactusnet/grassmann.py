@@ -16,13 +16,11 @@ from fractions import Fraction
 from .combinat import (
     KrewerasPair,
     NoncrossingPartition,
-    catalan,
     circle_position,
     concordant_index_pairs,
-    enumerate_noncrossing,
 )
 from .groves import GroveMeasurements
-from .linalg import Inconsistent, RationalMatrix, solve_many
+from .linalg import Inconsistent, RationalMatrix, _sparse_ratio, solve_many
 
 
 class ExteriorVector:
@@ -73,16 +71,7 @@ def proportionality_factor(v1: ExteriorVector, v2: ExteriorVector):
     """The rational t with v2 = t * v1, or None (zero vectors excluded)."""
     if (v1.n, v1.degree) != (v2.n, v2.degree):
         return None
-    if v1.is_zero() or v2.is_zero():
-        return None
-    if set(v1.coords) != set(v2.coords):
-        return None
-    items = iter(v1.coords.items())
-    k0, a0 = next(items)
-    t = v2.coords[k0] / a0
-    if all(v2.coords[k] == t * a for k, a in items):
-        return t
-    return None
+    return _sparse_ratio(v1.coords, v2.coords)
 
 
 def positions_of(n: int, labels) -> tuple:
@@ -90,13 +79,16 @@ def positions_of(n: int, labels) -> tuple:
     return tuple(sorted(circle_position(n, x) for x in labels))
 
 
+def _concordant_keys(pair: KrewerasPair) -> list:
+    """Position tuples of the basis wedges concordant with the pair."""
+    n = pair.n
+    return [positions_of(n, idx + tidx) for idx, tidx in concordant_index_pairs(pair)]
+
+
 def f_sigma(pair: KrewerasPair) -> ExteriorVector:
     """Sum of basis wedges over index pairs concordant with the pair."""
-    n = pair.n
-    coords = {}
-    for idx, tidx in concordant_index_pairs(pair):
-        coords[positions_of(n, idx + tidx)] = Fraction(1)
-    return ExteriorVector(n, n + 1, coords)
+    return ExteriorVector(
+        pair.n, pair.n + 1, dict.fromkeys(_concordant_keys(pair), Fraction(1)))
 
 
 def block_vector_matrix(pair: KrewerasPair) -> RationalMatrix:
@@ -119,13 +111,12 @@ def block_vector_matrix(pair: KrewerasPair) -> RationalMatrix:
 
 def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
     """Exterior vector of a measurement vector: sum of Lambda_sigma f_sigma."""
-    n = measurements.n
-    out = ExteriorVector(n, n + 1)
-    for sigma in enumerate_noncrossing(n):
-        val = measurements[sigma]
+    out = {}
+    for sigma, val in measurements.values.items():
         if val:
-            out = out + f_sigma(KrewerasPair.of(sigma)).scale(val)
-    return out
+            for key in _concordant_keys(KrewerasPair.of(sigma)):
+                out[key] = out.get(key, 0) + val
+    return ExteriorVector(measurements.n, measurements.n + 1, out)
 
 
 def plucker(m: RationalMatrix) -> ExteriorVector:

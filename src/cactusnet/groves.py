@@ -5,47 +5,51 @@ every connected component contains a boundary vertex.  Each grove
 induces a partition of the boundary labels 1..n (labels sharing a tree);
 for a planar embedded network that partition is noncrossing.  The
 measurement vector collects, for every noncrossing partition, the sum of
-conductance products over groves inducing it.
+conductance products over groves inducing it.  It is stored sparsely:
+``GroveMeasurements.values`` holds only the partitions some grove
+induces, and every other partition measures 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import NoncrossingPartition, enumerate_noncrossing
+from .linalg import _sparse_ratio
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 GROVE_EDGE_CAP = 20
 
+_ZERO = Fraction(0)
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+def _find(parent: list, x: int) -> int:
+    """Root of x in a list-based union-find, halving the path on the way.
 
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-    def copy(self):
-        uf = _UnionFind(())
-        uf.parent = dict(self.parent)
-        return uf
+    Unions link the larger root under the smaller, so a root is the
+    smallest index in its tree.
+    """
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _as_quotient(net) -> QuotientGraph:
     if isinstance(net, QuotientGraph):
         return net
     return quotient_graph(net)
+
+
+def _edge_ends(qg: QuotientGraph) -> dict:
+    """Edge id -> its two ends as indices into ``qg.vertices``.
+
+    The boundary blocks come first, so boundary block b has index b.
+    """
+    index = {v: i for i, v in enumerate(qg.vertices)}
+    return {eid: (index[u], index[v]) for eid, u, v, _ in qg.edges}
 
 
 def enumerate_groves(net):
@@ -59,52 +63,76 @@ def enumerate_groves(net):
         raise ValueError(
             f"too many edges for grove enumeration (cap {GROVE_EDGE_CAP})"
         )
-    edges = sorted(qg.edges)
-    boundary = set(qg.boundary)
+    eids = sorted(eid for eid, *_ in qg.edges)
+    ends = _edge_ends(qg)
+    nboundary, nvertices = len(qg.boundary), len(qg.vertices)
 
-    def is_grove(uf):
-        roots_with_boundary = {uf.find(b) for b in qg.boundary}
-        return all(uf.find(v) in roots_with_boundary for v in qg.internal)
+    def is_grove(parent):
+        # a root is the smallest index in its tree, so a tree holds a
+        # boundary block iff its root is one
+        return all(_find(parent, v) < nboundary
+                   for v in range(nboundary, nvertices))
 
-    def extend(start, uf, chosen):
-        if is_grove(uf):
+    def extend(start, parent, chosen):
+        if is_grove(parent):
             yield tuple(chosen)
-        for k in range(start, len(edges)):
-            eid, u, v, _ = edges[k]
-            uf2 = uf.copy()
-            if not uf2.union(u, v):
+        for k in range(start, len(eids)):
+            u, v = ends[eids[k]]
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru == rv:
                 continue  # would close a cycle
-            chosen.append(eid)
-            yield from extend(k + 1, uf2, chosen)
+            joined = parent[:]
+            joined[max(ru, rv)] = min(ru, rv)
+            chosen.append(eids[k])
+            yield from extend(k + 1, joined, chosen)
             chosen.pop()
 
-    yield from extend(0, _UnionFind(qg.vertices), [])
+    yield from extend(0, list(range(nvertices)), [])
+
+
+def _boundary_roots(ends, nvertices: int, nboundary: int, edge_ids) -> tuple:
+    """For every boundary block, the smallest block the edges connect it to.
+
+    This is a canonical key of the induced partition: two groves induce
+    the same partition iff their keys are equal.
+    """
+    parent = list(range(nvertices))
+    for eid in edge_ids:
+        u, v = ends[eid]
+        ru, rv = _find(parent, u), _find(parent, v)
+        parent[max(ru, rv)] = min(ru, rv)
+    return tuple(_find(parent, b) for b in range(nboundary))
+
+
+def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
+    """The partition of [n] whose blocks join the boundary blocks sharing a root."""
+    groups = {}
+    for root, block in zip(roots, qg.boundary):
+        groups.setdefault(root, []).extend(block)
+    n = sum(len(b) for b in qg.boundary)
+    return NoncrossingPartition.from_blocks(n, groups.values())
 
 
 def grove_partition(net, edge_ids) -> NoncrossingPartition:
     """The boundary partition induced by a grove."""
     qg = _as_quotient(net)
-    chosen = set(edge_ids)
-    uf = _UnionFind(qg.vertices)
-    for eid, u, v, _ in qg.edges:
-        if eid in chosen:
-            uf.union(u, v)
-    groups = {}
-    for block in qg.boundary:
-        groups.setdefault(uf.find(block), []).extend(block)
-    n = sum(len(b) for b in qg.boundary)
-    return NoncrossingPartition.from_blocks(n, groups.values())
+    return _partition(qg, _boundary_roots(
+        _edge_ends(qg), len(qg.vertices), len(qg.boundary), edge_ids))
 
 
 @dataclass
 class GroveMeasurements:
-    """Measurement vector indexed by noncrossing partitions of [n]."""
+    """Measurement vector indexed by noncrossing partitions of [n].
+
+    ``values`` may omit partitions: a missing partition measures 0.
+    ``lambda_vector`` stores only the nonzero values.
+    """
 
     n: int
     values: dict  # NoncrossingPartition -> Fraction
 
     def __getitem__(self, sigma) -> Fraction:
-        return self.values.get(sigma, Fraction(0))
+        return self.values.get(sigma, _ZERO)
 
     def as_list(self):
         """Values in the deterministic enumeration order of partitions."""
@@ -115,16 +143,27 @@ class GroveMeasurements:
 
 
 def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
+    """The grove measurements of a valid network, nonzero values only."""
     require_valid(net)
     qg = quotient_graph(net)
-    weight = {eid: c for eid, _, _, c in qg.edges}
-    values = {s: Fraction(0) for s in enumerate_noncrossing(net.n)}
+    ends = _edge_ends(qg)
+    nvertices, nboundary = len(qg.vertices), len(qg.boundary)
+    # Integer weights a_e = c_e * d, d the lcm of the denominators: a grove
+    # of k edges weighs (product of its a_e) / d**k.
+    d = math.lcm(*(c.denominator for *_, c in qg.edges))
+    weight = {eid: c.numerator * (d // c.denominator) for eid, _, _, c in qg.edges}
+    classes = {}  # boundary roots -> {grove size: sum of integer weights}
     for grove in enumerate_groves(qg):
-        w = Fraction(1)
+        w = 1
         for eid in grove:
             w *= weight[eid]
-        values[grove_partition(qg, grove)] += w
-    return GroveMeasurements(net.n, values)
+        sizes = classes.setdefault(
+            _boundary_roots(ends, nvertices, nboundary, grove), {})
+        sizes[len(grove)] = sizes.get(len(grove), 0) + w
+    return GroveMeasurements(net.n, {
+        _partition(qg, roots): sum(Fraction(s, d**k) for k, s in sizes.items())
+        for roots, sizes in classes.items()
+    })
 
 
 def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):
@@ -134,20 +173,9 @@ def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):
     of a valid network is zero: the full quotient graph always has some
     grove).
     """
-    if m1.n != m2.n or m1.is_zero() or m2.is_zero():
+    if m1.n != m2.n:
         return None
-    v1, v2 = m1.as_list(), m2.as_list()
-    t = None
-    for a, b in zip(v1, v2):
-        if (a == 0) != (b == 0):
-            return None
-        if a != 0:
-            r = b / a
-            if t is None:
-                t = r
-            elif r != t:
-                return None
-    return t
+    return _sparse_ratio(m1.values, m2.values)
 
 
 def equivalence_factor(net1: CactusNetwork, net2: CactusNetwork):

@@ -222,3 +222,18 @@ def solve_linear(a: RationalMatrix, b):
     if isinstance(sol, Inconsistent):
         return sol
     return LinearSolution(particular=sol.particulars[0], nullspace=sol.nullspace)
+
+
+def _sparse_ratio(u: dict, v: dict):
+    """The rational t with v = t * u for two sparse vectors, or None.
+
+    Keys missing from a dict, and explicit zero entries, are zeros.  Zero
+    vectors are proportional to nothing.
+    """
+    u = {k: x for k, x in u.items() if x}
+    v = {k: x for k, x in v.items() if x}
+    if not u or u.keys() != v.keys():
+        return None
+    k0 = next(iter(u))
+    t = v[k0] / u[k0]
+    return t if all(v[k] == t * x for k, x in u.items()) else None

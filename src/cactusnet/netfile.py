@@ -15,7 +15,7 @@ from fractions import Fraction
 from .combinat import format_element
 from .grassmann import ExteriorVector
 from .linalg import RationalMatrix
-from .network import CactusNetwork
+from .network import CactusNetwork, boundary_name
 
 
 def format_rational(x: Fraction) -> str:
@@ -49,11 +49,21 @@ def network_from_dict(doc: dict) -> CactusNetwork:
     except (KeyError, IndexError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise ValueError(f"malformed network file: {exc}") from exc
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    unquoted = [str(e["id"]) for e in doc["edges"]
+                if not isinstance(e["conductance"], str)]
+    if unquoted:
+        raise ValueError(f'conductances must be "p" or "p/q" strings: {unquoted}')
     ids = [e[0] for e in edges]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate edge ids")
     if len(set(internal)) != len(internal):
         raise ValueError("duplicate internal vertex names")
+    names = {boundary_name(i) for i in range(1, n + 1)} | set(internal)
+    unknown = set(rotations) - names
+    if unknown:
+        raise ValueError(f"rotations of unknown vertices {sorted(unknown)}")
     return CactusNetwork.build(n, shape, internal, edges, rotations)
 
 

@@ -185,3 +185,20 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: IndexError: list index out of range\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["rotations"].update(zz=[]), "rotations of unknown vertices"),
+    (lambda doc: doc["edges"][0].update(conductance=1.5), "conductances must be"),
+    (lambda doc: doc.update(n=0), "n must be >= 1"),
+], ids=["unknown-rotation-vertex", "numeric-conductance", "n-zero"])
+def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, message):
+    doc = json.loads(open(paths["y"]).read())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("validate", "response", "lambda"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 1
+        assert out == ""
+        assert message in err

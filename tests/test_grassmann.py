@@ -152,6 +152,19 @@ def test_lam_map_images(rng):
         assert kappa(omega(n), vec).is_zero()
 
 
+def test_lam_map_is_the_sum_of_scaled_f_sigma(rng):
+    """The one-dict lam_map against the sum over every partition of
+    Lambda(sigma) f_sigma, added one exterior vector at a time."""
+    nets = [make_glued_tree(), make_shorted(), make_disconnected()]
+    nets += [random_planar_net(rng, rng.choice([2, 3, 4, 5])) for _ in range(10)]
+    for net in nets:
+        lam = lambda_vector(net)
+        expect = ExteriorVector(net.n, net.n + 1)
+        for sigma in enumerate_noncrossing(net.n):
+            expect = expect + f_sigma(KrewerasPair.of(sigma)).scale(lam[sigma])
+        assert lam_map(lam) == expect
+
+
 def test_chart_round_trips_random_symmetric(rng):
     """Charts are one-sided inverses of extraction on arbitrary
     symmetric zero-row-sum matrices."""

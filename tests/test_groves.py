@@ -1,6 +1,7 @@
 """Grove enumeration against a brute-force subset oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -27,7 +28,7 @@ from cactusnet.groves import (
     lambda_vector,
     proportionality_factor,
 )
-from cactusnet.network import quotient_graph
+from cactusnet.network import Edge, quotient_graph
 
 
 def brute_force_groves(qg):
@@ -169,3 +170,77 @@ def test_proportionality_factor_zero_vectors():
     lam = lambda_vector(make_single_edge())
     assert proportionality_factor(z, lam) is None
     assert proportionality_factor(lam, z) is None
+
+
+def grove_loop_measurements(net):
+    """The loop lambda_vector replaces: one Fraction product per grove,
+    added under the partition grove_partition gives it."""
+    qg = quotient_graph(net)
+    weight = {eid: c for eid, _, _, c in qg.edges}
+    values = {}
+    for grove in enumerate_groves(qg):
+        w = Fraction(1)
+        for eid in grove:
+            w *= weight[eid]
+        sigma = grove_partition(qg, grove)
+        values[sigma] = values.get(sigma, 0) + w
+    return values
+
+
+def with_distinct_denominators(net):
+    """The same network with conductance (k+1)/p on edge k, p the k-th prime."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    assert len(net.edges) <= len(primes)
+    return net.replace(edges=[
+        Edge(e.id, e.ends, Fraction(k + 1, p))
+        for k, (e, p) in enumerate(zip(net.edges, primes))])
+
+
+@pytest.mark.parametrize("builder", [
+    make_glued_tree,
+    make_shorted,
+    make_disconnected,
+    lambda: make_edgeless(3),
+    lambda: make_y(Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)),
+    lambda: with_distinct_denominators(make_glued_tree()),
+], ids=["glued", "shorted", "disconnected", "edgeless", "y-distinct-denominators",
+        "glued-distinct-denominators"])
+def test_lambda_vector_matches_the_grove_loop(builder):
+    net = builder()
+    lam = lambda_vector(net)
+    assert lam.values == grove_loop_measurements(net)
+    assert all(lam.values.values())
+
+
+def test_lambda_vector_matches_the_grove_loop_random(rng):
+    for _ in range(25):
+        net = random_planar_net(rng, rng.choice([2, 3, 4, 5, 6]))
+        if rng.random() < 0.5:
+            net = with_distinct_denominators(net)
+        lam = lambda_vector(net)
+        assert lam.values == grove_loop_measurements(net)
+        assert all(lam.values.values())
+
+
+def test_over_cap_lambda_fails_before_any_catalan_table():
+    class KeepAll(random.Random):
+        def random(self):
+            return 0.0  # keep every chord and spoke
+
+    net = random_planar_net(KeepAll(0), 11, connected=True)
+    assert len(net.edges) > GROVE_EDGE_CAP
+    before = enumerate_noncrossing.cache_info()
+    with pytest.raises(ValueError, match="too many edges"):
+        lambda_vector(net)
+    after = enumerate_noncrossing.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_proportionality_factor_ignores_explicit_zeros():
+    sparse = lambda_vector(make_disconnected())
+    dense = GroveMeasurements(3, {s: sparse[s] for s in enumerate_noncrossing(3)})
+    assert 0 in dense.values.values()
+    double = GroveMeasurements(3, {s: 2 * v for s, v in sparse.values.items()})
+    assert proportionality_factor(dense, double) == 2
+    assert proportionality_factor(double, dense) == Fraction(1, 2)
+    assert proportionality_factor(dense, sparse) == 1
