@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import electrical, grassmann, groves, netfile, network
-from .combinat import enumerate_noncrossing
+from .combinat import catalan, noncrossing_names
 
 
 def _load_valid(path: str) -> network.CactusNetwork:
@@ -58,14 +58,14 @@ def cmd_validate(args):
 
 def cmd_lambda(args):
     net = _load_valid(args.network)
+    if net.n > groves.DENSE_LAMBDA_MAX_N:
+        raise _Precondition(
+            f"dense lambda output for n = {net.n} has Cat_{net.n} = "
+            f"{catalan(net.n)} entries (limit n <= {groves.DENSE_LAMBDA_MAX_N})"
+        )
     lam = groves.lambda_vector(net)
-    _emit(
-        {
-            str(sigma): netfile.format_rational(lam[sigma])
-            for sigma in enumerate_noncrossing(net.n)
-        },
-        args,
-    )
+    nonzero = {str(s): netfile.format_rational(v) for s, v in lam.values.items()}
+    _emit({name: nonzero.get(name, "0") for name in noncrossing_names(net.n)}, args)
     return 0
 
 

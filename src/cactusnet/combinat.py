@@ -55,14 +55,37 @@ def is_partition(n: int, blocks) -> bool:
     return seen == set(range(1, n + 1))
 
 
+def _crossing(n: int, blocks) -> bool:
+    """True iff two of the blocks cross; the blocks must partition [n].
+
+    One scan of 1..n keeps the open blocks (seen, not yet finished) on a
+    stack.  Blocks are properly nested iff every label belongs to a new
+    block or to the block on top of the stack.
+    """
+    block_of = [0] * (n + 1)
+    for i, b in enumerate(blocks):
+        for x in b:
+            block_of[x] = i
+    left = [len(b) for b in blocks]  # labels of each block not yet scanned
+    stack = []
+    for x in range(1, n + 1):
+        i = block_of[x]
+        if left[i] == len(blocks[i]):
+            stack.append(i)
+        elif stack[-1] != i:
+            return True
+        left[i] -= 1
+        if not left[i]:
+            stack.pop()
+    return False
+
+
 def is_noncrossing(n: int, blocks) -> bool:
     """True iff no two blocks contain a crossing quadruple a<b<c<d."""
-    blocks = canonical_blocks(blocks)
+    blocks = [tuple(b) for b in blocks]
     if not is_partition(n, blocks):
         raise ValueError("blocks do not partition {1..n}")
-    return not any(
-        _blocks_cross(b1, b2) for b1, b2 in itertools.combinations(blocks, 2)
-    )
+    return not _crossing(n, blocks)
 
 
 def is_noncrossing_on_circle(blocks, position) -> bool:
@@ -89,7 +112,7 @@ class NoncrossingPartition:
         blocks = canonical_blocks(blocks)
         if not is_partition(n, blocks):
             raise ValueError(f"not a partition of [{n}]: {blocks}")
-        if not is_noncrossing(n, blocks):
+        if _crossing(n, blocks):
             raise ValueError(f"partition is crossing: {blocks}")
         return cls(n, blocks)
 
@@ -111,7 +134,62 @@ class NoncrossingPartition:
         return len(self.blocks)
 
     def __str__(self) -> str:
-        return "{" + "},{".join(",".join(str(x) for x in b) for b in self.blocks) + "}"
+        return _name(self.blocks, _BlockNames())
+
+
+class _BlockNames(dict):
+    """Memo from a block tuple to its rendering, e.g. (1, 2) -> "{1,2}"."""
+
+    def __missing__(self, block) -> str:
+        text = self[block] = "{" + ",".join(map(str, block)) + "}"
+        return text
+
+
+def _name(blocks, memo: _BlockNames) -> str:
+    """Render canonical blocks as "{1,2},{3}"."""
+    return ",".join(map(memo.__getitem__, blocks))
+
+
+def _lex_subsets(lo: int, hi: int):
+    """Subsets of lo..hi as sorted tuples, in lexicographic order."""
+    yield ()
+    for x in range(lo, hi + 1):
+        for rest in _lex_subsets(x + 1, hi):
+            yield (x,) + rest
+
+
+def _noncrossing_blocks(n: int) -> list:
+    """Canonical blocks of every noncrossing partition of [n], sorted.
+
+    The block of 1 comes first, in lexicographic order.  The gaps between
+    its elements (and after its last one) are then partitioned on their
+    own, since a block meeting two gaps would cross it; their partitions
+    follow in product order with the first gap slowest.  That is the
+    lexicographic order of the canonical block tuples.  Partitions of each
+    interval are built once per call, so block tuples are shared.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    memo = {}
+
+    def interval(a: int, b: int) -> list:
+        if a > b:
+            return [()]
+        got = memo.get((a, b))
+        if got is None:
+            got = memo[(a, b)] = []
+            for rest in _lex_subsets(a + 1, b):
+                block = (a,) + rest
+                ends = block + (b + 1,)
+                parts = [()]  # partitions of the gaps from the last one back
+                for lo, hi in reversed(list(zip(ends, ends[1:]))):
+                    if hi - lo > 1:
+                        parts = [p + q for p in interval(lo + 1, hi - 1)
+                                 for q in parts]
+                got.extend([(block,) + p for p in parts])
+        return got
+
+    return interval(1, n)
 
 
 @lru_cache(maxsize=None)
@@ -120,26 +198,13 @@ def enumerate_noncrossing(n: int) -> tuple:
 
     The length is the Catalan number Cat_n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    results = []
+    return tuple(NoncrossingPartition(n, b) for b in _noncrossing_blocks(n))
 
-    # Grow partitions element by element; appending x to a block B is
-    # allowed unless some other block straddles B (then the chord from
-    # max(B) to x would cut it).
-    def grow(x, blocks):
-        if x > n:
-            results.append(NoncrossingPartition(n, canonical_blocks(blocks)))
-            return
-        for i, b in enumerate(blocks):
-            if all(not (other[0] < b[0] and other[-1] > b[-1])
-                   for other in blocks if other != b):
-                grow(x + 1, blocks[:i] + (b + (x,),) + blocks[i + 1:])
-        grow(x + 1, blocks + ((x,),))
 
-    grow(2, ((1,),))
-    results.sort(key=lambda p: p.blocks)
-    return tuple(results)
+def noncrossing_names(n: int) -> list:
+    """``str`` of every noncrossing partition of [n], in enumeration order."""
+    memo = _BlockNames()
+    return [_name(b, memo) for b in _noncrossing_blocks(n)]
 
 
 def catalan(n: int) -> int:

@@ -21,6 +21,9 @@ from .linalg import _sparse_ratio
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 GROVE_EDGE_CAP = 20
+# Largest n whose dense Lambda vector (Cat_n entries) the CLI prints:
+# Cat_13 = 742,900 entries, Cat_14 = 2,674,440.
+DENSE_LAMBDA_MAX_N = 13
 
 _ZERO = Fraction(0)
 

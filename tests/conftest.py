@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cactusnet.combinat import canonical_blocks
 from cactusnet.network import CactusNetwork
 
 
@@ -128,6 +129,35 @@ def random_planar_net(rng, n, connected=False):
         rotations["v"] = [spoke_id[i] for i in sorted(spoke_id)]
     return CactusNetwork.build(
         n, [(i,) for i in range(1, n + 1)], internal, edges, rotations)
+
+
+def grown_noncrossing_blocks(n):
+    """Canonical blocks of every noncrossing partition of [n], sorted.
+
+    Oracle for the enumeration: grow partitions element by element, then
+    canonicalize and sort.  Appending x to a block B is allowed unless
+    some other block straddles B.
+    """
+    results = []
+
+    def grow(x, blocks):
+        if x > n:
+            results.append(canonical_blocks(blocks))
+            return
+        for i, b in enumerate(blocks):
+            if all(not (other[0] < b[0] and other[-1] > b[-1])
+                   for other in blocks if other != b):
+                grow(x + 1, blocks[:i] + (b + (x,),) + blocks[i + 1:])
+        grow(x + 1, blocks + ((x,),))
+
+    grow(2, ((1,),))
+    results.sort()
+    return results
+
+
+def partition_name(blocks):
+    """Oracle for the partition name format, e.g. "{1,2},{3}"."""
+    return "{" + "},{".join(",".join(str(x) for x in b) for b in blocks) + "}"
 
 
 @pytest.fixture

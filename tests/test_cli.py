@@ -1,12 +1,25 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import random
 
 import pytest
 
-from conftest import make_delta, make_disconnected, make_glued_tree, make_y
-from cactusnet import electrical, netfile
+from conftest import (
+    grown_noncrossing_blocks,
+    make_delta,
+    make_disconnected,
+    make_edgeless,
+    make_glued_tree,
+    make_shorted,
+    make_y,
+    partition_name,
+    random_planar_net,
+)
+from cactusnet import cli, electrical, groves, netfile
 from cactusnet.cli import main
+from cactusnet.combinat import NoncrossingPartition
+from cactusnet.groves import GROVE_EDGE_CAP, lambda_vector
 from fractions import Fraction
 
 
@@ -59,6 +72,64 @@ def test_lambda_output(paths, capsys):
     assert json.loads(out) == {
         "{1},{2},{3}": "6", "{1},{2,3}": "6", "{1,2},{3}": "2",
         "{1,2,3}": "6", "{1,3},{2}": "3"}
+
+
+def lambda_networks():
+    rng = random.Random(4)
+    nets = [make_glued_tree(), make_shorted(), make_disconnected(),
+            make_edgeless(4), make_y(1, Fraction(2, 3), 5)]
+    nets += [random_planar_net(rng, n) for n in (2, 3, 5, 6, 7, 9)]
+    return nets
+
+
+def test_lambda_output_matches_the_dense_oracle(capsys, tmp_path):
+    """stdout equals the former document: every sorted, grown partition,
+    named by the oracle, with its formatted measurement."""
+    for k, net in enumerate(lambda_networks()):
+        path = tmp_path / f"net{k}.json"
+        netfile.save_network(net, path)
+        lam = lambda_vector(net)
+        doc = {
+            partition_name(b): netfile.format_rational(lam[NoncrossingPartition(net.n, b)])
+            for b in grown_noncrossing_blocks(net.n)
+        }
+        assert run(capsys, "lambda", str(path)) == (
+            0, json.dumps(doc, indent=2) + "\n", "")
+        assert run(capsys, "lambda", str(path), "--compact") == (
+            0, json.dumps(doc, separators=(",", ":")) + "\n", "")
+
+
+def test_over_cap_lambda_fails_before_any_name(capsys, tmp_path, monkeypatch):
+    class KeepAll(random.Random):
+        def random(self):
+            return 0.0  # keep every chord and spoke
+
+    net = random_planar_net(KeepAll(0), 12, connected=True)
+    assert len(net.edges) > GROVE_EDGE_CAP
+    path = tmp_path / "wheel.json"
+    netfile.save_network(net, path)
+
+    def no_names(n):
+        raise AssertionError("names built before the edge cap check")
+
+    monkeypatch.setattr(cli, "noncrossing_names", no_names)
+    code, out, err = run(capsys, "lambda", str(path))
+    assert (code, out) == (2, "")
+    assert "too many edges" in err
+
+
+def test_dense_lambda_size_budget(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "edgeless16.json"
+    netfile.save_network(make_edgeless(16), path)
+
+    def no_groves(net):
+        raise AssertionError("lambda_vector ran past the size budget")
+
+    monkeypatch.setattr(groves, "lambda_vector", no_groves)
+    code, out, err = run(capsys, "lambda", str(path))
+    assert (code, out) == (2, "")
+    assert "n = 16" in err and "Cat_16 = 35357670" in err
+    assert groves.DENSE_LAMBDA_MAX_N == 13
 
 
 def test_matrix_commands(paths, capsys):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grown_noncrossing_blocks, partition_name
 from cactusnet.combinat import (
     KrewerasPair,
     Matching,
     NoncrossingPartition,
+    _blocks_cross,
+    _crossing,
     canonical_blocks,
     catalan,
     circle_position,
@@ -22,6 +25,7 @@ from cactusnet.combinat import (
     is_noncrossing_on_circle,
     is_partition,
     kreweras_complement,
+    noncrossing_names,
 )
 
 
@@ -57,6 +61,50 @@ def test_enumeration_matches_brute_force(n):
     listed = {s.blocks for s in enumerate_noncrossing(n)}
     assert listed == brute
     assert len(listed) == catalan(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumeration_matches_the_grown_and_sorted_oracle(n):
+    assert [s.blocks for s in enumerate_noncrossing(n)] == grown_noncrossing_blocks(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_names_follow_the_enumeration(n):
+    names = noncrossing_names(n)
+    assert names == [str(s) for s in enumerate_noncrossing(n)]
+    assert names == [partition_name(s.blocks) for s in enumerate_noncrossing(n)]
+
+
+def test_name_count_is_catalan():
+    for n in range(1, 13):
+        assert len(noncrossing_names(n)) == catalan(n)
+    with pytest.raises(ValueError):
+        noncrossing_names(0)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_linear_crossing_scan_matches_pairwise(n):
+    seen = 0
+    for p in all_set_partitions(range(1, n + 1)):
+        canon = canonical_blocks(p)
+        pairwise = any(_blocks_cross(b1, b2)
+                       for b1, b2 in itertools.combinations(canon, 2))
+        assert _crossing(n, canon) == pairwise
+        assert is_noncrossing(n, [set(b) for b in reversed(p)]) == (not pairwise)
+        if pairwise:
+            seen += 1
+            with pytest.raises(ValueError, match="crossing"):
+                NoncrossingPartition.from_blocks(n, p)
+        else:
+            assert NoncrossingPartition.from_blocks(n, p).blocks == canon
+    assert seen == len(list(all_set_partitions(range(n)))) - catalan(n)
+
+
+def test_is_noncrossing_rejects_non_partitions():
+    with pytest.raises(ValueError):
+        is_noncrossing(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError):
+        is_noncrossing(3, [(1,), (3,)])
 
 
 def test_catalan_values():
