@@ -48,6 +48,8 @@ def _blocks_cross(b1, b2) -> bool:
 def is_partition(n: int, blocks) -> bool:
     seen = set()
     for b in blocks:
+        if not b:
+            return False
         for x in b:
             if x in seen:
                 return False
@@ -235,48 +237,38 @@ class KrewerasPair:
         return self.sigma.blocks + self.tilde_blocks
 
 
-def _separated(n, p, q, block) -> bool:
-    # Does the block (given as circle positions) have elements strictly on
-    # both sides of the chord through positions p and q?
-    lo, hi = min(p, q), max(p, q)
-    inside = any(lo < x < hi for x in block)
-    outside = any(x < lo or x > hi for x in block)
-    return inside and outside
-
-
 def _kreweras_tilde_blocks(sigma: NoncrossingPartition) -> tuple:
     """Kreweras complement of sigma, as blocks of the labels n+1..2n.
 
-    Two tilde points belong to the same block iff no block of sigma has
-    elements on both sides of the chord joining them; for a noncrossing
-    sigma this "same face of the disc" relation is an equivalence.
+    With sigma read as the permutation sending each label to the next one
+    in its block (cyclically), the complement is sigma^-1 c for the long
+    cycle c = (1 2 ... n): k~ is followed by (prev(k+1))~, where prev is
+    the label before k+1 in its block.  Each cycle, entered at its least
+    label, is increasing, so one pass over 1..n yields canonical blocks.
     """
     n = sigma.n
-    placed = [
-        tuple(circle_position(n, x) for x in b) for b in sigma.blocks
-    ]
-    parent = {k: k for k in range(n + 1, 2 * n + 1)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in itertools.combinations(range(n + 1, 2 * n + 1), 2):
-        pa, pb = circle_position(n, a), circle_position(n, b)
-        if not any(_separated(n, pa, pb, blk) for blk in placed):
-            parent[find(a)] = find(b)
-
-    groups = {}
-    for k in range(n + 1, 2 * n + 1):
-        groups.setdefault(find(k), []).append(k)
-    tilde = canonical_blocks(groups.values())
+    prev = [0] * (n + 1)
+    for b in sigma.blocks:
+        for i, x in enumerate(b):
+            prev[x] = b[i - 1]
+    seen = [False] * (n + 1)
+    tilde = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cycle = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(n + k)
+            k = prev[k % n + 1]
+        tilde.append(tuple(cycle))
+    tilde = tuple(tilde)
     if len(tilde) != n + 1 - sigma.num_blocks():
         raise AssertionError(f"Kreweras block count wrong for {sigma}")
-    if not is_noncrossing_on_circle(
-        sigma.blocks + tilde, lambda x: circle_position(n, x)
-    ):
+    # circle positions shifted to 1..2n, so the union is a partition of [2n]
+    if _crossing(2 * n, [tuple(circle_position(n, x) + 1 for x in b)
+                         for b in sigma.blocks + tilde]):
         raise AssertionError(f"Kreweras union crosses for {sigma}")
     return tilde
 

@@ -11,13 +11,13 @@ point of Gr(n+1, 2n).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .combinat import (
     KrewerasPair,
     NoncrossingPartition,
     circle_position,
-    concordant_index_pairs,
 )
 from .groves import GroveMeasurements
 from .linalg import Inconsistent, RationalMatrix, _sparse_ratio, solve_many
@@ -80,9 +80,14 @@ def positions_of(n: int, labels) -> tuple:
 
 
 def _concordant_keys(pair: KrewerasPair) -> list:
-    """Position tuples of the basis wedges concordant with the pair."""
+    """Position tuples of the basis wedges concordant with the pair.
+
+    One label from every block of sigma and of its complement, in the
+    product order of ``concordant_index_pairs``.
+    """
     n = pair.n
-    return [positions_of(n, idx + tidx) for idx, tidx in concordant_index_pairs(pair)]
+    placed = [tuple(circle_position(n, x) for x in b) for b in pair.all_blocks()]
+    return [tuple(sorted(c)) for c in itertools.product(*placed)]
 
 
 def f_sigma(pair: KrewerasPair) -> ExteriorVector:
@@ -110,13 +115,20 @@ def block_vector_matrix(pair: KrewerasPair) -> RationalMatrix:
 
 
 def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
-    """Exterior vector of a measurement vector: sum of Lambda_sigma f_sigma."""
+    """Exterior vector of a measurement vector: sum of Lambda_sigma f_sigma.
+
+    The sums are exact integers over the lcm of the Lambda denominators.
+    """
+    values = [(sigma, val) for sigma, val in measurements.values.items() if val]
+    denom = math.lcm(*(val.denominator for _, val in values))
     out = {}
-    for sigma, val in measurements.values.items():
-        if val:
-            for key in _concordant_keys(KrewerasPair.of(sigma)):
-                out[key] = out.get(key, 0) + val
-    return ExteriorVector(measurements.n, measurements.n + 1, out)
+    for sigma, val in values:
+        weight = val.numerator * (denom // val.denominator)
+        for key in _concordant_keys(KrewerasPair.of(sigma)):
+            out[key] = out.get(key, 0) + weight
+    n = measurements.n
+    return ExteriorVector(
+        n, n + 1, {key: Fraction(total, denom) for key, total in out.items()})
 
 
 def plucker(m: RationalMatrix) -> ExteriorVector:
@@ -192,18 +204,46 @@ def omega_d_kernel(n: int):
 # Contraction with the form, isotropy, kernel dimension
 # ---------------------------------------------------------------------------
 
+def _partners(form: RationalMatrix):
+    """(F, partners): the lcm F of the form's denominators and, for each
+    position p, the pairs (q, F * form[p][q]) over q > p with a nonzero
+    entry.  Contraction reads only these upper entries."""
+    rows = form.rows
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
+    return denom, [
+        [(q, x.numerator * (denom // x.denominator))
+         for q, x in enumerate(row) if q > p and x]
+        for p, row in enumerate(rows)
+    ]
+
+
+def _contractions(partners, key):
+    """Terms (key without positions p < q, +-weight) of contracting one
+    basis wedge; the sign is (-1)^(i+j-1) for the indices i < j of p, q."""
+    index = {p: i for i, p in enumerate(key)}
+    for i, p in enumerate(key):
+        for q, w in partners[p]:
+            j = index.get(q)
+            if j is not None:
+                yield key[:i] + key[i + 1:j] + key[j + 1:], w if (i + j) % 2 else -w
+
+
 def kappa(form: RationalMatrix, vec: ExteriorVector) -> ExteriorVector:
-    """Contract a degree-(n+1) vector with a skew form, degree drops by 2."""
+    """Contract a degree-(n+1) vector with a skew form, degree drops by 2.
+
+    The terms are exact integers over F * V, the lcm of the form's
+    denominators times the lcm of the vector's.
+    """
+    denom, partners = _partners(form)
+    vdenom = math.lcm(*(val.denominator for val in vec.coords.values()))
     out = {}
     for key, val in vec.coords.items():
-        for p, q in itertools.combinations(range(len(key)), 2):
-            w = form[(key[p], key[q])]
-            if not w:
-                continue
-            sign = (-1) ** (p + q - 1)
-            rest = key[:p] + key[p + 1:q] + key[q + 1:]
-            out[rest] = out.get(rest, Fraction(0)) + sign * w * val
-    return ExteriorVector(vec.n, vec.degree - 2, out)
+        scaled = val.numerator * (vdenom // val.denominator)
+        for rest, w in _contractions(partners, key):
+            out[rest] = out.get(rest, 0) + w * scaled
+    denom *= vdenom
+    return ExteriorVector(vec.n, vec.degree - 2, {
+        rest: Fraction(total, denom) for rest, total in out.items() if total})
 
 
 def is_isotropic(m: RationalMatrix, form: RationalMatrix) -> bool:
@@ -218,17 +258,16 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     """
     if form is None:
         form = omega(n)
+    # one basis wedge contracts to distinct keys, so a row has no repeated
+    # column; scaling the form by its denominator does not change the rank
+    _, partners = _partners(form)
     src = list(itertools.combinations(range(2 * n), n + 1))
     tgt_index = {}
     rows = []
     for key in src:
-        img = kappa(form, ExteriorVector(n, n + 1, {key: 1}))
-        col = {}
-        for k, v in img.coords.items():
-            col[tgt_index.setdefault(k, len(tgt_index))] = v
-        rows.append(col)
-    mat = [[row.get(j, Fraction(0)) for j in range(len(tgt_index))]
-           for row in rows]
+        rows.append({tgt_index.setdefault(rest, len(tgt_index)): w
+                     for rest, w in _contractions(partners, key)})
+    mat = [[row.get(j, 0) for j in range(len(tgt_index))] for row in rows]
     rk = RationalMatrix(mat).rank() if tgt_index else 0
     return len(src) - rk
 

@@ -35,8 +35,8 @@ def load_network(path: str) -> CactusNetwork:
 
 def network_from_dict(doc: dict) -> CactusNetwork:
     try:
-        n = int(doc["n"])
-        shape = [tuple(int(x) for x in b) for b in doc["shape"]]
+        n = doc["n"]
+        shape = [tuple(b) for b in doc["shape"]]
         internal = [str(v) for v in doc["internal_vertices"]]
         edges = [
             (str(e["id"]), (str(e["ends"][0]), str(e["ends"][1])),
@@ -49,6 +49,12 @@ def network_from_dict(doc: dict) -> CactusNetwork:
     except (KeyError, IndexError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise ValueError(f"malformed network file: {exc}") from exc
+    # bool is an int subclass, and int() would truncate 3.7
+    if type(n) is not int:
+        raise ValueError(f"n must be a JSON integer: {n!r}")
+    bad_labels = [x for b in shape for x in b if type(x) is not int]
+    if bad_labels:
+        raise ValueError(f"shape labels must be JSON integers: {bad_labels}")
     if n < 1:
         raise ValueError("n must be >= 1")
     unquoted = [str(e["id"]) for e in doc["edges"]

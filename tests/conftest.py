@@ -1,12 +1,19 @@
 """Shared fixtures: small reference networks and random generators."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from cactusnet.combinat import canonical_blocks
+from cactusnet.combinat import (
+    canonical_blocks,
+    circle_position,
+    concordant_index_pairs,
+    is_noncrossing_on_circle,
+)
+from cactusnet.grassmann import ExteriorVector, positions_of
 from cactusnet.network import CactusNetwork
 
 
@@ -158,6 +165,62 @@ def grown_noncrossing_blocks(n):
 def partition_name(blocks):
     """Oracle for the partition name format, e.g. "{1,2},{3}"."""
     return "{" + "},{".join(",".join(str(x) for x in b) for b in blocks) + "}"
+
+
+def pairwise_kreweras_tilde_blocks(sigma):
+    """Oracle for the Kreweras complement, as blocks of n+1..2n.
+
+    Two tilde points share a block iff no block of sigma has elements
+    strictly on both sides of the chord joining them; union-find over all
+    pairs, then a pairwise noncrossing check of the union.
+    """
+    n = sigma.n
+    placed = [tuple(circle_position(n, x) for x in b) for b in sigma.blocks]
+    parent = {k: k for k in range(n + 1, 2 * n + 1)}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def separated(p, q, block):
+        lo, hi = min(p, q), max(p, q)
+        return (any(lo < x < hi for x in block)
+                and any(x < lo or x > hi for x in block))
+
+    for a, b in itertools.combinations(range(n + 1, 2 * n + 1), 2):
+        pa, pb = circle_position(n, a), circle_position(n, b)
+        if not any(separated(pa, pb, blk) for blk in placed):
+            parent[find(a)] = find(b)
+    groups = {}
+    for k in range(n + 1, 2 * n + 1):
+        groups.setdefault(find(k), []).append(k)
+    tilde = canonical_blocks(groups.values())
+    assert len(tilde) == n + 1 - len(sigma.blocks)
+    assert is_noncrossing_on_circle(
+        sigma.blocks + tilde, lambda x: circle_position(n, x))
+    return tilde
+
+
+def pair_loop_kappa(form, vec):
+    """Oracle for the contraction: every index pair p < q of every key,
+    the form entry read densely, Fraction arithmetic throughout."""
+    out = {}
+    for key, val in vec.coords.items():
+        for p, q in itertools.combinations(range(len(key)), 2):
+            w = form[(key[p], key[q])]
+            if not w:
+                continue
+            rest = key[:p] + key[p + 1:q] + key[q + 1:]
+            out[rest] = out.get(rest, Fraction(0)) + (-1) ** (p + q - 1) * w * val
+    return ExteriorVector(vec.n, vec.degree - 2, out)
+
+
+def concordant_keys_oracle(pair):
+    """Oracle for the concordant wedges: sorted circle positions of every
+    concordant index pair."""
+    return [positions_of(pair.n, idx + tidx)
+            for idx, tidx in concordant_index_pairs(pair)]
 
 
 @pytest.fixture

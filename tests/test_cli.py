@@ -66,6 +66,17 @@ def test_validate_reports_failures(paths, capsys, tmp_path):
         for c in report["checks"])
 
 
+def test_validate_names_an_empty_shape_block(paths, capsys, tmp_path):
+    doc = json.loads(open(paths["y"]).read())
+    doc["shape"].append([])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failed[0] == "shape-partition"
+
+
 def test_lambda_output(paths, capsys):
     code, out, _ = run(capsys, "lambda", paths["y"], "--compact")
     assert code == 0
@@ -262,7 +273,12 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
     (lambda doc: doc["rotations"].update(zz=[]), "rotations of unknown vertices"),
     (lambda doc: doc["edges"][0].update(conductance=1.5), "conductances must be"),
     (lambda doc: doc.update(n=0), "n must be >= 1"),
-], ids=["unknown-rotation-vertex", "numeric-conductance", "n-zero"])
+    (lambda doc: doc.update(n=3.7), "n must be a JSON integer"),
+    (lambda doc: doc.update(n=True), "n must be a JSON integer"),
+    (lambda doc: doc.update(shape=[[1], [2.9], [3]]),
+     "shape labels must be JSON integers"),
+], ids=["unknown-rotation-vertex", "numeric-conductance", "n-zero",
+        "n-float", "n-bool", "shape-label-float"])
 def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, message):
     doc = json.loads(open(paths["y"]).read())
     edit(doc)

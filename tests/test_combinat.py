@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grown_noncrossing_blocks, partition_name
+from conftest import (
+    grown_noncrossing_blocks,
+    pairwise_kreweras_tilde_blocks,
+    partition_name,
+)
+from cactusnet import combinat
 from cactusnet.combinat import (
     KrewerasPair,
     Matching,
     NoncrossingPartition,
     _blocks_cross,
     _crossing,
+    _kreweras_tilde_blocks,
     canonical_blocks,
     catalan,
     circle_position,
@@ -142,6 +148,25 @@ def test_kreweras_complement_coarsest_compatible(n):
         assert all(refines(tau, expected) for tau in compatible)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kreweras_matches_the_pairwise_oracle(n):
+    """The one-pass cycle reading against the pairwise "same face of the
+    disc" union-find, for every noncrossing partition of [n]."""
+    for sigma in enumerate_noncrossing(n):
+        assert _kreweras_tilde_blocks(sigma) == pairwise_kreweras_tilde_blocks(sigma)
+
+
+def test_kreweras_checks_raise(monkeypatch):
+    # a crossing sigma, built past from_blocks, has too few complement blocks
+    crossing = NoncrossingPartition(4, ((1, 3), (2, 4)))
+    with pytest.raises(AssertionError, match="block count"):
+        _kreweras_tilde_blocks(crossing)
+    # the union scan is a guard against a wrong complement: force it
+    monkeypatch.setattr(combinat, "_crossing", lambda n, blocks: True)
+    with pytest.raises(AssertionError, match="crosses"):
+        _kreweras_tilde_blocks(NoncrossingPartition.singletons(3))
+
+
 def test_kreweras_complement_is_bijective():
     for n in range(1, 5):
         image = {kreweras_complement(s) for s in enumerate_noncrossing(n)}
@@ -176,6 +201,9 @@ def test_is_partition_rejects():
     assert not is_partition(3, [(1, 2), (2, 3)])
     assert not is_partition(3, [(1,), (3,)])
     assert not is_partition(3, [(1, 2), (3, 4)])
+    assert not is_partition(3, [(1,), (2,), (3,), ()])
+    with pytest.raises(ValueError, match="not a partition"):
+        NoncrossingPartition.from_blocks(3, [(1,), (2,), (3,), ()])
 
 
 def test_is_noncrossing_examples():

@@ -8,12 +8,14 @@ import pytest
 import sympy
 
 from conftest import (
+    concordant_keys_oracle,
     make_delta,
     make_disconnected,
     make_glued_tree,
     make_shorted,
     make_single_edge,
     make_y,
+    pair_loop_kappa,
     random_planar_net,
 )
 from cactusnet import grassmann
@@ -116,10 +118,53 @@ def test_omega_structure():
             assert all(x == 0 for x in omd.matvec(v))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kappa_kernel_dimension_is_catalan(n):
     assert kernel_dimension_of_kappa(n) == catalan(n)
     assert kernel_dimension_of_kappa(n, omega_d(n)) == catalan(n)
+
+
+def random_skew_form(rng, n):
+    """A skew 2n x 2n form, about half of it nonzero, mostly non-integer."""
+    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for p, q in itertools.combinations(range(2 * n), 2):
+        if rng.random() < 0.5:
+            m[p][q] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+            m[q][p] = -m[p][q]
+    return RationalMatrix(m)
+
+
+def test_kappa_matches_the_pair_loop_oracle(rng):
+    """The sparse integer contraction against the Fraction pair loop, on
+    the empty vector, random vectors with rational coefficients, a network
+    image (every term cancels under omega) and an image plus noise."""
+    nonzero = 0
+    for n in (2, 3, 4):
+        forms = [omega(n), omega_d(n)] + [random_skew_form(rng, n) for _ in range(3)]
+        keys = list(itertools.combinations(range(2 * n), n + 1))
+        vecs = [ExteriorVector(n, n + 1)]
+        for _ in range(4):
+            vecs.append(ExteriorVector(n, n + 1, {
+                key: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for key in rng.sample(keys, min(len(keys), 8))}))
+        image = lam_map(lambda_vector(random_planar_net(rng, n, connected=True)))
+        vecs += [image, image + vecs[1]]
+        for form in forms:
+            for vec in vecs:
+                got = kappa(form, vec)
+                assert got == pair_loop_kappa(form, vec)
+                nonzero += not got.is_zero()
+        assert kappa(omega(n), image).is_zero()
+    assert nonzero > 50
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_concordant_keys_match_the_oracle(n):
+    for sigma in enumerate_noncrossing(n):
+        pair = KrewerasPair.of(sigma)
+        got = grassmann._concordant_keys(pair)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(concordant_keys_oracle(pair))
 
 
 def test_f_sigma_spans_kernel_of_kappa():
