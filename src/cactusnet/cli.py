@@ -65,7 +65,10 @@ def cmd_lambda(args):
         )
     lam = groves.lambda_vector(net)
     nonzero = {str(s): netfile.format_rational(v) for s, v in lam.values.items()}
-    _emit({name: nonzero.get(name, "0") for name in noncrossing_names(net.n)}, args)
+    # streamed: the Cat_n entries are written as they are named
+    netfile.write_pairs(
+        ((name, nonzero.get(name, "0")) for name in noncrossing_names(net.n)),
+        sys.stdout, compact=args.compact)
     return 0
 
 
@@ -192,55 +195,71 @@ def cmd_kernel_dim(args):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# command -> (takes a network file, further arguments).  The handler of
+# "kernel-dim" is cmd_kernel_dim; it is looked up when the parser is
+# built, so a rebound handler is the one called.
+COMMANDS = {
+    "validate": (True, ()),
+    "lambda": (True, ()),
+    "response": (True, ()),
+    "resistance": (True, ()),
+    "lstar": (True, ()),
+    "plucker": (True, (_arg("--check-isotropy", action="store_true"),)),
+    "isotropy": (True, ()),
+    "tnn": (True, ()),
+    "chart": (True, (_arg("--from", dest="source", required=True,
+                          choices=["response", "resistance"]),)),
+    "extract": (True, (_arg("--chart", required=True,
+                            choices=["not-shorted", "connected"]),)),
+    "ydelta": (True, (
+        _arg("--site", required=True),
+        _arg("--direction", required=True, choices=["ytod", "dtoy"]),
+        _arg("--output", help="write the rewritten network here"))),
+    "dual": (True, (_arg("--output", help="write the dual network here"),)),
+    "medial": (True, ()),
+    "minimal": (True, ()),
+    "equiv": (True, (_arg("other", help="path to the second network file"),)),
+    "kernel-dim": (False, (_arg("--n", type=int, required=True),)),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command ``only`` alone.
+
+    A parser for one command still lists every command in its usage line,
+    so it prints the same help and errors for that command as the full
+    parser.  The full parser lists them as its choices, and its errors
+    name the argument "command", which a metavar would replace.
+    """
     parser = argparse.ArgumentParser(
         prog="cactusnet",
         description="Exact electrical invariants of planar cactus networks "
         "and their Grassmannian coordinates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, network_arg=True):
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if only is None else (only,):
+        network_arg, extra = COMMANDS[name]
         p = sub.add_parser(name)
         if network_arg:
             p.add_argument("network", help="path to a network file")
         p.add_argument("--compact", action="store_true",
                        help="single-line output")
-        p.set_defaults(func=func)
-        return p
-
-    add("validate", cmd_validate)
-    add("lambda", cmd_lambda)
-    add("response", cmd_response)
-    add("resistance", cmd_resistance)
-    add("lstar", cmd_lstar)
-    p = add("plucker", cmd_plucker)
-    p.add_argument("--check-isotropy", action="store_true")
-    add("isotropy", cmd_isotropy)
-    add("tnn", cmd_tnn)
-    p = add("chart", cmd_chart)
-    p.add_argument("--from", dest="source", required=True,
-                   choices=["response", "resistance"])
-    p = add("extract", cmd_extract)
-    p.add_argument("--chart", required=True,
-                   choices=["not-shorted", "connected"])
-    p = add("ydelta", cmd_ydelta)
-    p.add_argument("--site", required=True)
-    p.add_argument("--direction", required=True, choices=["ytod", "dtoy"])
-    p.add_argument("--output", help="write the rewritten network here")
-    p = add("dual", cmd_dual)
-    p.add_argument("--output", help="write the dual network here")
-    add("medial", cmd_medial)
-    add("minimal", cmd_minimal)
-    p = add("equiv", cmd_equiv)
-    p.add_argument("other", help="path to the second network file")
-    p = add("kernel-dim", cmd_kernel_dim, network_arg=False)
-    p.add_argument("--n", type=int, required=True)
+        for flags, kwargs in extra:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's parser; help and bad commands get them all
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except _InvalidInput as exc:

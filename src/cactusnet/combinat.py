@@ -136,20 +136,12 @@ class NoncrossingPartition:
         return len(self.blocks)
 
     def __str__(self) -> str:
-        return _name(self.blocks, _BlockNames())
+        return ",".join(map(_block_name, self.blocks))
 
 
-class _BlockNames(dict):
-    """Memo from a block tuple to its rendering, e.g. (1, 2) -> "{1,2}"."""
-
-    def __missing__(self, block) -> str:
-        text = self[block] = "{" + ",".join(map(str, block)) + "}"
-        return text
-
-
-def _name(blocks, memo: _BlockNames) -> str:
-    """Render canonical blocks as "{1,2},{3}"."""
-    return ",".join(map(memo.__getitem__, blocks))
+def _block_name(block) -> str:
+    """Render a block tuple, e.g. (1, 2) -> "{1,2}"."""
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 def _lex_subsets(lo: int, hi: int):
@@ -160,15 +152,19 @@ def _lex_subsets(lo: int, hi: int):
             yield (x,) + rest
 
 
-def _noncrossing_blocks(n: int) -> list:
-    """Canonical blocks of every noncrossing partition of [n], sorted.
+def _noncrossing(n: int, unit, empty):
+    """Every noncrossing partition of [n], sorted, built from ``unit``.
 
-    The block of 1 comes first, in lexicographic order.  The gaps between
-    its elements (and after its last one) are then partitioned on their
-    own, since a block meeting two gaps would cross it; their partitions
-    follow in product order with the first gap slowest.  That is the
-    lexicographic order of the canonical block tuples.  Partitions of each
-    interval are built once per call, so block tuples are shared.
+    ``unit(block)`` stands for a one-block partition and ``empty`` for
+    the partition of nothing; partitions are joined with ``+``, so
+    ``unit=lambda b: (b,)`` yields canonical block tuples and a string
+    unit yields names.  The block of 1 comes first, in lexicographic
+    order.  The gaps between its elements (and after its last one) are
+    then partitioned on their own, since a block meeting two gaps would
+    cross it; their partitions follow in product order with the first gap
+    slowest.  That is the lexicographic order of the canonical block
+    tuples.  Partitions of each gap interval are built once per call and
+    kept; those of [n] itself are generated one at a time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -176,22 +172,31 @@ def _noncrossing_blocks(n: int) -> list:
 
     def interval(a: int, b: int) -> list:
         if a > b:
-            return [()]
+            return [empty]
         got = memo.get((a, b))
         if got is None:
-            got = memo[(a, b)] = []
-            for rest in _lex_subsets(a + 1, b):
-                block = (a,) + rest
-                ends = block + (b + 1,)
-                parts = [()]  # partitions of the gaps from the last one back
-                for lo, hi in reversed(list(zip(ends, ends[1:]))):
-                    if hi - lo > 1:
-                        parts = [p + q for p in interval(lo + 1, hi - 1)
-                                 for q in parts]
-                got.extend([(block,) + p for p in parts])
+            got = memo[(a, b)] = list(partitions(a, b))
         return got
 
-    return interval(1, n)
+    def partitions(a: int, b: int):
+        for rest in _lex_subsets(a + 1, b):
+            block = (a,) + rest
+            ends = block + (b + 1,)
+            parts = [empty]  # partitions of the gaps from the last one back
+            for lo, hi in reversed(list(zip(ends, ends[1:]))):
+                if hi - lo > 1:
+                    parts = [p + q for p in interval(lo + 1, hi - 1)
+                             for q in parts]
+            head = unit(block)
+            for p in parts:
+                yield head + p
+
+    return partitions(1, n)
+
+
+def _noncrossing_blocks(n: int) -> list:
+    """Canonical blocks of every noncrossing partition of [n], sorted."""
+    return list(_noncrossing(n, lambda b: (b,), ()))
 
 
 @lru_cache(maxsize=None)
@@ -203,10 +208,11 @@ def enumerate_noncrossing(n: int) -> tuple:
     return tuple(NoncrossingPartition(n, b) for b in _noncrossing_blocks(n))
 
 
-def noncrossing_names(n: int) -> list:
-    """``str`` of every noncrossing partition of [n], in enumeration order."""
-    memo = _BlockNames()
-    return [_name(b, memo) for b in _noncrossing_blocks(n)]
+def noncrossing_names(n: int):
+    """Iterator over the ``str`` of every noncrossing partition of [n], in
+    enumeration order.  Raises ``ValueError`` at once for n < 1."""
+    names = _noncrossing(n, lambda b: "," + _block_name(b), "")
+    return (name[1:] for name in names)
 
 
 def catalan(n: int) -> int:

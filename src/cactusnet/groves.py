@@ -22,7 +22,10 @@ from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 GROVE_EDGE_CAP = 20
 # Largest n whose dense Lambda vector (Cat_n entries) the CLI prints:
-# Cat_13 = 742,900 entries, Cat_14 = 2,674,440.
+# Cat_13 = 742,900 entries, Cat_14 = 2,674,440.  The edgeless n = 13
+# document (40 MB, streamed) takes 0.71 s and peaks at 58 MB RSS in a
+# fresh process on a 2-vCPU Xeon VM; a 12-edge n = 12 wheel takes 0.29 s
+# and 30 MB.
 DENSE_LAMBDA_MAX_N = 13
 
 _ZERO = Fraction(0)

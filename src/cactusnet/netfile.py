@@ -9,6 +9,7 @@ same rational encoding; exterior vector keys are index-set strings like
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -120,3 +121,23 @@ def dump_document(doc, compact: bool = False) -> str:
     if compact:
         return json.dumps(doc, separators=(",", ":"))
     return json.dumps(doc, indent=2)
+
+
+# entries per write of write_pairs
+STREAM_BATCH = 4096
+
+
+def write_pairs(pairs, stream, compact: bool = False) -> None:
+    """Write (str, str) pairs with distinct keys to ``stream`` as the line
+    ``print(dump_document(dict(pairs), compact))`` prints, STREAM_BATCH
+    entries per write, without holding the document in memory."""
+    quote = json.encoder.encode_basestring_ascii
+    colon, sep, lead, close = ((":", ",", "{", "}") if compact
+                               else (": ", ",\n  ", "{\n  ", "\n}"))
+    pairs = iter(pairs)
+    written = False
+    while chunk := [quote(k) + colon + quote(v)
+                    for k, v in itertools.islice(pairs, STREAM_BATCH)]:
+        stream.write((sep if written else lead) + sep.join(chunk))
+        written = True
+    stream.write(close + "\n" if written else "{}\n")

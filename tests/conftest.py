@@ -223,6 +223,20 @@ def concordant_keys_oracle(pair):
             for idx, tidx in concordant_index_pairs(pair)]
 
 
+class RecordingStream:
+    """A text stream that keeps every write as one string."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 @pytest.fixture
 def y123():
     return make_y(1, 2, 3)

@@ -2,10 +2,12 @@
 
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import (
+    RecordingStream,
     grown_noncrossing_blocks,
     make_delta,
     make_disconnected,
@@ -18,7 +20,7 @@ from conftest import (
 )
 from cactusnet import cli, electrical, groves, netfile
 from cactusnet.cli import main
-from cactusnet.combinat import NoncrossingPartition
+from cactusnet.combinat import NoncrossingPartition, catalan
 from cactusnet.groves import GROVE_EDGE_CAP, lambda_vector
 from fractions import Fraction
 
@@ -289,3 +291,91 @@ def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, messa
         assert code == 1
         assert out == ""
         assert message in err
+
+
+def command_argvs(y, delta):
+    """Valid arguments of every command."""
+    return {
+        "validate": [y], "lambda": [y], "response": [y], "resistance": [y],
+        "lstar": [y], "plucker": [y, "--check-isotropy"], "isotropy": [y],
+        "tnn": [y], "chart": [y, "--from", "response"],
+        "extract": [y, "--chart", "connected"],
+        "ydelta": [y, "--site", "v", "--direction", "ytod"], "dual": [y],
+        "medial": [y], "minimal": [y], "equiv": [y, delta],
+        "kernel-dim": ["--n", "3"],
+    }
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_command_parser_matches_the_full_parser(paths, capsys, monkeypatch):
+    valid = command_argvs(paths["y"], paths["delta"])
+    assert list(valid) == list(cli.COMMANDS)
+    argvs = [[], ["-h"], ["bogus"], ["bogus", paths["y"]]]
+    for name, args in valid.items():
+        # valid, help, a bogus flag, and the first argument missing (the
+        # network file, or the required --n of kernel-dim)
+        argvs += [[name] + args, [name] + args + ["-h"],
+                  [name] + args + ["--bogus"], [name] + args[1:]]
+    built = []
+    full = cli.build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return full(only)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    lazy = [outcome(capsys, argv) for argv in argvs]
+    assert built == [argv[0] if argv and argv[0] in valid else None
+                     for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
+    for argv, got in zip(argvs, lazy):
+        assert got == outcome(capsys, argv), argv
+    assert sum(code == 0 for code, _, _ in lazy) == len(valid)
+    assert lazy[0][2].endswith("arguments are required: command\n")
+
+
+def test_lambda_streams_in_batches(tmp_path, monkeypatch):
+    net = random_planar_net(random.Random(1), 10)
+    path = tmp_path / "wheel10.json"
+    netfile.save_network(net, path)
+    out = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    measure = groves.lambda_vector
+
+    def checked(net):
+        assert not out.writes, "written before the measurements"
+        lam = measure(net)
+        assert not out.writes, "written before the measurements"
+        return lam
+
+    monkeypatch.setattr(groves, "lambda_vector", checked)
+    assert main(["lambda", str(path)]) == 0
+    assert len(out.writes) > 1
+    assert max(w.count('": "') for w in out.writes) <= netfile.STREAM_BATCH
+    assert len(json.loads("".join(out.writes))) == catalan(10)
+
+
+def test_failed_lambda_writes_nothing(tmp_path, monkeypatch):
+    class KeepAll(random.Random):
+        def random(self):
+            return 0.0  # keep every chord and spoke
+
+    over_cap = tmp_path / "wheel.json"
+    netfile.save_network(random_planar_net(KeepAll(0), 12, connected=True),
+                         over_cap)
+    too_wide = tmp_path / "edgeless14.json"
+    netfile.save_network(make_edgeless(14), too_wide)
+    missing = tmp_path / "missing.json"
+    for path, code in ((over_cap, 2), (too_wide, 2), (missing, 1)):
+        out = RecordingStream()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["lambda", str(path)]) == code
+        assert out.writes == []

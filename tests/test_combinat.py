@@ -74,16 +74,19 @@ def test_enumeration_matches_the_grown_and_sorted_oracle(n):
     assert [s.blocks for s in enumerate_noncrossing(n)] == grown_noncrossing_blocks(n)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 12))
 def test_names_follow_the_enumeration(n):
-    names = noncrossing_names(n)
+    blocks = grown_noncrossing_blocks(n)
+    assert combinat._noncrossing_blocks(n) == blocks
+    names = list(noncrossing_names(n))
+    assert names == [partition_name(b) for b in blocks]
     assert names == [str(s) for s in enumerate_noncrossing(n)]
     assert names == [partition_name(s.blocks) for s in enumerate_noncrossing(n)]
 
 
 def test_name_count_is_catalan():
     for n in range(1, 13):
-        assert len(noncrossing_names(n)) == catalan(n)
+        assert len(list(noncrossing_names(n))) == catalan(n)
     with pytest.raises(ValueError):
         noncrossing_names(0)
 

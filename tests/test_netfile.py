@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_glued_tree, make_y, random_planar_net
+from conftest import RecordingStream, make_glued_tree, make_y, random_planar_net
 from cactusnet import netfile
 from cactusnet.grassmann import lam_map
 from cactusnet.groves import lambda_vector
@@ -86,3 +88,48 @@ def test_dump_document_modes():
     compact = netfile.dump_document(doc, compact=True)
     assert "\n" in pretty and "\n" not in compact
     assert json.loads(pretty) == json.loads(compact) == doc
+
+
+def printed_document(doc, compact):
+    if compact:
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def check_written(doc, compact, batch):
+    """write_pairs prints dump_document's line, one batch per write."""
+    out = RecordingStream()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netfile, "STREAM_BATCH", batch)
+        netfile.write_pairs(doc.items(), out, compact)
+    text = "".join(out.writes)
+    assert text == printed_document(doc, compact)
+    assert text == netfile.dump_document(doc, compact) + "\n"
+    assert len(out.writes) == -(-len(doc) // batch) + 1  # batches, then "}"
+    # after k writes: exactly the document of the first k batches, open
+    close = "}\n" if compact else "\n}\n"
+    items = list(doc.items())
+    for k in range(1, len(out.writes)):
+        head = printed_document(dict(items[:k * batch]), compact)
+        assert "".join(out.writes[:k]) == head[:-len(close)]
+
+
+awkward_text = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x07\x1f\x7f\n\t\u2028é€😀:, {}'),
+    st.characters()))
+
+
+@given(st.data(), st.integers(1, 4), st.booleans())
+def test_write_pairs_matches_dump_document(data, batch, compact):
+    size = data.draw(st.sampled_from([0, 1, batch - 1, batch, batch + 1]))
+    doc = data.draw(st.dictionaries(awkward_text, awkward_text,
+                                    min_size=size, max_size=size))
+    check_written(doc, compact, batch)
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("size", [0, 1, netfile.STREAM_BATCH - 1,
+                                  netfile.STREAM_BATCH, netfile.STREAM_BATCH + 1])
+def test_write_pairs_default_batch(size, compact):
+    doc = {f'{{{i}}} "\\\x07é': f"{i}/7" for i in range(size)}
+    check_written(doc, compact, netfile.STREAM_BATCH)
