@@ -1,8 +1,19 @@
 """Command-line surface: every computation behind one deterministic tool.
 
-Exit codes: 0 success, 1 invalid input file, 2 precondition violation,
-3 internal error (an identity the library guarantees broke, or any other
-unexpected exception; always a bug, reported without a traceback).
+``main`` runs each request as one pipeline: parse the arguments with the
+named command's parser, load each network file (``equiv`` takes two,
+``kernel-dim`` none) and validate it once, call the compute-only handler
+``cmd_<name>(*networks, args)``, and print the document it returns with
+``netfile.dump_document``.  The handler of ``validate`` gets the report
+instead of the network.  A handler that writes its own output returns
+None: ``lambda`` streams its entries, ``ydelta`` and ``dual`` may write
+a network file.
+
+Exit codes: 0 success, 1 invalid input file (one that does not load or
+fails validation; ``validate`` prints its report first), 2 precondition
+violation, 3 internal error (an identity the library guarantees broke,
+or any other unexpected exception; always a bug, reported without a
+traceback).
 """
 
 from __future__ import annotations
@@ -14,17 +25,6 @@ from . import electrical, grassmann, groves, netfile, network
 from .combinat import catalan, noncrossing_names
 
 
-def _load_valid(path: str) -> network.CactusNetwork:
-    try:
-        net = netfile.load_network(path)
-    except (OSError, ValueError) as exc:
-        raise _InvalidInput(str(exc)) from exc
-    rep = network.validate(net)
-    if not rep.ok:
-        raise _InvalidInput(f"network fails validation: {rep.failures()}")
-    return net
-
-
 class _InvalidInput(Exception):
     pass
 
@@ -33,31 +33,15 @@ class _Precondition(Exception):
     pass
 
 
-def _emit(doc, args) -> None:
-    print(netfile.dump_document(doc, compact=getattr(args, "compact", False)))
+def cmd_validate(report, args):
+    return {
+        "valid": report.ok,
+        "checks": [{"name": name, "ok": ok, "detail": detail}
+                   for name, ok, detail in report.checks],
+    }
 
 
-def cmd_validate(args):
-    try:
-        net = netfile.load_network(args.network)
-    except (OSError, ValueError) as exc:
-        raise _InvalidInput(str(exc)) from exc
-    rep = network.validate(net)
-    _emit(
-        {
-            "valid": rep.ok,
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in rep.checks
-            ],
-        },
-        args,
-    )
-    return 0 if rep.ok else 1
-
-
-def cmd_lambda(args):
-    net = _load_valid(args.network)
+def cmd_lambda(net, args):
     if net.n > groves.DENSE_LAMBDA_MAX_N:
         raise _Precondition(
             f"dense lambda output for n = {net.n} has Cat_{net.n} = "
@@ -69,130 +53,105 @@ def cmd_lambda(args):
     netfile.write_pairs(
         ((name, nonzero.get(name, "0")) for name in noncrossing_names(net.n)),
         sys.stdout, compact=args.compact)
-    return 0
 
 
-def cmd_response(args):
-    net = _load_valid(args.network)
-    _emit(netfile.matrix_to_doc(electrical.response_matrix(net)), args)
-    return 0
+def cmd_response(net, args):
+    return netfile.matrix_to_doc(electrical.response_matrix(net))
 
 
-def cmd_resistance(args):
-    net = _load_valid(args.network)
-    _emit(netfile.matrix_to_doc(electrical.resistance_matrix(net)), args)
-    return 0
+def cmd_resistance(net, args):
+    return netfile.matrix_to_doc(electrical.resistance_matrix(net))
 
 
-def cmd_lstar(args):
-    net = _load_valid(args.network)
-    r = electrical.resistance_matrix(net)
-    _emit(netfile.matrix_to_doc(electrical.lstar_from_resistance(r)), args)
-    return 0
+def _lstar(net):
+    return electrical.lstar_from_resistance(electrical.resistance_matrix(net))
 
 
-def cmd_plucker(args):
-    net = _load_valid(args.network)
-    vec = grassmann.lam_map(groves.lambda_vector(net))
+def cmd_lstar(net, args):
+    return netfile.matrix_to_doc(_lstar(net))
+
+
+def _point(net):
+    """The Grassmannian point of the network: lam_map of its Lambda."""
+    return grassmann.lam_map(groves.lambda_vector(net))
+
+
+def _kappa_zero(vec) -> bool:
+    return grassmann.kappa(grassmann.omega(vec.n), vec).is_zero()
+
+
+def cmd_plucker(net, args):
+    vec = _point(net)
     doc = {"coordinates": netfile.exterior_to_doc(vec)}
     if args.check_isotropy:
-        doc["kappa_zero"] = grassmann.kappa(grassmann.omega(net.n), vec).is_zero()
-    _emit(doc, args)
-    return 0
+        doc["kappa_zero"] = _kappa_zero(vec)
+    return doc
 
 
-def cmd_isotropy(args):
-    net = _load_valid(args.network)
-    vec = grassmann.lam_map(groves.lambda_vector(net))
-    _emit(
-        {"kappa_zero": grassmann.kappa(grassmann.omega(net.n), vec).is_zero()},
-        args,
-    )
-    return 0
+def cmd_isotropy(net, args):
+    return {"kappa_zero": _kappa_zero(_point(net))}
 
 
-def cmd_tnn(args):
-    net = _load_valid(args.network)
-    vec = grassmann.lam_map(groves.lambda_vector(net))
-    _emit({"totally_nonnegative": grassmann.is_totally_nonnegative(vec)}, args)
-    return 0
+def cmd_tnn(net, args):
+    return {"totally_nonnegative": grassmann.is_totally_nonnegative(_point(net))}
 
 
 def _chart(net, source: str):
     """Representing matrix from the response or the resistance chart."""
     if source == "response":
         return grassmann.chart_from_response(electrical.response_matrix(net))
-    r = electrical.resistance_matrix(net)
-    return grassmann.chart_from_lstar(electrical.lstar_from_resistance(r))
+    return grassmann.chart_from_lstar(_lstar(net))
 
 
-def cmd_chart(args):
-    net = _load_valid(args.network)
-    _emit(netfile.matrix_to_doc(_chart(net, args.source)), args)
-    return 0
+def cmd_chart(net, args):
+    return netfile.matrix_to_doc(_chart(net, args.source))
 
 
-def cmd_extract(args):
-    net = _load_valid(args.network)
-    if args.chart == "not-shorted":
-        m, mode = _chart(net, "response"), "response"
-    else:
-        m, mode = _chart(net, "resistance"), "dual"
-    _emit(netfile.matrix_to_doc(grassmann.extract_symmetric(m, mode)), args)
-    return 0
+def cmd_extract(net, args):
+    source, mode = (("response", "response") if args.chart == "not-shorted"
+                    else ("resistance", "dual"))
+    return netfile.matrix_to_doc(
+        grassmann.extract_symmetric(_chart(net, source), mode))
 
 
-def cmd_ydelta(args):
-    net = _load_valid(args.network)
-    out = network.ydelta(net, args.site, args.direction)
+def _rewritten(out, args):
+    """The document of a rewritten network, or None once saved to --output."""
     if args.output:
         netfile.save_network(out, args.output)
-    else:
-        _emit(netfile.network_to_dict(out), args)
-    return 0
+        return None
+    return netfile.network_to_dict(out)
 
 
-def cmd_dual(args):
-    net = _load_valid(args.network)
-    out = network.dual(net)
-    if args.output:
-        netfile.save_network(out, args.output)
-    else:
-        _emit(netfile.network_to_dict(out), args)
-    return 0
+def cmd_ydelta(net, args):
+    return _rewritten(network.ydelta(net, args.site, args.direction), args)
 
 
-def cmd_medial(args):
-    net = _load_valid(args.network)
-    pairing = network.medial_pairing(net)
-    _emit({"pairing": [list(p) for p in pairing.pairs]}, args)
-    return 0
+def cmd_dual(net, args):
+    return _rewritten(network.dual(net), args)
 
 
-def cmd_minimal(args):
-    net = _load_valid(args.network)
-    _emit({"minimal": network.is_minimal(net)}, args)
-    return 0
+def cmd_medial(net, args):
+    return {"pairing": [list(p) for p in network.medial_pairing(net).pairs]}
 
 
-def cmd_equiv(args):
-    net1 = _load_valid(args.network)
-    net2 = _load_valid(args.other)
+def cmd_minimal(net, args):
+    return {"minimal": network.is_minimal(net)}
+
+
+def cmd_equiv(net1, net2, args):
     if net1.n != net2.n:
         raise _Precondition("networks have different n")
     factor = groves.equivalence_factor(net1, net2)
     doc = {"equivalent": factor is not None}
     if factor is not None:
         doc["factor"] = netfile.format_rational(factor)
-    _emit(doc, args)
-    return 0
+    return doc
 
 
 def cmd_kernel_dim(args):
     if args.n < 2 or args.n > 5:
         raise _Precondition("n must be between 2 and 5")
-    _emit({"kernel_dimension": grassmann.kernel_dimension_of_kappa(args.n)}, args)
-    return 0
+    return {"kernel_dimension": grassmann.kernel_dimension_of_kappa(args.n)}
 
 
 def _arg(*flags, **kwargs):
@@ -261,7 +220,25 @@ def main(argv=None) -> int:
     only = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(only).parse_args(argv)
     try:
-        return args.func(args)
+        code, inputs = 0, []
+        for dest in ("network", "other"):  # "other": equiv's second file
+            if not hasattr(args, dest):
+                continue
+            try:
+                net = netfile.load_network(getattr(args, dest))
+            except (OSError, ValueError) as exc:
+                raise _InvalidInput(str(exc)) from exc
+            report = network.validate(net)
+            if args.command == "validate":
+                net, code = report, 0 if report.ok else 1
+            elif not report.ok:
+                raise _InvalidInput(
+                    f"network fails validation: {report.failures()}")
+            inputs.append(net)
+        doc = args.func(*inputs, args)
+        if doc is not None:
+            print(netfile.dump_document(doc, compact=args.compact))
+        return code
     except _InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

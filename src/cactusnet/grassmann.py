@@ -18,6 +18,7 @@ from .combinat import (
     KrewerasPair,
     NoncrossingPartition,
     circle_position,
+    kreweras_complement,
 )
 from .groves import GroveMeasurements
 from .linalg import Inconsistent, RationalMatrix, _sparse_ratio, solve_many
@@ -313,10 +314,7 @@ def cyclic_shift(m: RationalMatrix) -> RationalMatrix:
 
 def shift_partition(sigma: NoncrossingPartition) -> NoncrossingPartition:
     """Relabel of the Kreweras complement matching the exterior shift."""
-    pair = KrewerasPair.of(sigma)
-    return NoncrossingPartition.from_blocks(
-        sigma.n, [tuple(x - sigma.n for x in b) for b in pair.tilde_blocks]
-    )
+    return kreweras_complement(sigma)
 
 
 # ---------------------------------------------------------------------------

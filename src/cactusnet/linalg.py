@@ -49,9 +49,6 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"RationalMatrix[{body}]"
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows)
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(map(list, zip(*self.rows)))) if self.rows \
             else RationalMatrix([])

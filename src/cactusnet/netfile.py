@@ -67,8 +67,11 @@ def network_from_dict(doc: dict) -> CactusNetwork:
         raise ValueError("duplicate edge ids")
     if len(set(internal)) != len(internal):
         raise ValueError("duplicate internal vertex names")
-    names = {boundary_name(i) for i in range(1, n + 1)} | set(internal)
-    unknown = set(rotations) - names
+    boundary = {boundary_name(i) for i in range(1, n + 1)}
+    clash = sorted(boundary.intersection(internal))
+    if clash:
+        raise ValueError(f"internal vertices named like boundary vertices: {clash}")
+    unknown = set(rotations) - boundary - set(internal)
     if unknown:
         raise ValueError(f"rotations of unknown vertices {sorted(unknown)}")
     return CactusNetwork.build(n, shape, internal, edges, rotations)

@@ -66,9 +66,11 @@ class CactusNetwork:
         return net
 
     def vertex_names(self):
-        return [boundary_name(i) for i in range(1, self.n + 1)] + list(
-            self.internal_vertices
-        )
+        return [*self.boundary_labels(), *self.internal_vertices]
+
+    def boundary_labels(self) -> dict:
+        """Boundary vertex name -> its label: "b1" -> 1, ..."""
+        return {boundary_name(i): i for i in range(1, self.n + 1)}
 
     def shape_partition(self) -> NoncrossingPartition:
         return NoncrossingPartition.from_blocks(self.n, self.shape)
@@ -130,7 +132,7 @@ class CombMap:
         self.net = net
         n = net.n
         part = net.shape_partition()
-        self.block_of = {i: part.block_of(i) for i in range(1, n + 1)}
+        label = net.boundary_labels()
 
         self.rot = {}          # vertex key -> list of darts, clockwise
         self.pre_vertex = {}   # dart -> pre-quotient vertex name
@@ -142,21 +144,16 @@ class CombMap:
             end_of[(e.id, e.ends[0])] = 0
             end_of[(e.id, e.ends[1])] = 1
 
-        def labels_beyond(block, i, eid):
-            """Boundary labels reachable from edge eid at b_i without
-            passing back through the glued vertices of the block."""
-            blocked = {boundary_name(j) for j in block}
-            e = edge_index[eid]
-            o = e.ends[1] if e.ends[0] == boundary_name(i) else e.ends[0]
-            if o in blocked:
-                return {int(o[1:])}
+        def labels_beyond(o, blocked):
+            """Boundary labels reachable from vertex o without passing
+            through the glued vertices ``blocked``."""
             seen = {o}
             stack = [o]
             labels = set()
             while stack:
                 v = stack.pop()
-                if v.startswith("b") and v[1:].isdigit():
-                    labels.add(int(v[1:]))
+                if v in label:
+                    labels.add(label[v])
                 for e2 in incident.get(v, ()):
                     for w in e2.ends:
                         if w not in seen and w not in blocked:
@@ -203,6 +200,7 @@ class CombMap:
             # component of the pre-quotient graph attaches to; when both
             # adjacent lobes qualify the following lobe is chosen.
             into = {}  # j -> edges of lobe j contributed by b_{i_j} / b_{i_{j+1}}
+            glued = {boundary_name(i) for i in block}
             for j, i in enumerate(block):
                 nxt = block[(j + 1) % k]
                 prv = block[(j - 1) % k]
@@ -210,11 +208,11 @@ class CombMap:
                 for eid in net.rotations.get(boundary_name(i), ()):
                     e = edge_index[eid]
                     o = e.ends[1] if e.ends[0] == boundary_name(i) else e.ends[0]
-                    if o in {boundary_name(j) for j in block}:
+                    if o in glued:
                         # both ends glued here: the edge must sit in a
                         # lobe bounded by both labels; ties (blocks of
                         # size two) go to the lobe after the smaller one
-                        y = int(o[1:])
+                        y = label[o]
                         if nxt == y and (prv != y or i < y):
                             fwd.append(eid)
                         elif prv == y:
@@ -225,7 +223,7 @@ class CombMap:
                                 f"glued block {block}"
                             )
                         continue
-                    other = labels_beyond(block, i, eid)
+                    other = labels_beyond(o, glued)
                     fits_fwd = all(in_closed_interval(x, i, nxt) for x in other)
                     fits_back = all(in_closed_interval(x, prv, i) for x in other)
                     if fits_fwd:
@@ -436,15 +434,10 @@ class QuotientGraph:
 
 def quotient_graph(net: CactusNetwork) -> QuotientGraph:
     part = net.shape_partition()
-
-    def key(v):
-        if v.startswith("b") and v[1:].isdigit():
-            return part.block_of(int(v[1:]))
-        return v
-
+    block = {v: part.block_of(i) for v, i in net.boundary_labels().items()}
     plain, loops = [], []
     for e in net.edges:
-        ku, kv = key(e.ends[0]), key(e.ends[1])
+        ku, kv = (block.get(v, v) for v in e.ends)
         if ku == kv:
             loops.append(e.id)
         else:

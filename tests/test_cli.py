@@ -279,8 +279,11 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
     (lambda doc: doc.update(n=True), "n must be a JSON integer"),
     (lambda doc: doc.update(shape=[[1], [2.9], [3]]),
      "shape labels must be JSON integers"),
+    # the star's centre renamed b2, a boundary vertex of the star
+    (lambda doc: doc.update(json.loads(json.dumps(doc).replace('"v"', '"b2"'))),
+     "internal vertices named like boundary vertices: ['b2']"),
 ], ids=["unknown-rotation-vertex", "numeric-conductance", "n-zero",
-        "n-float", "n-bool", "shape-label-float"])
+        "n-float", "n-bool", "shape-label-float", "internal-named-b2"])
 def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, message):
     doc = json.loads(open(paths["y"]).read())
     edit(doc)
@@ -291,6 +294,19 @@ def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, messa
         assert code == 1
         assert out == ""
         assert message in err
+
+
+def test_internal_names_like_labels_are_internal(paths, capsys, tmp_path):
+    """Only b1..bn are boundary vertices: a centre named b02, or b7 with
+    n = 3, is an internal vertex like v."""
+    text = open(paths["y"]).read()
+    for command in ("lambda", "response"):
+        expected = run(capsys, command, paths["y"], "--compact")
+        assert expected[0] == 0
+        for name in ("b02", "b7"):
+            renamed = tmp_path / f"{name}.json"
+            renamed.write_text(text.replace('"v"', f'"{name}"'))
+            assert run(capsys, command, str(renamed), "--compact") == expected
 
 
 def command_argvs(y, delta):
@@ -379,3 +395,29 @@ def test_failed_lambda_writes_nothing(tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["lambda", str(path)]) == code
         assert out.writes == []
+
+
+@pytest.mark.parametrize("command", [
+    name for name, (network_arg, _) in cli.COMMANDS.items() if network_arg])
+def test_every_network_file_is_loaded_and_validated(paths, capsys, tmp_path, command):
+    crossing = tmp_path / "crossing.json"
+    netfile.save_network(make_edgeless(4), crossing)
+    doc = json.loads(crossing.read_text())
+    doc["shape"] = [[1, 3], [2, 4]]
+    crossing.write_text(json.dumps(doc))
+    missing = str(tmp_path / "missing.json")
+    first, *rest = command_argvs(paths["y"], paths["delta"])[command]
+    cases = [([bad] + rest, bad) for bad in (missing, str(crossing))]
+    if command == "equiv":
+        cases += [([first, bad], bad) for bad in (missing, str(crossing))]
+    for args, bad in cases:
+        code, out, err = run(capsys, command, *args)
+        assert code == 1, args
+        if bad == missing:
+            assert out == "" and "No such file or directory" in err
+        elif command == "validate":
+            assert err == ""
+            failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+            assert failed == ["shape-noncrossing", "planar-embedding"]
+        else:
+            assert out == "" and "shape-noncrossing" in err
