@@ -99,6 +99,14 @@ def cmd_tnn(net, args):
 def _chart(net, source: str):
     """Representing matrix from the response or the resistance chart."""
     if source == "response":
+        # a glued shape's response matrix is indexed by blocks, and its
+        # point has the not-shorted coordinate Lambda(singletons) = 0
+        glued = [b for b in net.shape_partition().blocks if len(b) > 1]
+        if glued:
+            raise _Precondition(
+                "the not-shorted (response) chart needs every label in its "
+                "own shape block; glued blocks: "
+                + ", ".join("{" + ",".join(map(str, b)) + "}" for b in glued))
         return grassmann.chart_from_response(electrical.response_matrix(net))
     return grassmann.chart_from_lstar(_lstar(net))
 

@@ -21,7 +21,14 @@ from .combinat import (
     kreweras_complement,
 )
 from .groves import GroveMeasurements
-from .linalg import Inconsistent, RationalMatrix, _sparse_ratio, solve_many
+from .linalg import (
+    Inconsistent,
+    RationalMatrix,
+    _exact,
+    _sparse_ratio,
+    block_rank,
+    solve_many,
+)
 
 
 class ExteriorVector:
@@ -32,7 +39,8 @@ class ExteriorVector:
         self.degree = degree
         self.coords = {}
         for key, val in (coords or {}).items():
-            val = Fraction(val)
+            if type(val) is not Fraction:
+                val = _exact(val)
             if val:
                 if len(key) != degree or list(key) != sorted(key):
                     raise ValueError(f"bad key {key} for degree {degree}")
@@ -48,7 +56,7 @@ class ExteriorVector:
         return ExteriorVector(self.n, self.degree, out)
 
     def scale(self, c) -> "ExteriorVector":
-        c = Fraction(c)
+        c = _exact(c)
         return ExteriorVector(
             self.n, self.degree, {k: c * v for k, v in self.coords.items()}
         )
@@ -160,6 +168,17 @@ def d_matrix(n: int) -> RationalMatrix:
     )
 
 
+def _negate_even_labels(rows, n: int):
+    """Right multiplication by ``d_matrix(n)``, in place: negate both
+    columns of every even label."""
+    cols = [circle_position(n, lbl) for i in range(2, n + 1, 2)
+            for lbl in (i, n + i)]
+    for row in rows:
+        for c in cols:
+            row[c] = -row[c]
+    return rows
+
+
 def omega(n: int) -> RationalMatrix:
     """Gram matrix of the skew form whose isotropic planes have nonnegative
     Plucker coordinates exactly on network images."""
@@ -263,14 +282,9 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     # column; scaling the form by its denominator does not change the rank
     _, partners = _partners(form)
     src = list(itertools.combinations(range(2 * n), n + 1))
-    tgt_index = {}
-    rows = []
-    for key in src:
-        rows.append({tgt_index.setdefault(rest, len(tgt_index)): w
-                     for rest, w in _contractions(partners, key)})
-    mat = [[row.get(j, 0) for j in range(len(tgt_index))] for row in rows]
-    rk = RationalMatrix(mat).rank() if tgt_index else 0
-    return len(src) - rk
+    rows = [{rest: Fraction(w) for rest, w in _contractions(partners, key)}
+            for key in src]
+    return len(src) - block_rank(rows)
 
 
 def is_totally_nonnegative(vec: ExteriorVector) -> bool:
@@ -344,7 +358,7 @@ def _chart(sums, plain_pivots: bool) -> RationalMatrix:
         row[pc] = Fraction(1)
         for c, s in zip(other_cols, sums_j):
             row[c] = s
-    return RationalMatrix(rows) @ d_matrix(n)
+    return RationalMatrix(_negate_even_labels(rows, n))
 
 
 def chart_from_response(resp: RationalMatrix) -> RationalMatrix:
@@ -386,7 +400,7 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
         raise ValueError("matrix must be (n+1) x 2n")
     if mode not in ("response", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
-    md = m @ d_matrix(n)
+    md = RationalMatrix(_negate_even_labels([r[:] for r in m.rows], n))
     pivot_cols, other_cols = _chart_columns(n, mode == "response")
     # one solve of piv^T x = e_j for every label j; its nullspace is the
     # left kernel of the pivot block, the residual top row direction

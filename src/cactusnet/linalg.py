@@ -1,9 +1,12 @@
 """Dense exact-rational matrices and one elimination kernel.
 
-Everything is a ``Fraction``; no floating point enters this module.
-Matrices are small (a few hundred rows at most), so a single
-Gauss-Jordan routine over Fraction serves rank, determinant (the signed
-product of its pivots) and solving with any number of right-hand sides.
+Everything is a ``Fraction``; no floating point enters this module.  An
+entry that is already a ``Fraction`` is kept as it is, any other is
+converted, and a ``float`` is refused.  Matrices are small (a few
+hundred rows at most), so a single Gauss-Jordan routine over Fraction
+serves rank, determinant (the signed product of its pivots) and solving
+with any number of right-hand sides.  Products skip zero entries of
+both factors.
 """
 
 from __future__ import annotations
@@ -12,11 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def _exact(x) -> Fraction:
+    """``x`` as a Fraction; a float is refused, since it is not exact."""
+    if isinstance(x, float):
+        raise TypeError(f"float entry {x!r}; use an int, a Fraction or a string")
+    return Fraction(x)
+
+
 class RationalMatrix:
     """A rectangular matrix of Fractions."""
 
     def __init__(self, rows):
-        self.rows = [[Fraction(x) for x in r] for r in rows]
+        self.rows = [[x if type(x) is Fraction else _exact(x) for x in r]
+                     for r in rows]
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -67,17 +78,25 @@ class RationalMatrix:
         return RationalMatrix([[-a for a in r] for r in self.rows])
 
     def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
+        c = _exact(c)
         return RationalMatrix([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other) -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = other.transpose().rows
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols]
-             for row in self.rows]
-        )
+        # row i of the product sums a * (row k of other) over the nonzero
+        # entries a = self[i][k], each row of other read as its nonzeros
+        terms = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        zero, width = Fraction(0), other.ncols
+        out = []
+        for row in self.rows:
+            acc = [zero] * width
+            for a, kterms in zip(row, terms):
+                if a:
+                    for j, b in kterms:
+                        acc[j] += a * b
+            out.append(acc)
+        return RationalMatrix(out)
 
     def matvec(self, v):
         return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
@@ -146,6 +165,38 @@ def _eliminate(rows, ncols: int):
     return pivots, sign, product
 
 
+def block_rank(rows) -> int:
+    """Rank of a matrix given as sparse rows: dicts from column keys (any
+    sortable values) to entries.
+
+    Rows that share a column are connected; the rank is the sum of the
+    ranks of the connected blocks, each eliminated densely on its own
+    columns, so the whole matrix is never built.
+    """
+    parent = {}
+
+    def find(c):
+        while parent.setdefault(c, c) != c:
+            c = parent[c]
+        return c
+
+    for row in rows:
+        first = find(next(iter(row), None))
+        for c in row:
+            parent[find(c)] = first
+    blocks = {}
+    for row in rows:
+        if row:
+            blocks.setdefault(find(next(iter(row))), []).append(row)
+    zero = Fraction(0)
+    rank = 0
+    for block in blocks.values():
+        cols = sorted({c for row in block for c in row})
+        rank += RationalMatrix([[row.get(c, zero) for c in cols]
+                                for row in block]).rank()
+    return rank
+
+
 @dataclass
 class LinearSolution:
     """A particular solution plus a basis of the kernel."""
@@ -178,7 +229,8 @@ def solve_many(a: RationalMatrix, rhs_columns):
     :class:`Inconsistent` certificate for the first such column instead.
     """
     nr, nc = a.nrows, a.ncols
-    cols = [[Fraction(x) for x in b] for b in rhs_columns]
+    cols = [[x if type(x) is Fraction else _exact(x) for x in b]
+            for b in rhs_columns]
     if any(len(b) != nr for b in cols):
         raise ValueError("rhs length mismatch")
     m = [row + [b[i] for b in cols] for i, row in enumerate(a.rows)]

@@ -13,7 +13,8 @@ from cactusnet.combinat import (
     concordant_index_pairs,
     is_noncrossing_on_circle,
 )
-from cactusnet.grassmann import ExteriorVector, positions_of
+from cactusnet.grassmann import ExteriorVector, d_matrix, positions_of
+from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
 from cactusnet.network import CactusNetwork
 
 
@@ -221,6 +222,83 @@ def concordant_keys_oracle(pair):
     concordant index pair."""
     return [positions_of(pair.n, idx + tidx)
             for idx, tidx in concordant_index_pairs(pair)]
+
+
+def dense_matmul(a, b):
+    """Oracle for the product: the dot product of every row of a with
+    every column of b, zeros included."""
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch")
+    cols = b.transpose().rows
+    return RationalMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
+                           for row in a.rows])
+
+
+def _chart_via_d(sums, plain_pivots):
+    """Oracle for the chart builder: the row pattern times d_matrix(n)."""
+    n = len(sums)
+    plain = [circle_position(n, i) for i in range(1, n + 1)]
+    tilde = [circle_position(n, n + i) for i in range(1, n + 1)]
+    pivot_cols, other_cols = (plain, tilde) if plain_pivots else (tilde, plain)
+    rows = [[Fraction(0)] * (2 * n) for _ in range(n + 1)]
+    for c in other_cols:
+        rows[0][c] = Fraction(1)
+    for row, pc, sums_j in zip(rows[1:], pivot_cols, sums):
+        row[pc] = Fraction(1)
+        for c, s in zip(other_cols, sums_j):
+            row[c] = s
+    return dense_matmul(RationalMatrix(rows), d_matrix(n))
+
+
+def chart_from_response_via_d(resp):
+    return _chart_via_d(
+        [list(itertools.accumulate(reversed(col[1:]), initial=Fraction(0)))[::-1]
+         for col in resp.transpose().rows],
+        plain_pivots=True,
+    )
+
+
+def chart_from_lstar_via_d(lstar):
+    return _chart_via_d(
+        [list(itertools.accumulate(col[:-1], initial=Fraction(0)))
+         for col in lstar.transpose().rows],
+        plain_pivots=False,
+    )
+
+
+def extract_symmetric_via_d(m, mode):
+    """Oracle for extraction: the representing matrix times d_matrix(n),
+    with dense products throughout."""
+    n = m.ncols // 2
+    md = dense_matmul(m, d_matrix(n))
+    plain = [circle_position(n, i) for i in range(1, n + 1)]
+    tilde = [circle_position(n, n + i) for i in range(1, n + 1)]
+    pivot_cols, other_cols = (plain, tilde) if mode == "response" else (tilde, plain)
+    rows = range(n + 1)
+    sol = solve_many(md.submatrix(rows, pivot_cols).transpose(),
+                     RationalMatrix.identity(n).rows)
+    if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
+        raise ValueError("plane is not in this chart")
+    top, *entries = dense_matmul(RationalMatrix(sol.nullspace + sol.particulars),
+                                 md.submatrix(rows, other_cols)).rows
+    if len(set(top)) != 1 or top[0] == 0:
+        raise ValueError("plane is not in this chart")
+    step = -1 if mode == "response" else 1
+    return RationalMatrix(
+        [[(row[(i + step) % n] - row[i]) / top[0] for row in entries]
+         for i in range(n)]
+    )
+
+
+def dense_kappa_kernel_dimension(n, form):
+    """Oracle for the kernel dimension of the contraction: every basis
+    wedge contracted by the pair-loop oracle, one dense matrix ranked."""
+    images = [pair_loop_kappa(form, ExteriorVector(n, n + 1, {key: 1})).coords
+              for key in itertools.combinations(range(2 * n), n + 1)]
+    targets = sorted({k for image in images for k in image})
+    dense = RationalMatrix([[image.get(k, 0) for k in targets]
+                            for image in images])
+    return len(images) - dense.rank()
 
 
 class RecordingStream:

@@ -21,7 +21,9 @@ from conftest import (
 from cactusnet import cli, electrical, groves, netfile
 from cactusnet.cli import main
 from cactusnet.combinat import NoncrossingPartition, catalan
+from cactusnet.grassmann import extreme_coordinates, lam_map
 from cactusnet.groves import GROVE_EDGE_CAP, lambda_vector
+from cactusnet.network import CactusNetwork, validate
 from fractions import Fraction
 
 
@@ -184,6 +186,47 @@ def test_chart_and_extract_consistency(paths, capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 4 and len(rows[0]) == 6
+
+
+def glued_networks():
+    """Two glued labels joined by an edge (n = 2), and a four-spoke wheel
+    whose labels 1 and 2 are glued, without the chord between them."""
+    pair = CactusNetwork.build(
+        2, [(1, 2)], [], [("e", ("b1", "b2"), Fraction(1))],
+        {"b1": ["e"], "b2": ["e"]})
+    wheel = CactusNetwork.build(
+        4, [(1, 2), (3,), (4,)], ["v"],
+        [("s1", ("b1", "v"), Fraction(1)), ("s2", ("b2", "v"), Fraction(2)),
+         ("s3", ("b3", "v"), Fraction(3)), ("s4", ("b4", "v"), Fraction(1, 2)),
+         ("p2", ("b2", "b3"), Fraction(1)), ("p3", ("b3", "b4"), Fraction(2)),
+         ("p4", ("b4", "b1"), Fraction(3))],
+        {"b1": ["s1", "p4"], "b2": ["p2", "s2"], "b3": ["p3", "s3", "p2"],
+         "b4": ["p4", "s4", "p3"], "v": ["s1", "s2", "s3", "s4"]})
+    return [pair, wheel]
+
+
+def test_response_chart_refuses_glued_shapes(capsys, tmp_path):
+    """A glued shape's response matrix is indexed by blocks, and its point
+    has every not-shorted coordinate 0, so it is outside the response
+    chart: exit 2 naming the glued blocks.  The resistance chart keeps
+    one row and column per label and still answers."""
+    for k, net in enumerate(glued_networks()):
+        assert validate(net).ok
+        assert extreme_coordinates(lam_map(lambda_vector(net)))[0] == 0
+        path = tmp_path / f"glued{k}.json"
+        netfile.save_network(net, path)
+        for argv in (["chart", str(path), "--from", "response"],
+                     ["extract", str(path), "--chart", "not-shorted"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "glued blocks: {1,2}" in err
+        n = net.n
+        for argv, shape in (
+                (["chart", str(path), "--from", "resistance"], (n + 1, 2 * n)),
+                (["extract", str(path), "--chart", "connected"], (n, n))):
+            code, out, _ = run(capsys, *argv)
+            rows = json.loads(out)
+            assert code == 0 and (len(rows), len(rows[0])) == shape
 
 
 def test_medial_and_minimal(paths, capsys):

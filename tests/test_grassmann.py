@@ -8,7 +8,11 @@ import pytest
 import sympy
 
 from conftest import (
+    chart_from_lstar_via_d,
+    chart_from_response_via_d,
     concordant_keys_oracle,
+    dense_kappa_kernel_dimension,
+    extract_symmetric_via_d,
     make_delta,
     make_disconnected,
     make_glued_tree,
@@ -93,6 +97,16 @@ def test_exterior_vector_basics():
     assert s.scale(Fraction(1, 2))[(0, 1, 3)] == 1
 
 
+def test_exterior_vector_refuses_floats():
+    with pytest.raises(TypeError):
+        ExteriorVector(2, 3, {(0, 1, 2): 0.5})
+    with pytest.raises(TypeError):
+        ExteriorVector(2, 3, {(0, 1, 2): Fraction(1)}).scale(0.5)
+    third = Fraction(1, 3)
+    assert ExteriorVector(2, 3, {(0, 1, 2): third}).coords[(0, 1, 2)] is third
+    assert ExteriorVector(2, 3, {(0, 1, 2): "1/3"})[(0, 1, 2)] == third
+
+
 def test_proportionality_factor_exterior():
     v = ExteriorVector(2, 3, {(0, 1, 2): Fraction(2), (1, 2, 3): Fraction(4)})
     w = v.scale(Fraction(-3, 2))
@@ -124,11 +138,25 @@ def test_kappa_kernel_dimension_is_catalan(n):
     assert kernel_dimension_of_kappa(n, omega_d(n)) == catalan(n)
 
 
-def random_skew_form(rng, n):
-    """A skew 2n x 2n form, about half of it nonzero, mostly non-integer."""
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_dimension_matches_the_dense_oracle(n):
+    """Block-wise rank against one dense matrix of pair-loop contractions,
+    for both boundary forms and random skew forms whose blocks differ."""
+    rng = random.Random(40 + n)
+    forms = [omega(n), omega_d(n)]
+    forms += [random_skew_form(rng, n, density)
+              for density in ((0.1, 0.2) if n == 5 else (0.1, 0.3, 0.5))]
+    for form in forms:
+        assert kernel_dimension_of_kappa(n, form) == \
+            dense_kappa_kernel_dimension(n, form)
+
+
+def random_skew_form(rng, n, density=0.5):
+    """A skew 2n x 2n form, about ``density`` of it nonzero, mostly
+    non-integer."""
     m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for p, q in itertools.combinations(range(2 * n), 2):
-        if rng.random() < 0.5:
+        if rng.random() < density:
             m[p][q] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
             m[q][p] = -m[p][q]
     return RationalMatrix(m)
@@ -224,6 +252,49 @@ def test_chart_round_trips_random_symmetric(rng):
         sym = RationalMatrix(m)
         assert extract_symmetric(chart_from_response(sym), "response") == sym
         assert extract_symmetric(chart_from_lstar(sym), "dual") == sym
+
+
+def random_symmetric(rng, n, zero_row_sums):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        m[i][j] = m[j][i] = Fraction(rng.randint(-4, 5), rng.randint(1, 3))
+    if zero_row_sums:
+        for i in range(n):
+            m[i][i] = -sum(m[i][j] for j in range(n) if j != i)
+    return RationalMatrix(m)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_charts_and_extract_match_the_sign_matrix_oracle(rng, n):
+    """Sign flips give exactly the charts and extractions of the products
+    with d_matrix(n), also for matrices outside a chart."""
+    for _ in range(6):
+        sym = random_symmetric(rng, n, zero_row_sums=rng.random() < 0.5)
+        charts = [chart_from_response(sym), chart_from_lstar(sym)]
+        assert charts == [chart_from_response_via_d(sym),
+                          chart_from_lstar_via_d(sym)]
+        charts.append(random_rational_matrix(rng, n + 1, 2 * n))
+        for m in charts:
+            for mode in ("response", "dual"):
+                assert _outcome(extract_symmetric, m, mode) == \
+                    _outcome(extract_symmetric_via_d, m, mode)
+
+
+def test_charts_do_not_multiply_by_the_sign_matrix(monkeypatch):
+    def refuse(n):
+        raise AssertionError("d_matrix called")
+
+    monkeypatch.setattr(grassmann, "d_matrix", refuse)
+    resp = response_matrix(make_y(1, 2, 3))
+    assert extract_symmetric(chart_from_response(resp), "dual") == \
+        lstar_from_resistance(resistance_matrix(make_y(1, 2, 3)))
 
 
 def test_chart_isotropy_random_symmetric(rng):

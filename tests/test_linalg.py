@@ -1,12 +1,20 @@
 """Exact rational matrices, checked against sympy as an oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from cactusnet.linalg import Inconsistent, RationalMatrix, solve_linear, solve_many
+from conftest import dense_matmul
+from cactusnet.linalg import (
+    Inconsistent,
+    RationalMatrix,
+    block_rank,
+    solve_linear,
+    solve_many,
+)
 
 
 def random_matrix(rng, rows, cols, sparse=False):
@@ -39,6 +47,61 @@ def test_matmul_against_sympy():
         a = random_matrix(rng, 3, 4)
         b = random_matrix(rng, 4, 2)
         assert to_sympy(a @ b) == to_sympy(a) * to_sympy(b)
+
+
+def random_entry(rng, zeros):
+    if rng.random() < zeros:
+        return Fraction(0)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def test_product_matches_the_dense_oracle():
+    """The product that skips zeros against the dense dot product, on
+    sparse, dense and all-zero factors of every small shape, 0 rows and
+    0 columns included (a matrix without rows has no columns)."""
+    rng = random.Random(5)
+    for rows, inner, cols in itertools.product(range(5), repeat=3):
+        if rows == 0 and inner:
+            continue
+        for zeros in (0.0, 0.5, 0.9, 1.0):
+            a = RationalMatrix([[random_entry(rng, zeros) for _ in range(inner)]
+                                for _ in range(rows)])
+            b = RationalMatrix([[random_entry(rng, zeros) for _ in range(cols)]
+                                for _ in range(inner)])
+            product = a @ b
+            assert product == dense_matmul(a, b)
+            assert all(type(x) is Fraction for r in product.rows for x in r)
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
+
+
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError):
+        RationalMatrix([[0.1]])
+    with pytest.raises(TypeError):
+        RationalMatrix([[1, 2]]).scale(0.5)
+    with pytest.raises(TypeError):
+        solve_many(RationalMatrix([[1]]), [[0.5]])
+    third = Fraction(1, 3)
+    m = RationalMatrix([[third, 2, "1/2"]])
+    assert m.rows[0][0] is third
+    assert m.rows == [[third, Fraction(2), Fraction(1, 2)]]
+
+
+def test_block_rank_matches_the_dense_rank():
+    """Block-wise rank of sparse integer rows against the rank of the
+    dense matrix; sparse enough that most matrices split into blocks."""
+    rng = random.Random(23)
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
+        density = rng.choice([0.05, 0.1, 0.2, 0.4])
+        rows = [{c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in range(ncols)
+                 if rng.random() < density} for _ in range(nrows)]
+        dense = RationalMatrix([[row.get(c, 0) for c in range(ncols)]
+                                for row in rows])
+        assert block_rank(rows) == dense.rank()
+    assert block_rank([]) == 0
+    assert block_rank([{}, {0: 2}, {}]) == 1
 
 
 def test_determinant_against_sympy():
