@@ -8,6 +8,13 @@ measurement vector collects, for every noncrossing partition, the sum of
 conductance products over groves inducing it.  It is stored sparsely:
 ``GroveMeasurements.values`` holds only the partitions some grove
 induces, and every other partition measures 0.
+
+The search keeps its forest as a quick-find root list over the vertices
+of the quotient graph, boundary blocks first: every vertex holds the
+smallest index in its tree.  So a tree holds a boundary block iff its
+root index is < nboundary, a node of the search is a grove iff no root
+is >= nboundary, and the first nboundary roots are a canonical key of
+the induced partition.
 """
 
 from __future__ import annotations
@@ -31,21 +38,22 @@ DENSE_LAMBDA_MAX_N = 13
 _ZERO = Fraction(0)
 
 
-def _find(parent: list, x: int) -> int:
-    """Root of x in a list-based union-find, halving the path on the way.
+def _joined(root: list, u: int, v: int) -> list:
+    """The roots after joining the trees of vertices u and v.
 
-    Unions link the larger root under the smaller, so a root is the
-    smallest index in its tree.
+    The larger of the two roots gives way to the smaller, so every root
+    stays the smallest index in its tree.
     """
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+    ru, rv = root[u], root[v]
+    if ru > rv:
+        ru, rv = rv, ru
+    return [ru if r == rv else r for r in root]
 
 
 def _as_quotient(net) -> QuotientGraph:
     if isinstance(net, QuotientGraph):
         return net
+    require_valid(net)
     return quotient_graph(net)
 
 
@@ -61,8 +69,8 @@ def _edge_ends(qg: QuotientGraph) -> dict:
 def enumerate_groves(net):
     """Yield groves as sorted tuples of edge ids, in lexicographic order.
 
-    Accepts a network or its quotient graph.  Loop edges of the quotient
-    never appear in a grove.
+    Accepts a valid network or its quotient graph.  Loop edges of the
+    quotient never appear in a grove.
     """
     qg = _as_quotient(net)
     if len(qg.edges) > GROVE_EDGE_CAP:
@@ -73,41 +81,21 @@ def enumerate_groves(net):
     ends = _edge_ends(qg)
     nboundary, nvertices = len(qg.boundary), len(qg.vertices)
 
-    def is_grove(parent):
-        # a root is the smallest index in its tree, so a tree holds a
-        # boundary block iff its root is one
-        return all(_find(parent, v) < nboundary
-                   for v in range(nboundary, nvertices))
-
-    def extend(start, parent, chosen):
-        if is_grove(parent):
+    def extend(start, root, loose, chosen):
+        # loose counts the trees without a boundary block
+        if not loose:
             yield tuple(chosen)
         for k in range(start, len(eids)):
             u, v = ends[eids[k]]
-            ru, rv = _find(parent, u), _find(parent, v)
+            ru, rv = root[u], root[v]
             if ru == rv:
                 continue  # would close a cycle
-            joined = parent[:]
-            joined[max(ru, rv)] = min(ru, rv)
             chosen.append(eids[k])
-            yield from extend(k + 1, joined, chosen)
+            yield from extend(k + 1, _joined(root, u, v),
+                              loose - (max(ru, rv) >= nboundary), chosen)
             chosen.pop()
 
-    yield from extend(0, list(range(nvertices)), [])
-
-
-def _boundary_roots(ends, nvertices: int, nboundary: int, edge_ids) -> tuple:
-    """For every boundary block, the smallest block the edges connect it to.
-
-    This is a canonical key of the induced partition: two groves induce
-    the same partition iff their keys are equal.
-    """
-    parent = list(range(nvertices))
-    for eid in edge_ids:
-        u, v = ends[eid]
-        ru, rv = _find(parent, u), _find(parent, v)
-        parent[max(ru, rv)] = min(ru, rv)
-    return tuple(_find(parent, b) for b in range(nboundary))
+    yield from extend(0, list(range(nvertices)), nvertices - nboundary, [])
 
 
 def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
@@ -122,8 +110,11 @@ def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
 def grove_partition(net, edge_ids) -> NoncrossingPartition:
     """The boundary partition induced by a grove."""
     qg = _as_quotient(net)
-    return _partition(qg, _boundary_roots(
-        _edge_ends(qg), len(qg.vertices), len(qg.boundary), edge_ids))
+    ends = _edge_ends(qg)
+    root = list(range(len(qg.vertices)))
+    for eid in edge_ids:
+        root = _joined(root, *ends[eid])
+    return _partition(qg, root[:len(qg.boundary)])
 
 
 @dataclass
@@ -153,23 +144,34 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     require_valid(net)
     qg = quotient_graph(net)
     ends = _edge_ends(qg)
-    nvertices, nboundary = len(qg.vertices), len(qg.boundary)
+    nboundary = len(qg.boundary)
     # Integer weights a_e = c_e * d, d the lcm of the denominators: a grove
     # of k edges weighs (product of its a_e) / d**k.
     d = math.lcm(*(c.denominator for *_, c in qg.edges))
     weight = {eid: c.numerator * (d // c.denominator) for eid, _, _, c in qg.edges}
     classes = {}  # boundary roots -> {grove size: sum of integer weights}
+    # stack[k] holds the roots and the integer weight of the first k edges
+    # of the last grove: a grove keeps the prefix it shares with the last
+    # one and joins only its other edges.
+    last, stack = (), [(list(range(len(qg.vertices))), 1)]
     for grove in enumerate_groves(qg):
-        w = 1
-        for eid in grove:
-            w *= weight[eid]
-        sizes = classes.setdefault(
-            _boundary_roots(ends, nvertices, nboundary, grove), {})
+        keep = min(len(last), len(grove))
+        while grove[:keep] != last[:keep]:
+            keep -= 1
+        del stack[keep + 1:]
+        for eid in grove[keep:]:
+            root, w = stack[-1]
+            stack.append((_joined(root, *ends[eid]), w * weight[eid]))
+        last = grove
+        root, w = stack[-1]
+        sizes = classes.setdefault(tuple(root[:nboundary]), {})
         sizes[len(grove)] = sizes.get(len(grove), 0) + w
-    return GroveMeasurements(net.n, {
-        _partition(qg, roots): sum(Fraction(s, d**k) for k, s in sizes.items())
-        for roots, sizes in classes.items()
-    })
+    values = {}  # one Fraction per class, over d**(its largest grove size)
+    for roots, sizes in classes.items():
+        top = max(sizes)
+        values[_partition(qg, roots)] = Fraction(
+            sum(s * d ** (top - k) for k, s in sizes.items()), d ** top)
+    return GroveMeasurements(net.n, values)
 
 
 def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):

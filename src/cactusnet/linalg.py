@@ -99,7 +99,12 @@ class RationalMatrix:
         return RationalMatrix(out)
 
     def matvec(self, v):
-        return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
+        """The product with the column vector v, whose float entries are refused."""
+        if len(v) != self.ncols:
+            raise ValueError("dimension mismatch")
+        terms = [(k, x) for k, x in enumerate(map(_exact, v)) if x]
+        zero = Fraction(0)
+        return [sum((row[k] * x for k, x in terms), zero) for row in self.rows]
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
         return RationalMatrix(

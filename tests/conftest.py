@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cactusnet.combinat import (
+    NoncrossingPartition,
     canonical_blocks,
     circle_position,
     concordant_index_pairs,
@@ -89,6 +90,63 @@ def make_disconnected():
     )
 
 
+def make_grid4():
+    """The 4 x 4 grid without its corners: n = 8, 12 edges.
+
+    The inner 2 x 2 square u11, u12, u22, u21 is internal.  Labels 1..8
+    run clockwise from the left end of the top side, each joined to its
+    inner neighbour by spoke s<label>; rotations are clockwise N, E, S, W.
+    """
+    spokes = {1: "u11", 2: "u12", 3: "u12", 4: "u22",
+              5: "u22", 6: "u21", 7: "u21", 8: "u11"}
+    edges = [(f"s{i}", (f"b{i}", u), Fraction(i, 1 + i % 3))
+             for i, u in spokes.items()]
+    edges += [("top", ("u11", "u12"), Fraction(2)),
+              ("right", ("u12", "u22"), Fraction(3, 2)),
+              ("bottom", ("u21", "u22"), Fraction(5)),
+              ("left", ("u11", "u21"), Fraction(1, 3))]
+    rotations = {f"b{i}": [f"s{i}"] for i in spokes}
+    rotations.update(u11=["s1", "top", "left", "s8"],
+                     u12=["s2", "s3", "right", "top"],
+                     u22=["right", "s4", "s5", "bottom"],
+                     u21=["left", "bottom", "s6", "s7"])
+    return CactusNetwork.build(
+        8, [(i,) for i in range(1, 9)], ["u11", "u12", "u21", "u22"],
+        edges, rotations)
+
+
+def make_subdivided_wheel():
+    """A four-spoke wheel with chords p1 and p3 whose spokes are each split
+    in series, b<i> -s<i>a- m<i> -s<i>b- v: 5 internal vertices, 10 edges."""
+    edges = [("p1", ("b1", "b2"), Fraction(2)), ("p3", ("b3", "b4"), Fraction(3))]
+    rotations = {"v": [f"s{i}b" for i in range(1, 5)]}
+    for i in range(1, 5):
+        edges += [(f"s{i}a", (f"b{i}", f"m{i}"), Fraction(i, 2)),
+                  (f"s{i}b", (f"m{i}", "v"), Fraction(i + 1))]
+        rotations[f"m{i}"] = [f"s{i}a", f"s{i}b"]
+    rotations.update(b1=["p1", "s1a"], b2=["s2a", "p1"],
+                     b3=["p3", "s3a"], b4=["s4a", "p3"])
+    return CactusNetwork.build(
+        4, [(i,) for i in range(1, 5)], ["m1", "m2", "m3", "m4", "v"],
+        edges, rotations)
+
+
+def make_two_hubs():
+    """Hub u serves labels 1, 2 and hub w labels 3, 4; edge h joins the
+    hubs and the four sides of the boundary square are chords."""
+    return CactusNetwork.build(
+        4, [(i,) for i in range(1, 5)], ["u", "w"],
+        [("a1", ("b1", "u"), Fraction(1)), ("a2", ("b2", "u"), Fraction(2)),
+         ("a3", ("b3", "w"), Fraction(3)), ("a4", ("b4", "w"), Fraction(1, 2)),
+         ("h", ("u", "w"), Fraction(4)),
+         ("p1", ("b1", "b2"), Fraction(3, 2)), ("p2", ("b2", "b3"), Fraction(5)),
+         ("p3", ("b3", "b4"), Fraction(2, 3)), ("p4", ("b4", "b1"), Fraction(1))],
+        {"b1": ["p1", "a1", "p4"], "b2": ["p2", "a2", "p1"],
+         "b3": ["p3", "a3", "p2"], "b4": ["p4", "a4", "p3"],
+         "u": ["a1", "a2", "h"], "w": ["h", "a3", "a4"]},
+    )
+
+
 def random_conductance(rng):
     return Fraction(rng.randint(1, 6), rng.randint(1, 4))
 
@@ -137,6 +195,58 @@ def random_planar_net(rng, n, connected=False):
         rotations["v"] = [spoke_id[i] for i in sorted(spoke_id)]
     return CactusNetwork.build(
         n, [(i,) for i in range(1, n + 1)], internal, edges, rotations)
+
+
+def _find_halving(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _quotient_ends(qg):
+    index = {v: i for i, v in enumerate(qg.vertices)}
+    return {eid: (index[u], index[v]) for eid, u, v, _ in qg.edges}
+
+
+def path_halving_groves(qg):
+    """Oracle for the grove search: a union-find with path halving,
+    copied at every node, each node tested by finding every internal
+    vertex's root.  Yields sorted edge-id tuples in lexicographic order."""
+    eids = sorted(eid for eid, *_ in qg.edges)
+    ends = _quotient_ends(qg)
+    nboundary, nvertices = len(qg.boundary), len(qg.vertices)
+
+    def extend(start, parent, chosen):
+        if all(_find_halving(parent, v) < nboundary
+               for v in range(nboundary, nvertices)):
+            yield tuple(chosen)
+        for k in range(start, len(eids)):
+            u, v = ends[eids[k]]
+            ru, rv = _find_halving(parent, u), _find_halving(parent, v)
+            if ru == rv:
+                continue
+            joined = parent[:]
+            joined[max(ru, rv)] = min(ru, rv)
+            yield from extend(k + 1, joined, chosen + [eids[k]])
+
+    yield from extend(0, list(range(nvertices)), [])
+
+
+def path_halving_partition(qg, grove):
+    """Oracle for the induced partition: a fresh path-halving union-find
+    over the grove's edges, the boundary blocks grouped by their roots."""
+    ends = _quotient_ends(qg)
+    parent = list(range(len(qg.vertices)))
+    for eid in grove:
+        u, v = ends[eid]
+        ru, rv = _find_halving(parent, u), _find_halving(parent, v)
+        parent[max(ru, rv)] = min(ru, rv)
+    groups = {}
+    for b, block in enumerate(qg.boundary):
+        groups.setdefault(_find_halving(parent, b), []).extend(block)
+    n = sum(len(b) for b in qg.boundary)
+    return NoncrossingPartition.from_blocks(n, groups.values())
 
 
 def grown_noncrossing_blocks(n):

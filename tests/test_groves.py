@@ -12,11 +12,17 @@ from conftest import (
     make_disconnected,
     make_edgeless,
     make_glued_tree,
+    make_grid4,
     make_shorted,
     make_single_edge,
+    make_subdivided_wheel,
+    make_two_hubs,
     make_y,
+    path_halving_groves,
+    path_halving_partition,
     random_planar_net,
 )
+from cactusnet import groves
 from cactusnet.combinat import NoncrossingPartition, enumerate_noncrossing
 from cactusnet.groves import (
     GROVE_EDGE_CAP,
@@ -28,7 +34,7 @@ from cactusnet.groves import (
     lambda_vector,
     proportionality_factor,
 )
-from cactusnet.network import Edge, quotient_graph
+from cactusnet.network import CactusNetwork, Edge, quotient_graph
 
 
 def brute_force_groves(qg):
@@ -75,11 +81,15 @@ def brute_force_partition(qg, chosen):
     make_glued_tree,
     make_shorted,
     make_disconnected,
+    make_grid4,
+    make_subdivided_wheel,
+    make_two_hubs,
 ])
 def test_groves_match_brute_force(builder):
     qg = quotient_graph(builder())
     listed = list(enumerate_groves(qg))
     assert listed == sorted(listed)  # deterministic lexicographic order
+    assert listed == list(path_halving_groves(qg))
     assert set(listed) == brute_force_groves(qg)
     for grove in listed:
         assert grove_partition(qg, grove) == brute_force_partition(qg, grove)
@@ -92,8 +102,9 @@ def test_groves_match_brute_force_random(rng):
         qg = quotient_graph(net)
         if len(qg.edges) > 12:
             continue
-        listed = set(enumerate_groves(qg))
-        assert listed == brute_force_groves(qg)
+        listed = list(enumerate_groves(qg))
+        assert listed == list(path_halving_groves(qg))
+        assert set(listed) == brute_force_groves(qg)
 
 
 def test_grove_partitions_are_noncrossing(rng):
@@ -118,13 +129,11 @@ def test_lambda_vector_y():
 
 def test_lambda_vector_loops_never_contribute():
     """Quotient loop edges are excluded from every grove."""
-    from cactusnet.network import CactusNetwork
-
     net = CactusNetwork.build(
         3, [(1, 3), (2,)], ["v"],
         [("e1", ("b1", "v"), 1), ("e2", ("b2", "v"), 2),
          ("loop", ("b1", "b3"), 7)],
-        {"b1": ["loop", "e1"], "b2": ["e2"], "b3": ["loop"],
+        {"b1": ["e1", "loop"], "b2": ["e2"], "b3": ["loop"],
          "v": ["e1", "e2"]},
     )
     for grove in enumerate_groves(net):
@@ -173,16 +182,16 @@ def test_proportionality_factor_zero_vectors():
 
 
 def grove_loop_measurements(net):
-    """The loop lambda_vector replaces: one Fraction product per grove,
-    added under the partition grove_partition gives it."""
+    """The loop lambda_vector replaces: one Fraction product per grove of
+    the path-halving search, added under the partition it induces."""
     qg = quotient_graph(net)
     weight = {eid: c for eid, _, _, c in qg.edges}
     values = {}
-    for grove in enumerate_groves(qg):
+    for grove in path_halving_groves(qg):
         w = Fraction(1)
         for eid in grove:
             w *= weight[eid]
-        sigma = grove_partition(qg, grove)
+        sigma = path_halving_partition(qg, grove)
         values[sigma] = values.get(sigma, 0) + w
     return values
 
@@ -203,8 +212,13 @@ def with_distinct_denominators(net):
     lambda: make_edgeless(3),
     lambda: make_y(Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)),
     lambda: with_distinct_denominators(make_glued_tree()),
+    make_grid4,
+    lambda: with_distinct_denominators(make_grid4()),
+    make_subdivided_wheel,
+    make_two_hubs,
 ], ids=["glued", "shorted", "disconnected", "edgeless", "y-distinct-denominators",
-        "glued-distinct-denominators"])
+        "glued-distinct-denominators", "grid4", "grid4-distinct-denominators",
+        "subdivided-wheel", "two-hubs"])
 def test_lambda_vector_matches_the_grove_loop(builder):
     net = builder()
     lam = lambda_vector(net)
@@ -220,6 +234,41 @@ def test_lambda_vector_matches_the_grove_loop_random(rng):
         lam = lambda_vector(net)
         assert lam.values == grove_loop_measurements(net)
         assert all(lam.values.values())
+
+
+def test_lambda_vector_consumes_one_grove_search(monkeypatch):
+    """lambda_vector takes every grove from one call of the public
+    enumerate_groves, so a count of its yields counts the groves."""
+    net = make_grid4()
+    calls, seen, finished = [], [], []
+    search = groves.enumerate_groves
+
+    def counting(*args):
+        calls.append(args)
+        for grove in search(*args):
+            seen.append(grove)
+            yield grove
+        finished.append(True)
+
+    monkeypatch.setattr(groves, "enumerate_groves", counting)
+    lambda_vector(net)
+    assert len(calls) == 1 and finished == [True]
+    assert seen == list(path_halving_groves(quotient_graph(net)))
+
+
+def test_grove_functions_refuse_invalid_networks():
+    """Edge e2 ends at an unknown vertex w: every grove entry point
+    raises the validation error, not a KeyError from the search."""
+    net = CactusNetwork.build(
+        2, [(1,), (2,)], [],
+        [("e1", ("b1", "b2"), Fraction(1)), ("e2", ("b2", "w"), Fraction(1))],
+        {"b1": ["e1"], "b2": ["e1", "e2"]},
+    )
+    for call in (lambda: list(enumerate_groves(net)),
+                 lambda: grove_partition(net, ("e1",)),
+                 lambda: lambda_vector(net)):
+        with pytest.raises(ValueError, match="invalid network"):
+            call()
 
 
 def test_over_cap_lambda_fails_before_any_catalan_table():

@@ -56,9 +56,10 @@ def random_entry(rng, zeros):
 
 
 def test_product_matches_the_dense_oracle():
-    """The product that skips zeros against the dense dot product, on
-    sparse, dense and all-zero factors of every small shape, 0 rows and
-    0 columns included (a matrix without rows has no columns)."""
+    """The products that skip zeros, by a matrix and by a vector, against
+    the dense dot product, on sparse, dense and all-zero factors of every
+    small shape, 0 rows and 0 columns included (a matrix without rows has
+    no columns)."""
     rng = random.Random(5)
     for rows, inner, cols in itertools.product(range(5), repeat=3):
         if rows == 0 and inner:
@@ -71,8 +72,14 @@ def test_product_matches_the_dense_oracle():
             product = a @ b
             assert product == dense_matmul(a, b)
             assert all(type(x) is Fraction for r in product.rows for x in r)
+            v = [random_entry(rng, zeros) for _ in range(inner)]
+            image = a.matvec(v)
+            assert image == [sum(x * y for x, y in zip(row, v)) for row in a.rows]
+            assert all(type(x) is Fraction for x in image)
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, 2]]).matvec([1])
 
 
 def test_float_entries_are_refused():
@@ -82,6 +89,9 @@ def test_float_entries_are_refused():
         RationalMatrix([[1, 2]]).scale(0.5)
     with pytest.raises(TypeError):
         solve_many(RationalMatrix([[1]]), [[0.5]])
+    for v in ([0.1, 0.2], [0.0, 1]):
+        with pytest.raises(TypeError):
+            RationalMatrix([[1, 2]]).matvec(v)
     third = Fraction(1, 3)
     m = RationalMatrix([[third, 2, "1/2"]])
     assert m.rows[0][0] is third
