@@ -5,6 +5,8 @@ nonnegative and rows sum to zero, so the diagonal is nonpositive.  With
 this convention a potential vector V and the net currents out of the
 boundary satisfy current = -L V, and effective resistance comes out
 positive: solving L V = e_u - e_v gives R(u, v) = V[v] - V[u].
+Resistances are not computed from L, though: one solve on the quotient
+Laplacian with boundary block 0 grounded gives them all.
 """
 
 from __future__ import annotations
@@ -57,23 +59,27 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
 def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
     """Effective resistances between boundary labels, as an n x n matrix.
 
-    Labels glued by the shape are at distance zero.  Requires the
-    quotient graph to be connected across the boundary (otherwise there
-    is no finite resistance between some pair).
+    Block 0 of the quotient Laplacian is grounded and one elimination
+    solves for a unit current into every other boundary block; with G
+    that solution (G = 0 on the ground), R(u, v) = G_uu + G_vv - 2 G_uv.
+    Labels glued by the shape are at distance zero.  Every boundary
+    block must connect to block 0 (otherwise some resistance is
+    infinite) and every internal vertex to the boundary.
     """
-    part = net.shape_partition()
-    resp = response_matrix(net)
-    nb = resp.nrows
-    # ground block 0 and invert the reduced Laplacian -L once: with G that
-    # inverse (and G = 0 on the ground), R(u, v) = G_uu + G_vv - 2 G_uv
-    reduced = -resp.submatrix(range(1, nb), range(1, nb))
-    sol = solve_many(reduced, RationalMatrix.identity(nb - 1).rows)
+    require_valid(net)
+    qg = quotient_graph(net)
+    nb, size = len(qg.boundary), len(qg.vertices)
+    grounded = laplacian(qg).submatrix(range(1, size), range(1, size))
+    units = RationalMatrix.identity(size - 1).rows[:nb - 1]
+    sol = solve_many(grounded, units)
     if isinstance(sol, Inconsistent):
         raise ValueError(
             "boundary components are disconnected; resistance is infinite"
         )
-    g = [[Fraction(0)] * nb] + [[Fraction(0)] + col for col in sol.particulars]
-    block_of = {i: k for k, b in enumerate(part.blocks) for i in b}
+    if sol.nullspace:
+        raise ValueError("an internal vertex is isolated from the boundary")
+    g = [[Fraction(0)] * nb] + [[Fraction(0)] + x[:nb - 1] for x in sol.particulars]
+    block_of = {i: k for k, b in enumerate(qg.boundary) for i in b}
     ks = [block_of[i] for i in range(1, net.n + 1)]
     return RationalMatrix(
         [[g[u][u] + g[v][v] - 2 * g[u][v] for v in ks] for u in ks]

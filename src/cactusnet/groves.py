@@ -135,12 +135,13 @@ class GroveMeasurements:
         """Values in the deterministic enumeration order of partitions."""
         return [self[s] for s in enumerate_noncrossing(self.n)]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
-
 
 def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
-    """The grove measurements of a valid network, nonzero values only."""
+    """The grove measurements of a valid network, nonzero values only.
+
+    Raises ``ValueError`` when no grove exists, that is when some internal
+    vertex has no path to the boundary, so the vector is never zero.
+    """
     require_valid(net)
     qg = quotient_graph(net)
     ends = _edge_ends(qg)
@@ -166,6 +167,9 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
         root, w = stack[-1]
         sizes = classes.setdefault(tuple(root[:nboundary]), {})
         sizes[len(grove)] = sizes.get(len(grove), 0) + w
+    if not classes:
+        # only a component without a boundary block rules out every grove
+        raise ValueError("an internal vertex is isolated from the boundary")
     values = {}  # one Fraction per class, over d**(its largest grove size)
     for roots, sizes in classes.items():
         top = max(sizes)
@@ -177,9 +181,8 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
 def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):
     """The positive rational t with m2 = t * m1, or None.
 
-    Zero vectors are not proportional to anything (no measurement vector
-    of a valid network is zero: the full quotient graph always has some
-    grove).
+    Zero vectors are not proportional to anything (``lambda_vector``
+    never returns one: it raises when the network has no grove).
     """
     if m1.n != m2.n:
         return None

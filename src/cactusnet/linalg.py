@@ -11,6 +11,7 @@ both factors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,15 +65,17 @@ class RationalMatrix:
         return RationalMatrix(list(map(list, zip(*self.rows)))) if self.rows \
             else RationalMatrix([])
 
+    def _entrywise(self, op, other) -> "RationalMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("dimension mismatch")
+        return RationalMatrix([list(map(op, r1, r2))
+                               for r1, r2 in zip(self.rows, other.rows)])
+
     def __add__(self, other) -> "RationalMatrix":
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other) -> "RationalMatrix":
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return self._entrywise(operator.sub, other)
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix([[-a for a in r] for r in self.rows])
@@ -203,14 +206,6 @@ def block_rank(rows) -> int:
 
 
 @dataclass
-class LinearSolution:
-    """A particular solution plus a basis of the kernel."""
-
-    particular: list
-    nullspace: list
-
-
-@dataclass
 class Inconsistent:
     """Certificate y with y^T A = 0 but y^T b != 0."""
 
@@ -218,7 +213,7 @@ class Inconsistent:
 
 
 @dataclass
-class LinearSolutions:
+class Solutions:
     """One particular solution per right-hand side, plus a kernel basis."""
 
     particulars: list
@@ -228,10 +223,10 @@ class LinearSolutions:
 def solve_many(a: RationalMatrix, rhs_columns):
     """Solve A x = b exactly for every b in ``rhs_columns`` at once.
 
-    One elimination of ``[A | b_1 ... b_k]`` gives, for every column, the
-    particular solution whose free variables are zero, and a nullspace
-    basis of A.  If some b_k is not in the column space, returns an
-    :class:`Inconsistent` certificate for the first such column instead.
+    One elimination of ``[A | b_1 ... b_k]`` gives :class:`Solutions`: per
+    column the particular solution whose free variables are zero, and a
+    nullspace basis of A.  If some b_k is not in the column space, returns
+    an :class:`Inconsistent` certificate for the first such column.
     """
     nr, nc = a.nrows, a.ncols
     cols = [[x if type(x) is Fraction else _exact(x) for x in b]
@@ -263,19 +258,7 @@ def solve_many(a: RationalMatrix, rhs_columns):
         for row, c in zip(m, pivots):
             v[c] = -row[fc]
         nullspace.append(v)
-    return LinearSolutions(particulars=particulars, nullspace=nullspace)
-
-
-def solve_linear(a: RationalMatrix, b):
-    """Solve A x = b exactly.
-
-    Returns a :class:`LinearSolution` (any particular solution together
-    with a nullspace basis) or an :class:`Inconsistent` certificate.
-    """
-    sol = solve_many(a, [b])
-    if isinstance(sol, Inconsistent):
-        return sol
-    return LinearSolution(particular=sol.particulars[0], nullspace=sol.nullspace)
+    return Solutions(particulars=particulars, nullspace=nullspace)
 
 
 def _sparse_ratio(u: dict, v: dict):

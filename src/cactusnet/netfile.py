@@ -39,6 +39,13 @@ def network_from_dict(doc: dict) -> CactusNetwork:
         n = doc["n"]
         shape = [tuple(b) for b in doc["shape"]]
         internal = [str(v) for v in doc["internal_vertices"]]
+        # a string would be read as its characters, a longer list cut short
+        for e in doc["edges"]:
+            if not isinstance(e["ends"], list) or len(e["ends"]) != 2:
+                raise ValueError(f"ends of edge {e['id']} must be a list of two names")
+        for v, ids in doc["rotations"].items():
+            if not isinstance(ids, list):
+                raise ValueError(f"rotation of {v} must be a list of edge ids")
         edges = [
             (str(e["id"]), (str(e["ends"][0]), str(e["ends"][1])),
              parse_rational(e["conductance"]))

@@ -14,6 +14,7 @@ from cactusnet.combinat import (
     concordant_index_pairs,
     is_noncrossing_on_circle,
 )
+from cactusnet.electrical import response_matrix
 from cactusnet.grassmann import ExteriorVector, d_matrix, positions_of
 from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
 from cactusnet.network import CactusNetwork
@@ -87,6 +88,36 @@ def make_disconnected():
         [("e1", ("b1", "v"), Fraction(1)),
          ("e2", ("b2", "v"), Fraction(2))],
         {"b1": ["e1"], "b2": ["e2"], "b3": [], "v": ["e1", "e2"]},
+    )
+
+
+def _floating_triangle():
+    """Internal triangle x-y-z joined to nothing: edges, rotations."""
+    return ([("xy", ("x", "y"), Fraction(1)), ("yz", ("y", "z"), Fraction(2)),
+             ("zx", ("z", "x"), Fraction(3))],
+            {"x": ["xy", "zx"], "y": ["yz", "xy"], "z": ["zx", "yz"]})
+
+
+def make_floating_triangle():
+    """Edge b1-b2 plus an internal triangle with no path to the boundary:
+    valid, but no grove exists."""
+    edges, rotations = _floating_triangle()
+    return CactusNetwork.build(
+        2, [(1,), (2,)], ["x", "y", "z"],
+        [("e", ("b1", "b2"), Fraction(1))] + edges,
+        {"b1": ["e"], "b2": ["e"], **rotations},
+    )
+
+
+def make_both_faults():
+    """``make_disconnected`` plus a floating internal triangle: terminal 3
+    is isolated and so is the triangle."""
+    net = make_disconnected()
+    edges, rotations = _floating_triangle()
+    return CactusNetwork.build(
+        3, net.shape, list(net.internal_vertices) + ["x", "y", "z"],
+        list(net.edges) + edges,
+        {**net.rotations, **rotations},
     )
 
 
@@ -397,6 +428,27 @@ def extract_symmetric_via_d(m, mode):
     return RationalMatrix(
         [[(row[(i + step) % n] - row[i]) / top[0] for row in entries]
          for i in range(n)]
+    )
+
+
+def two_solve_resistance(net):
+    """Oracle for the resistance matrix: the response matrix (one solve on
+    the internal block), then the grounded response -L inverted by a
+    second solve; with G that inverse, R(u, v) = G_uu + G_vv - 2 G_uv."""
+    part = net.shape_partition()
+    resp = response_matrix(net)
+    nb = resp.nrows
+    reduced = -resp.submatrix(range(1, nb), range(1, nb))
+    sol = solve_many(reduced, RationalMatrix.identity(nb - 1).rows)
+    if isinstance(sol, Inconsistent):
+        raise ValueError(
+            "boundary components are disconnected; resistance is infinite"
+        )
+    g = [[Fraction(0)] * nb] + [[Fraction(0)] + col for col in sol.particulars]
+    block_of = {i: k for k, b in enumerate(part.blocks) for i in b}
+    ks = [block_of[i] for i in range(1, net.n + 1)]
+    return RationalMatrix(
+        [[g[u][u] + g[v][v] - 2 * g[u][v] for v in ks] for u in ks]
     )
 
 

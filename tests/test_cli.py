@@ -12,6 +12,7 @@ from conftest import (
     make_delta,
     make_disconnected,
     make_edgeless,
+    make_floating_triangle,
     make_glued_tree,
     make_shorted,
     make_y,
@@ -283,6 +284,21 @@ def test_exit_code_precondition(paths, capsys):
     assert run(capsys, "resistance", paths["disc"])[0] == 2
 
 
+def test_network_without_groves_is_a_precondition_failure(capsys, tmp_path):
+    """A valid network whose internal triangle has no path to the boundary
+    has no grove: every Lambda and matrix command exits 2, printing nothing."""
+    path = tmp_path / "floating.json"
+    netfile.save_network(make_floating_triangle(), path)
+    net = str(path)
+    assert run(capsys, "validate", net)[0] == 0
+    for argv in (["lambda", net], ["plucker", net], ["tnn", net],
+                 ["isotropy", net], ["equiv", net, net], ["response", net],
+                 ["resistance", net]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "an internal vertex is isolated from the boundary" in err
+
+
 def test_outputs_are_deterministic(paths, capsys):
     outs = set()
     for _ in range(3):
@@ -325,8 +341,15 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
     # the star's centre renamed b2, a boundary vertex of the star
     (lambda doc: doc.update(json.loads(json.dumps(doc).replace('"v"', '"b2"'))),
      "internal vertices named like boundary vertices: ['b2']"),
+    (lambda doc: doc["edges"][0].update(ends=["b1", "v", "b2"]),
+     "ends of edge e1 must be a list of two names"),
+    (lambda doc: doc["edges"][0].update(ends="b1"),
+     "ends of edge e1 must be a list of two names"),
+    (lambda doc: doc["rotations"].update(b1="e1"),
+     "rotation of b1 must be a list of edge ids"),
 ], ids=["unknown-rotation-vertex", "numeric-conductance", "n-zero",
-        "n-float", "n-bool", "shape-label-float", "internal-named-b2"])
+        "n-float", "n-bool", "shape-label-float", "internal-named-b2",
+        "edge-three-ends", "edge-ends-string", "rotation-string"])
 def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, message):
     doc = json.loads(open(paths["y"]).read())
     edit(doc)

@@ -1,18 +1,27 @@
 """Response, resistance, and dual response, with a floating-point oracle."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import (
+    make_both_faults,
     make_delta,
     make_disconnected,
+    make_edgeless,
+    make_floating_triangle,
     make_glued_tree,
+    make_grid4,
+    make_shorted,
     make_single_edge,
+    make_subdivided_wheel,
+    make_two_hubs,
     make_y,
     random_planar_net,
+    two_solve_resistance,
 )
 from cactusnet.combinat import (
     NoncrossingPartition,
@@ -27,7 +36,7 @@ from cactusnet.electrical import (
 )
 from cactusnet import electrical
 from cactusnet.groves import lambda_vector
-from cactusnet.linalg import Inconsistent, RationalMatrix, solve_linear
+from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
 from cactusnet.network import CactusNetwork, dual, quotient_graph
 
 
@@ -197,10 +206,10 @@ def per_pair_resistance(net):
         for bv in range(bu + 1, nb):
             rhs = [Fraction(0)] * nb
             rhs[bu], rhs[bv] = Fraction(1), Fraction(-1)
-            sol = solve_linear(resp, rhs)
+            sol = solve_many(resp, [rhs])
             if isinstance(sol, Inconsistent):
                 return None
-            r = sol.particular[bv] - sol.particular[bu]
+            r = sol.particulars[0][bv] - sol.particulars[0][bu]
             for i in part.blocks[bu]:
                 for j in part.blocks[bv]:
                     rows[i - 1][j - 1] = rows[j - 1][i - 1] = r
@@ -223,8 +232,48 @@ def test_grounded_resistance_matches_per_pair_oracle(rng):
     assert disconnected >= 2
 
 
+def test_resistance_matches_two_solve_oracle():
+    """One grounded Laplacian solve gives the matrix, or the error, that
+    the response matrix followed by a grounded inverse gives."""
+    rng = random.Random(41)
+    nets = [make_glued_tree(), make_shorted(), make_disconnected(),
+            make_y(1, 2, 3), make_grid4(), make_subdivided_wheel(),
+            make_two_hubs(), make_floating_triangle()]
+    nets += [random_planar_net(rng, rng.randint(2, 7), connected=rng.random() < 0.5)
+             for _ in range(40)]
+    failures = set()
+    for net in nets:
+        try:
+            expect = two_solve_resistance(net)
+        except ValueError as exc:
+            failures.add(str(exc))
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                resistance_matrix(net)
+        else:
+            assert resistance_matrix(net) == expect
+    assert len(failures) == 2   # one disconnected, one isolated
+
+
+def test_disconnection_outranks_isolation():
+    """A network with an isolated terminal and a floating internal
+    component is reported as disconnected; the two-solve oracle, which
+    eliminates the internal block first, reports it as isolated."""
+    net = make_both_faults()
+    with pytest.raises(ValueError, match="isolated"):
+        two_solve_resistance(net)
+    with pytest.raises(ValueError, match="disconnected"):
+        resistance_matrix(net)
+
+
+def test_electrical_entry_points_refuse_invalid_networks():
+    crossing = make_edgeless(4).replace(shape=((1, 3), (2, 4)))
+    for compute in (response_matrix, resistance_matrix):
+        with pytest.raises(ValueError, match="invalid network"):
+            compute(crossing)
+
+
 def test_one_solve_per_matrix(monkeypatch):
-    calls = []
+    calls, responses = [], []
     solve = electrical.solve_many
     monkeypatch.setattr(electrical, "solve_many",
                         lambda a, rhs: calls.append(a.nrows) or solve(a, rhs))
@@ -232,5 +281,9 @@ def test_one_solve_per_matrix(monkeypatch):
     response_matrix(net)
     assert calls == [1]             # the single internal vertex
     calls.clear()
+    response = electrical.response_matrix
+    monkeypatch.setattr(electrical, "response_matrix",
+                        lambda net: responses.append(net) or response(net))
     resistance_matrix(net)
-    assert calls == [1, 5]          # the response, then the grounded inverse
+    assert calls == [6]             # the Laplacian with block 0 grounded
+    assert responses == []

@@ -12,7 +12,6 @@ from cactusnet.linalg import (
     Inconsistent,
     RationalMatrix,
     block_rank,
-    solve_linear,
     solve_many,
 )
 
@@ -163,9 +162,9 @@ def test_solve_consistent_systems():
         a = random_matrix(rng, rows, cols, sparse=True)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         b = a.matvec(x)
-        sol = solve_linear(a, b)
+        sol = solve_many(a, [b])
         assert not isinstance(sol, Inconsistent)
-        assert a.matvec(sol.particular) == b
+        assert a.matvec(sol.particulars[0]) == b
         for v in sol.nullspace:
             assert all(y == 0 for y in a.matvec(v))
         assert len(sol.nullspace) == cols - a.rank()
@@ -177,7 +176,7 @@ def test_solve_inconsistent_certificate():
     for _ in range(200):
         a = random_matrix(rng, 4, 3, sparse=True)
         b = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-        sol = solve_linear(a, b)
+        sol = solve_many(a, [b])
         if isinstance(sol, Inconsistent):
             found += 1
             cert = sol.certificate
@@ -188,6 +187,16 @@ def test_solve_inconsistent_certificate():
             assert all(x == 0 for x in lhs)
             assert sum(c * y for c, y in zip(cert, b)) != 0
     assert found >= 5
+
+
+def test_sum_and_difference_require_equal_shapes():
+    row, one = RationalMatrix([[1, 2]]), RationalMatrix([[1]])
+    for a, b in ((row, one), (one, row), (row, row.transpose())):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a + b
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a - b
+    assert row + row == RationalMatrix([[2, 4]])
 
 
 def test_transpose_and_symmetry():
@@ -236,7 +245,7 @@ def test_solve_many_matches_sympy():
                 [sympy.Rational(y.numerator, y.denominator) for y in b]))
             expected = gen.subs({t: 0 for t in params})
             assert to_fractions(expected) == x
-            assert solve_linear(a, b).particular == x
+            assert solve_many(a, [b]).particulars == [x]
     assert with_kernel >= 5
 
 
@@ -262,8 +271,8 @@ def test_solve_many_inconsistent_certificate():
         lhs = [sum(cert[i] * a[(i, j)] for i in range(4)) for j in range(3)]
         assert all(x == 0 for x in lhs)
         assert sum(c * y for c, y in zip(cert, other)) != 0
-        # the single-column wrapper reports the same certificate
-        assert solve_linear(a, other).certificate == cert
+        # a single-column solve reports the same certificate
+        assert solve_many(a, [other]).certificate == cert
     assert found >= 5
 
 
