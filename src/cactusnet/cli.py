@@ -157,8 +157,8 @@ def cmd_equiv(net1, net2, args):
 
 
 def cmd_kernel_dim(args):
-    if args.n < 2 or args.n > 5:
-        raise _Precondition("n must be between 2 and 5")
+    if args.n < 2 or args.n > 6:
+        raise _Precondition("n must be between 2 and 6")
     return {"kernel_dimension": grassmann.kernel_dimension_of_kappa(args.n)}
 
 

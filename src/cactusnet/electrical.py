@@ -17,17 +17,20 @@ from .linalg import Inconsistent, RationalMatrix, solve_many
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 
-def laplacian(qg: QuotientGraph) -> RationalMatrix:
-    """Weighted graph Laplacian, rows/columns in ``qg.vertices`` order."""
+def laplacian(qg: QuotientGraph) -> list:
+    """Weighted graph Laplacian as sparse rows, in ``qg.vertices`` order:
+    row k maps k and each neighbour of vertex k to its entry.  A loop
+    adds nothing, so no entry is zero."""
     order = {v: k for k, v in enumerate(qg.vertices)}
-    m = [[Fraction(0)] * len(order) for _ in order]
+    rows = [{} for _ in order]
+    zero = Fraction(0)
     for _, u, v, c in qg.edges:
         iu, iv = order[u], order[v]
-        m[iu][iu] += c
-        m[iv][iv] += c
-        m[iu][iv] -= c
-        m[iv][iu] -= c
-    return RationalMatrix(m)
+        if iu != iv:
+            for i, j in ((iu, iv), (iv, iu)):
+                rows[i][i] = rows[i].get(i, zero) + c
+                rows[i][j] = rows[i].get(j, zero) - c
+    return rows
 
 
 def response_matrix(net: CactusNetwork) -> RationalMatrix:
@@ -39,21 +42,21 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
     require_valid(net)
     qg = quotient_graph(net)
     lap = laplacian(qg)
-    nb = len(qg.boundary)
-    ni = len(qg.internal)
-    bb = lap.submatrix(range(nb), range(nb))
-    if ni == 0:
-        return -bb
-    bi = lap.submatrix(range(nb), range(nb, nb + ni))
-    ii = lap.submatrix(range(nb, nb + ni), range(nb, nb + ni))
+    nb, ni = len(qg.boundary), len(qg.internal)
+    # BI and II as sparse rows over the internal columns
+    bi, ii = ([{j - nb: x for j, x in row.items() if j >= nb} for row in rows]
+              for rows in (lap[:nb], lap[nb:]))
     # solve II X = IB for all columns at once (the columns of IB are the
     # rows of BI); II is invertible exactly when every internal vertex
     # connects to the boundary
-    sol = solve_many(ii, bi.rows)
+    sol = solve_many(ii, bi, ncols=ni)
     if isinstance(sol, Inconsistent) or sol.nullspace:
         raise ValueError("an internal vertex is isolated from the boundary")
-    x = RationalMatrix(sol.particulars).transpose()
-    return -(bb - bi @ x)
+    # L = -(BB - BI X); column b of X is the particular solution b
+    zero = Fraction(0)
+    return RationalMatrix(
+        [[sum((x * sol.particulars[b][k] for k, x in bi[a].items()), zero)
+          - lap[a].get(b, zero) for b in range(nb)] for a in range(nb)])
 
 
 def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
@@ -69,9 +72,10 @@ def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
     require_valid(net)
     qg = quotient_graph(net)
     nb, size = len(qg.boundary), len(qg.vertices)
-    grounded = laplacian(qg).submatrix(range(1, size), range(1, size))
-    units = RationalMatrix.identity(size - 1).rows[:nb - 1]
-    sol = solve_many(grounded, units)
+    grounded = [{j - 1: x for j, x in row.items() if j}
+                for row in laplacian(qg)[1:]]
+    units = [{k: 1} for k in range(nb - 1)]
+    sol = solve_many(grounded, units, ncols=size - 1)
     if isinstance(sol, Inconsistent):
         raise ValueError(
             "boundary components are disconnected; resistance is infinite"

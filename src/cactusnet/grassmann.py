@@ -25,8 +25,8 @@ from .linalg import (
     Inconsistent,
     RationalMatrix,
     _exact,
+    _reduce,
     _sparse_ratio,
-    block_rank,
     solve_many,
 )
 
@@ -284,7 +284,7 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     src = list(itertools.combinations(range(2 * n), n + 1))
     rows = [{rest: Fraction(w) for rest, w in _contractions(partners, key)}
             for key in src]
-    return len(src) - block_rank(rows)
+    return len(src) - len(_reduce(rows))
 
 
 def is_totally_nonnegative(vec: ExteriorVector) -> bool:

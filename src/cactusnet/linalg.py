@@ -1,16 +1,19 @@
-"""Dense exact-rational matrices and one elimination kernel.
+"""Exact-rational matrices and one sparse elimination kernel.
 
 Everything is a ``Fraction``; no floating point enters this module.  An
 entry that is already a ``Fraction`` is kept as it is, any other is
-converted, and a ``float`` is refused.  Matrices are small (a few
-hundred rows at most), so a single Gauss-Jordan routine over Fraction
-serves rank, determinant (the signed product of its pivots) and solving
-with any number of right-hand sides.  Products skip zero entries of
-both factors.
+converted, and a ``float`` is refused.  Matrices are stored dense, but
+what the package eliminates is sparse (a Laplacian row holds a vertex
+and its neighbours, a contraction row at most n entries).  So one
+elimination over rows held as dicts of their nonzero entries, each
+pivot on the shortest candidate row, serves rank, determinant (the
+signed product of its pivots) and solving with any number of
+right-hand sides.  Products skip zero entries of both factors.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,79 +133,109 @@ class RationalMatrix:
         return all(x == 0 for r in self.rows for x in r)
 
     def determinant(self) -> Fraction:
-        """Determinant: the signed product of the elimination pivots."""
+        """Determinant: the pivot product, signed by the permutation that
+        takes each pivot row to its pivot column."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, sign, product = _eliminate([r[:] for r in self.rows], self.ncols)
-        return sign * product if len(pivots) == self.nrows else Fraction(0)
+        pivots = _reduce(_sparse(self.rows))
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        cols = [c for _, c, _ in sorted(pivots)]      # in row order
+        swaps = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+        return (-1) ** swaps * math.prod((p for _, _, p in pivots), start=Fraction(1))
 
     def rank(self) -> int:
-        return len(_eliminate([r[:] for r in self.rows], self.ncols)[0])
+        return len(_reduce(_sparse(self.rows)))
 
 
-def _eliminate(rows, ncols: int):
-    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+def _sparse(rows) -> list:
+    """Rows as dicts from column index to nonzero Fraction; a row may be a
+    list or already such a dict, and a float entry is refused."""
+    return [{j: x for j, x in ((j, x if type(x) is Fraction else _exact(x))
+                               for j, x in (r.items() if isinstance(r, dict)
+                                            else enumerate(r))) if x}
+            for r in rows]
 
-    ``rows`` becomes reduced row echelon form in those columns; any
-    further columns (right-hand sides) undergo the same row operations.
-    Returns the pivot columns, the sign of the row swaps and the product
-    of the pivots, so a square matrix of full rank has determinant
-    ``sign * product``.
+
+def _fits(vectors, sparse, width) -> bool:
+    """Every vector is ``width`` long: a list by its length, a dict by its
+    keys (``sparse`` holds the vectors as dicts)."""
+    return all(all(0 <= j < width for j in d) if isinstance(v, dict)
+               else len(v) == width for v, d in zip(vectors, sparse))
+
+
+def _reduce(rows, ncols=None) -> list:
+    """Sparse elimination in place on rows given as dicts from column to
+    nonzero Fraction; the one elimination kernel of the package.
+
+    With ``ncols``, the pivot columns run left to right over ``0 ..
+    ncols - 1`` and each pivot column is cleared from every other row
+    (Gauss-Jordan), so those columns end in reduced row echelon form and
+    any further keys (right-hand sides) undergo the same row operations.
+    Without it, each pivot is taken on the shortest row, in its column
+    held by the fewest rows, and the pivot row then leaves the
+    elimination: enough for a rank or a determinant.  Either way a
+    pivot is taken on the shortest candidate row, which keeps the fill
+    small, and rows that share no column are never mixed.  Pivot rows
+    are scaled to 1 at the pivot.  Returns the pivots as (row, column,
+    value) in the order taken.
     """
-    pivots = []
-    sign, product = 1, Fraction(1)
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        p = rows[r][c]
-        product *= p
-        # columns left of c are zero in the pivot row, so only the tail moves
-        tail = rows[r][c:] = [x / p if x else x for x in rows[r][c:]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                row[c:] = [x - f * y if y else x for x, y in zip(row[c:], tail)]
-        pivots.append(c)
-    return pivots, sign, product
-
-
-def block_rank(rows) -> int:
-    """Rank of a matrix given as sparse rows: dicts from column keys (any
-    sortable values) to entries.
-
-    Rows that share a column are connected; the rank is the sum of the
-    ranks of the connected blocks, each eliminated densely on its own
-    columns, so the whole matrix is never built.
-    """
-    parent = {}
-
-    def find(c):
-        while parent.setdefault(c, c) != c:
-            c = parent[c]
-        return c
-
-    for row in rows:
-        first = find(next(iter(row), None))
+    holders = {}                                  # column -> rows holding it
+    for i, row in enumerate(rows):
         for c in row:
-            parent[find(c)] = first
-    blocks = {}
-    for row in rows:
-        if row:
-            blocks.setdefault(find(next(iter(row))), []).append(row)
-    zero = Fraction(0)
-    rank = 0
-    for block in blocks.values():
-        cols = sorted({c for row in block for c in row})
-        rank += RationalMatrix([[row.get(c, zero) for c in cols]
-                                for row in block]).rank()
-    return rank
+            holders.setdefault(c, set()).add(i)
+    live = set(range(len(rows)))                  # rows not yet pivots
+    if ncols is None:
+        by_size = {}                              # length -> live rows that long
+        for i, row in enumerate(rows):
+            if row:
+                by_size.setdefault(len(row), set()).add(i)
+    columns = iter(range(ncols or 0))
+    pivots = []
+    while True:
+        if ncols is None:                         # shortest row, rarest column
+            size = min((s for s, held in by_size.items() if held), default=None)
+            if size is None:
+                return pivots
+            i = min(by_size[size])
+            by_size[size].discard(i)
+            c = min(rows[i], key=lambda c: len(holders[c]))
+        else:                                     # next column with a candidate
+            c = next((c for c in columns if not live.isdisjoint(holders.get(c, ()))),
+                     None)
+            if c is None:
+                return pivots
+            i = min(live.intersection(holders[c]), key=lambda i: (len(rows[i]), i))
+        live.discard(i)
+        row, p = rows[i], rows[i][c]
+        pivots.append((i, c, p))
+        if p != 1:
+            row = rows[i] = {j: x / p for j, x in row.items()}
+        if ncols is None:
+            for j in row:
+                holders[j].discard(i)
+        for t in [t for t in holders[c] if t != i]:
+            target = rows[t]
+            if ncols is None:
+                by_size[len(target)].discard(t)
+            f = target.pop(c)
+            holders[c].discard(t)
+            for j, y in row.items():
+                if j == c:
+                    continue
+                x = target.get(j)
+                if x is None:
+                    target[j] = -f * y
+                    holders[j].add(t)
+                else:
+                    x -= f * y
+                    if x:
+                        target[j] = x
+                    else:
+                        del target[j]
+                        holders[j].discard(t)
+            if ncols is None and target:
+                by_size.setdefault(len(target), set()).add(t)
 
 
 @dataclass
@@ -220,43 +253,59 @@ class Solutions:
     nullspace: list
 
 
-def solve_many(a: RationalMatrix, rhs_columns):
+def solve_many(a, rhs_columns, ncols=None):
     """Solve A x = b exactly for every b in ``rhs_columns`` at once.
 
-    One elimination of ``[A | b_1 ... b_k]`` gives :class:`Solutions`: per
-    column the particular solution whose free variables are zero, and a
-    nullspace basis of A.  If some b_k is not in the column space, returns
-    an :class:`Inconsistent` certificate for the first such column.
+    ``a`` is a RationalMatrix, or a list of rows ``ncols`` columns wide;
+    a row, like a right-hand side b, is a list or a sparse dict from index
+    to entry.  One elimination of ``[A | b_1 ... b_k]`` gives
+    :class:`Solutions`: per column the particular solution whose free
+    variables are zero, and a nullspace basis of A.  If some b_k is not
+    in the column space, returns an :class:`Inconsistent` certificate for
+    the first such column.
     """
-    nr, nc = a.nrows, a.ncols
-    cols = [[x if type(x) is Fraction else _exact(x) for x in b]
-            for b in rhs_columns]
-    if any(len(b) != nr for b in cols):
+    if isinstance(a, RationalMatrix):
+        a, ncols = a.rows, a.ncols
+    elif ncols is None:
+        raise TypeError("sparse rows need ncols")
+    rows, cols = _sparse(a), _sparse(rhs_columns)
+    nr, nc = len(rows), ncols
+    if not _fits(a, rows, nc):
+        raise ValueError("row width mismatch")
+    if not _fits(rhs_columns, cols, nr):
         raise ValueError("rhs length mismatch")
-    m = [row + [b[i] for b in cols] for i, row in enumerate(a.rows)]
-    pivots = _eliminate(m, nc)[0]
-    rank = len(pivots)
-    bad = next((k for k in range(len(cols))
-                if any(m[i][nc + k] for i in range(rank, nr))), None)
+    for k, b in enumerate(cols):
+        for i, x in b.items():
+            rows[i][nc + k] = x
+    pivots = _reduce(rows, nc)
+    rest = set(range(nr)).difference(i for i, _, _ in pivots)
+    # the rows without a pivot keep only right-hand side keys
+    bad = min((min(rows[i]) for i in rest if rows[i]), default=None)
+    zero = Fraction(0)
     if bad is not None:
         # redo the same row operations on an identity block to record them
-        m = [row + [cols[bad][i]] + [Fraction(int(i == j)) for j in range(nr)]
-             for i, row in enumerate(a.rows)]
-        _eliminate(m, nc)
-        cert = next(row[nc + 1:] for row in m[rank:] if row[nc])
-        return Inconsistent(certificate=cert)
+        rows = _sparse(a)
+        for i, row in enumerate(rows):
+            row[nc + 1 + i] = Fraction(1)
+        for i, x in cols[bad - nc].items():
+            rows[i][nc] = x
+        rest = set(range(nr)).difference(i for i, _, _ in _reduce(rows, nc))
+        cert = rows[min(i for i in rest if nc in rows[i])]
+        return Inconsistent(certificate=[cert.get(nc + 1 + i, zero)
+                                         for i in range(nr)])
     particulars = []
-    for k in range(len(cols)):
-        x = [Fraction(0)] * nc
-        for row, c in zip(m, pivots):
-            x[c] = row[nc + k]
+    for k in range(nc, nc + len(cols)):
+        x = [zero] * nc
+        for i, c, _ in pivots:
+            x[c] = rows[i].get(k, zero)
         particulars.append(x)
     nullspace = []
-    for fc in (c for c in range(nc) if c not in pivots):
-        v = [Fraction(0)] * nc
+    free = sorted(set(range(nc)).difference(c for _, c, _ in pivots))
+    for fc in free:
+        v = [zero] * nc
         v[fc] = Fraction(1)
-        for row, c in zip(m, pivots):
-            v[c] = -row[fc]
+        for i, c, _ in pivots:
+            v[c] = -rows[i].get(fc, zero)
         nullspace.append(v)
     return Solutions(particulars=particulars, nullspace=nullspace)
 

@@ -329,7 +329,8 @@ class CombMap:
         return comps
 
     def euler_ok(self) -> bool:
-        """V - E + F = 2 for every connected component (genus 0)."""
+        """V - E + F = 2 for every connected component (genus 0); a lone
+        vertex without darts has one face."""
         face_of = {}
         for idx, f in enumerate(self.faces()):
             for d in f:
@@ -338,7 +339,7 @@ class CombMap:
             darts = [d for d, v in self.vertex_of.items() if v in comp]
             v_count = len(comp)
             e_count = len(darts) // 2
-            f_count = len({face_of[d] for d in darts})
+            f_count = len({face_of[d] for d in darts}) if darts else 1
             if v_count - e_count + f_count != 2:
                 return False
         return True

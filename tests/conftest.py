@@ -14,10 +14,9 @@ from cactusnet.combinat import (
     concordant_index_pairs,
     is_noncrossing_on_circle,
 )
-from cactusnet.electrical import response_matrix
 from cactusnet.grassmann import ExteriorVector, d_matrix, positions_of
-from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
-from cactusnet.network import CactusNetwork
+from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions
+from cactusnet.network import CactusNetwork, quotient_graph, require_valid
 
 
 def make_y(a, b, c):
@@ -91,6 +90,16 @@ def make_disconnected():
     )
 
 
+def make_isolated_vertex():
+    """Edge b1-b2 plus an internal vertex u with no edges: valid (a lone
+    vertex is planar), but u has no path to the boundary."""
+    return CactusNetwork.build(
+        2, [(1,), (2,)], ["u"],
+        [("e", ("b1", "b2"), Fraction(1))],
+        {"b1": ["e"], "b2": ["e"], "u": []},
+    )
+
+
 def _floating_triangle():
     """Internal triangle x-y-z joined to nothing: edges, rotations."""
     return ([("xy", ("x", "y"), Fraction(1)), ("yz", ("y", "z"), Fraction(2)),
@@ -144,6 +153,34 @@ def make_grid4():
     return CactusNetwork.build(
         8, [(i,) for i in range(1, 9)], ["u11", "u12", "u21", "u22"],
         edges, rotations)
+
+
+def make_grid(k, rng, bits=3):
+    """The k x k grid without its corners, as ``make_grid4`` for any k >= 3,
+    with random conductances of up to ``bits`` bits over up to ``bits``
+    bits: labels 1..4(k-2) clockwise from the left end of the top side,
+    each joined by a spoke to its inner neighbour."""
+    side = range(1, k - 1)
+    perimeter = ([(0, c) for c in side] + [(r, k - 1) for r in side]
+                 + [(k - 1, c) for c in reversed(side)]
+                 + [(r, 0) for r in reversed(side)])
+    label = {rc: i + 1 for i, rc in enumerate(perimeter)}
+    inner = [(r, c) for r in side for c in side]
+    name = {rc: f"b{label[rc]}" if rc in label else f"u{rc[0]}_{rc[1]}"
+            for rc in perimeter + inner}
+    edges, rotations = [], {}
+    for r, c in perimeter + inner:
+        rot = rotations[name[(r, c)]] = []
+        for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)):   # clockwise N, E, S, W
+            other = (r + dr, c + dc)
+            if other in name and not (other in label and (r, c) in label):
+                eid = "-".join(sorted((name[(r, c)], name[other])))
+                rot.append(eid)
+                if (r, c) < other:
+                    edges.append((eid, (name[(r, c)], name[other]), Fraction(
+                        rng.randint(1, 2 ** bits), rng.randint(1, 2 ** bits))))
+    return CactusNetwork.build(len(perimeter), [(i,) for i in label.values()],
+                               [name[rc] for rc in inner], edges, rotations)
 
 
 def make_subdivided_wheel():
@@ -416,8 +453,8 @@ def extract_symmetric_via_d(m, mode):
     tilde = [circle_position(n, n + i) for i in range(1, n + 1)]
     pivot_cols, other_cols = (plain, tilde) if mode == "response" else (tilde, plain)
     rows = range(n + 1)
-    sol = solve_many(md.submatrix(rows, pivot_cols).transpose(),
-                     RationalMatrix.identity(n).rows)
+    sol = dense_solve_many(md.submatrix(rows, pivot_cols).transpose(),
+                           RationalMatrix.identity(n).rows)
     if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
         raise ValueError("plane is not in this chart")
     top, *entries = dense_matmul(RationalMatrix(sol.nullspace + sol.particulars),
@@ -431,15 +468,144 @@ def extract_symmetric_via_d(m, mode):
     )
 
 
+def dense_eliminate(rows, ncols):
+    """Oracle for the elimination kernel: dense Gauss-Jordan in place on
+    the first ``ncols`` columns of lists of Fractions, the pivot taken on
+    the first row below with a nonzero entry, column by column.  Further
+    columns undergo the same row operations.  Returns the pivot columns,
+    the sign of the row swaps and the product of the pivots."""
+    pivots = []
+    sign, product = 1, Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        p = rows[r][c]
+        product *= p
+        tail = rows[r][c:] = [x / p if x else x for x in rows[r][c:]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [x - f * y if y else x for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+    return pivots, sign, product
+
+
+def dense_rank(m):
+    return len(dense_eliminate([r[:] for r in m.rows], m.ncols)[0])
+
+
+def dense_determinant(m):
+    pivots, sign, product = dense_eliminate([r[:] for r in m.rows], m.ncols)
+    return sign * product if len(pivots) == m.nrows else Fraction(0)
+
+
+def dense_solve_many(a, rhs_columns):
+    """Oracle for ``solve_many``: one dense elimination of [A | b_1 ...
+    b_k]; an inconsistent column is certified by redoing the elimination
+    on [A | b | I] and reading the identity block of a zero row of A."""
+    nr, nc = a.nrows, a.ncols
+    cols = [[Fraction(x) for x in b] for b in rhs_columns]
+    m = [row + [b[i] for b in cols] for i, row in enumerate(a.rows)]
+    pivots = dense_eliminate(m, nc)[0]
+    rank = len(pivots)
+    bad = next((k for k in range(len(cols))
+                if any(m[i][nc + k] for i in range(rank, nr))), None)
+    if bad is not None:
+        m = [row + [cols[bad][i]] + [Fraction(int(i == j)) for j in range(nr)]
+             for i, row in enumerate(a.rows)]
+        dense_eliminate(m, nc)
+        return Inconsistent(next(row[nc + 1:] for row in m[rank:] if row[nc]))
+    particulars = []
+    for k in range(len(cols)):
+        x = [Fraction(0)] * nc
+        for row, c in zip(m, pivots):
+            x[c] = row[nc + k]
+        particulars.append(x)
+    nullspace = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for row, c in zip(m, pivots):
+            v[c] = -row[fc]
+        nullspace.append(v)
+    return Solutions(particulars, nullspace)
+
+
+def block_rank(rows):
+    """Oracle for the sparse rank: rows (dicts from column keys to
+    entries) that share a column are joined by a union-find, and each
+    connected block is ranked densely on its own columns."""
+    parent = {}
+
+    def find(c):
+        while parent.setdefault(c, c) != c:
+            c = parent[c]
+        return c
+
+    for row in rows:
+        first = find(next(iter(row), None))
+        for c in row:
+            parent[find(c)] = first
+    blocks = {}
+    for row in rows:
+        if row:
+            blocks.setdefault(find(next(iter(row))), []).append(row)
+    rank = 0
+    for block in blocks.values():
+        cols = sorted({c for row in block for c in row})
+        rank += dense_rank(RationalMatrix([[row.get(c, 0) for c in cols]
+                                           for row in block]))
+    return rank
+
+
+def dense_laplacian(qg):
+    """The weighted Laplacian of a quotient graph as a dense matrix."""
+    order = {v: k for k, v in enumerate(qg.vertices)}
+    m = [[Fraction(0)] * len(order) for _ in order]
+    for _, u, v, c in qg.edges:
+        iu, iv = order[u], order[v]
+        m[iu][iu] += c
+        m[iv][iv] += c
+        m[iu][iv] -= c
+        m[iv][iu] -= c
+    return RationalMatrix(m)
+
+
+def dense_response_matrix(net):
+    """Oracle for the response matrix: the dense Laplacian split into
+    blocks, II X = IB solved by the dense oracle, L = -(BB - BI X)."""
+    require_valid(net)
+    qg = quotient_graph(net)
+    lap = dense_laplacian(qg)
+    nb, ni = len(qg.boundary), len(qg.internal)
+    bb = lap.submatrix(range(nb), range(nb))
+    if ni == 0:
+        return -bb
+    bi = lap.submatrix(range(nb), range(nb, nb + ni))
+    ii = lap.submatrix(range(nb, nb + ni), range(nb, nb + ni))
+    sol = dense_solve_many(ii, bi.rows)
+    if isinstance(sol, Inconsistent) or sol.nullspace:
+        raise ValueError("an internal vertex is isolated from the boundary")
+    x = RationalMatrix(sol.particulars).transpose()
+    return -(bb - dense_matmul(bi, x))
+
+
 def two_solve_resistance(net):
     """Oracle for the resistance matrix: the response matrix (one solve on
     the internal block), then the grounded response -L inverted by a
     second solve; with G that inverse, R(u, v) = G_uu + G_vv - 2 G_uv."""
     part = net.shape_partition()
-    resp = response_matrix(net)
+    resp = dense_response_matrix(net)
     nb = resp.nrows
     reduced = -resp.submatrix(range(1, nb), range(1, nb))
-    sol = solve_many(reduced, RationalMatrix.identity(nb - 1).rows)
+    sol = dense_solve_many(reduced, RationalMatrix.identity(nb - 1).rows)
     if isinstance(sol, Inconsistent):
         raise ValueError(
             "boundary components are disconnected; resistance is infinite"
@@ -460,7 +626,7 @@ def dense_kappa_kernel_dimension(n, form):
     targets = sorted({k for image in images for k in image})
     dense = RationalMatrix([[image.get(k, 0) for k in targets]
                             for image in images])
-    return len(images) - dense.rank()
+    return len(images) - dense_rank(dense)
 
 
 class RecordingStream:

@@ -14,6 +14,7 @@ from conftest import (
     make_edgeless,
     make_floating_triangle,
     make_glued_tree,
+    make_isolated_vertex,
     make_shorted,
     make_y,
     partition_name,
@@ -270,7 +271,11 @@ def test_dual_round_trip(paths, capsys):
 def test_kernel_dim(paths, capsys):
     code, out, _ = run(capsys, "kernel-dim", "--n", "4", "--compact")
     assert code == 0 and json.loads(out) == {"kernel_dimension": 14}
-    assert run(capsys, "kernel-dim", "--n", "9")[0] == 2
+    code, out, _ = run(capsys, "kernel-dim", "--n", "6", "--compact")
+    assert code == 0 and json.loads(out) == {"kernel_dimension": 132}
+    for n in ("1", "7", "9"):
+        code, out, err = run(capsys, "kernel-dim", "--n", n)
+        assert (code, out) == (2, "") and "between 2 and 6" in err
 
 
 def test_exit_code_invalid_input(paths, capsys, tmp_path):
@@ -297,6 +302,24 @@ def test_network_without_groves_is_a_precondition_failure(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "an internal vertex is isolated from the boundary" in err
+
+
+def test_isolated_internal_vertex(capsys, tmp_path):
+    """An internal vertex with no edges is valid; the commands that need
+    it connected exit 2 naming the isolation, and no command exits 3."""
+    path = tmp_path / "isolated.json"
+    netfile.save_network(make_isolated_vertex(), path)
+    net = str(path)
+    code, out, _ = run(capsys, "validate", net)
+    assert code == 0 and json.loads(out)["valid"] is True
+    for command in ("response", "resistance", "lambda"):
+        code, out, err = run(capsys, command, net)
+        assert (code, out) == (2, "")
+        assert "an internal vertex is isolated from the boundary" in err
+    for name, args in command_argvs(net, net).items():
+        code, _, err = outcome(capsys, [name] + args)
+        assert code in (0, 1, 2), (name, code, err)
+        assert "Traceback" not in err
 
 
 def test_outputs_are_deterministic(paths, capsys):

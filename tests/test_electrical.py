@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_laplacian,
+    dense_response_matrix,
     make_both_faults,
     make_delta,
     make_disconnected,
     make_edgeless,
     make_floating_triangle,
     make_glued_tree,
+    make_grid,
     make_grid4,
+    make_isolated_vertex,
     make_shorted,
     make_single_edge,
     make_subdivided_wheel,
@@ -42,8 +46,10 @@ from cactusnet.network import CactusNetwork, dual, quotient_graph
 
 def float_response(qg):
     """Schur complement onto the boundary, in floating point."""
-    lap = np.array(
-        [[float(x) for x in row] for row in laplacian(qg).rows])
+    lap = np.zeros((len(qg.vertices),) * 2)
+    for i, row in enumerate(laplacian(qg)):
+        for j, x in row.items():
+            lap[i, j] = float(x)
     nb = len(qg.boundary)
     if lap.shape[0] == nb:
         return -lap
@@ -54,11 +60,18 @@ def float_response(qg):
 
 
 def test_laplacian_structure():
-    qg = quotient_graph(make_y(1, 2, 3))
-    lap = laplacian(qg)
-    assert lap.is_symmetric()
-    for i in range(lap.nrows):
-        assert sum(lap[(i, j)] for j in range(lap.ncols)) == 0
+    """Sparse rows with no zero entry, equal to the dense oracle: symmetric
+    with zero row sums; the glued tree's quotient has a loop-free row."""
+    for net in (make_y(1, 2, 3), make_glued_tree(), make_grid4(), make_shorted(),
+                make_disconnected(), make_two_hubs()):
+        qg = quotient_graph(net)
+        rows = laplacian(qg)
+        dense = dense_laplacian(qg)
+        assert all(x and type(x) is Fraction for row in rows for x in row.values())
+        assert RationalMatrix([[row.get(j, 0) for j in range(len(rows))]
+                               for row in rows]) == dense
+        assert dense.is_symmetric()
+        assert all(sum(row.values()) == 0 for row in rows)
 
 
 def test_response_y_exact():
@@ -128,13 +141,12 @@ def test_resistance_zero_inside_glued_block():
 
 
 def test_response_requires_grounded_internal():
-    net = CactusNetwork.build(
-        2, [(1,), (2,)], ["u"],
-        [("e", ("b1", "b2"), 1)],
-        {"b1": ["e"], "b2": ["e"], "u": []},
-    )
-    with pytest.raises(ValueError):
-        response_matrix(net)
+    """An internal vertex without edges passes validation and fails the
+    response's own precondition, as does the resistance."""
+    net = make_isolated_vertex()
+    for compute in (response_matrix, resistance_matrix):
+        with pytest.raises(ValueError, match="an internal vertex is isolated"):
+            compute(net)
 
 
 def test_resistance_requires_connected_boundary():
@@ -232,15 +244,42 @@ def test_grounded_resistance_matches_per_pair_oracle(rng):
     assert disconnected >= 2
 
 
-def test_resistance_matches_two_solve_oracle():
-    """One grounded Laplacian solve gives the matrix, or the error, that
-    the response matrix followed by a grounded inverse gives."""
+def oracle_networks():
+    """Test networks, grids with small and 30-bit conductances, and
+    random wheels, connected or not."""
     rng = random.Random(41)
     nets = [make_glued_tree(), make_shorted(), make_disconnected(),
             make_y(1, 2, 3), make_grid4(), make_subdivided_wheel(),
-            make_two_hubs(), make_floating_triangle()]
+            make_two_hubs(), make_floating_triangle(), make_delta(1, 2, 3),
+            make_edgeless(3), make_single_edge()]
+    nets += [make_grid(k, rng, bits) for k in (3, 5, 6) for bits in (2, 30)]
     nets += [random_planar_net(rng, rng.randint(2, 7), connected=rng.random() < 0.5)
              for _ in range(40)]
+    return nets
+
+
+def test_response_matches_the_dense_oracle():
+    """The sparse response equals the dense Schur complement, or fails
+    with the same error."""
+    failures = set()
+    for net in oracle_networks():
+        try:
+            expect = dense_response_matrix(net)
+        except ValueError as exc:
+            failures.add(str(exc))
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                response_matrix(net)
+        else:
+            got = response_matrix(net)
+            assert got == expect
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+    assert failures == {"an internal vertex is isolated from the boundary"}
+
+
+def test_resistance_matches_two_solve_oracle():
+    """One grounded Laplacian solve gives the matrix, or the error, that
+    the response matrix followed by a grounded inverse gives."""
+    nets = oracle_networks()
     failures = set()
     for net in nets:
         try:
@@ -273,17 +312,37 @@ def test_electrical_entry_points_refuse_invalid_networks():
 
 
 def test_one_solve_per_matrix(monkeypatch):
+    """Each matrix is one ``solve_many`` call on sparse Laplacian rows: the
+    internal block for the response, the Laplacian with block 0 grounded
+    for the resistance, which never calls ``response_matrix``.  Every row
+    holds only its vertex and its neighbours, and no dense matrix is
+    passed."""
     calls, responses = [], []
     solve = electrical.solve_many
-    monkeypatch.setattr(electrical, "solve_many",
-                        lambda a, rhs: calls.append(a.nrows) or solve(a, rhs))
+
+    def recording(a, rhs, ncols=None):
+        assert all(type(row) is dict for row in a)
+        calls.append((len(a), ncols, sum(map(len, a))))
+        return solve(a, rhs, ncols=ncols)
+
+    monkeypatch.setattr(electrical, "solve_many", recording)
     net = random_planar_net(random.Random(3), 6, connected=True)
     response_matrix(net)
-    assert calls == [1]             # the single internal vertex
+    assert calls == [(1, 1, 1)]     # the single internal vertex
+    calls.clear()
+    response_matrix(make_grid4())
+    assert calls == [(4, 4, 12)]    # the inner square: 4 diagonals, 8 sides
+    calls.clear()
+    response_matrix(make_delta(1, 2, 3))
+    assert calls == [(0, 0, 0)]     # no internal vertex, an empty solve
     calls.clear()
     response = electrical.response_matrix
     monkeypatch.setattr(electrical, "response_matrix",
                         lambda net: responses.append(net) or response(net))
     resistance_matrix(net)
-    assert calls == [6]             # the Laplacian with block 0 grounded
+    assert [c[:2] for c in calls] == [(6, 6)]   # block 0 grounded
+    calls.clear()
+    resistance_matrix(make_grid4())
+    # 11 diagonals, and both ends of the 12 edges less spoke s1 at b1
+    assert calls == [(11, 11, 11 + 2 * 11)]
     assert responses == []

@@ -132,7 +132,7 @@ def test_omega_structure():
             assert all(x == 0 for x in omd.matvec(v))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_kappa_kernel_dimension_is_catalan(n):
     assert kernel_dimension_of_kappa(n) == catalan(n)
     assert kernel_dimension_of_kappa(n, omega_d(n)) == catalan(n)
@@ -140,7 +140,7 @@ def test_kappa_kernel_dimension_is_catalan(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kernel_dimension_matches_the_dense_oracle(n):
-    """Block-wise rank against one dense matrix of pair-loop contractions,
+    """Sparse rank against one dense matrix of pair-loop contractions,
     for both boundary forms and random skew forms whose blocks differ."""
     rng = random.Random(40 + n)
     forms = [omega(n), omega_d(n)]

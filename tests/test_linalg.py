@@ -6,12 +6,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dense_matmul
+from conftest import (
+    block_rank,
+    dense_determinant,
+    dense_matmul,
+    dense_rank,
+    dense_solve_many,
+)
 from cactusnet.linalg import (
     Inconsistent,
     RationalMatrix,
-    block_rank,
+    _reduce,
     solve_many,
 )
 
@@ -97,9 +105,14 @@ def test_float_entries_are_refused():
     assert m.rows == [[third, Fraction(2), Fraction(1, 2)]]
 
 
+def sparse_rank(rows):
+    return len(_reduce([{c: Fraction(x) for c, x in row.items()} for row in rows]))
+
+
 def test_block_rank_matches_the_dense_rank():
-    """Block-wise rank of sparse integer rows against the rank of the
-    dense matrix; sparse enough that most matrices split into blocks."""
+    """The sparse kernel's rank of sparse integer rows, the block-wise
+    oracle and the dense oracle agree; sparse enough that most matrices
+    split into blocks."""
     rng = random.Random(23)
     for _ in range(60):
         nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
@@ -108,9 +121,10 @@ def test_block_rank_matches_the_dense_rank():
                  if rng.random() < density} for _ in range(nrows)]
         dense = RationalMatrix([[row.get(c, 0) for c in range(ncols)]
                                 for row in rows])
-        assert block_rank(rows) == dense.rank()
-    assert block_rank([]) == 0
-    assert block_rank([{}, {0: 2}, {}]) == 1
+        assert sparse_rank(rows) == block_rank(rows) == dense_rank(dense)
+        assert dense.rank() == dense_rank(dense)
+    for rows, rank in (([], 0), ([{}, {0: 2}, {}], 1)):
+        assert sparse_rank(rows) == block_rank(rows) == rank
 
 
 def test_determinant_against_sympy():
@@ -284,3 +298,96 @@ def test_solve_many_shapes():
     assert empty.particulars == [] and empty.nullspace == []
     with pytest.raises(ValueError):
         solve_many(a, [[1, 2, 3]])
+
+
+def first_inconsistent(a, rhs):
+    """Index of the first column the dense oracle cannot solve, or None."""
+    return next((k for k, b in enumerate(rhs)
+                 if isinstance(dense_solve_many(a, [b]), Inconsistent)), None)
+
+
+def assert_certifies(cert, a, b):
+    """y^T A = 0 and y^T b != 0."""
+    assert len(cert) == a.nrows
+    assert all(type(y) is Fraction for y in cert)
+    assert all(sum((y * row[j] for y, row in zip(cert, a.rows)), Fraction(0)) == 0
+               for j in range(a.ncols))
+    assert sum(y * x for y, x in zip(cert, b)) != 0
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse rational matrix, often rank-deficient (some rows are
+    combinations of others), with right-hand sides of which some lie in
+    the column space and some need not."""
+    entry = st.one_of(st.just(0), st.just(0), st.just(0),
+                      st.fractions(-4, 4, max_denominator=3))
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for i in range(nrows):
+        if i and draw(st.booleans()):
+            k, j = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            t = draw(st.fractions(-2, 2, max_denominator=2))
+            rows[i] = [t * x + y for x, y in zip(rows[k], rows[j])]
+    a = RationalMatrix(rows)
+    rhs = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            rhs.append(a.matvec(draw(st.lists(entry, min_size=ncols, max_size=ncols))))
+        else:
+            rhs.append(draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+    return a, rhs
+
+
+@given(sparse_systems())
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernel_matches_the_dense_oracle(system):
+    """Rank, determinant, particular solutions and nullspace equal the
+    dense Gauss-Jordan oracle's, from dense and from sparse rows, and every
+    certificate of an inconsistent column is valid."""
+    a, rhs = system
+    assert a.rank() == dense_rank(a)
+    size = min(a.nrows, a.ncols)
+    square = a.submatrix(range(size), range(size))
+    assert square.determinant() == dense_determinant(square)
+    sol = solve_many(a, rhs)
+    def sparse(vectors):
+        return [{j: x for j, x in enumerate(v) if x} for v in vectors]
+
+    assert solve_many(sparse(a.rows), sparse(rhs), ncols=a.ncols) == sol
+    expected = dense_solve_many(a, rhs)
+    bad = first_inconsistent(a, rhs)
+    if bad is None:
+        assert sol == expected
+    else:
+        assert isinstance(sol, Inconsistent) and isinstance(expected, Inconsistent)
+        assert_certifies(sol.certificate, a, rhs[bad])
+        assert solve_many(a, [rhs[bad]]) == sol
+
+
+def test_sparse_kernel_on_empty_and_zero_rows():
+    """No rows, zero rows and zero columns: the nullspace is every free
+    unit vector and a nonzero right-hand side of a zero row is
+    inconsistent."""
+    assert solve_many([], [], ncols=3).nullspace == [
+        [Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert solve_many([], [[]], ncols=2).particulars == [[0, 0]]
+    zero = RationalMatrix.zeros(2, 2)
+    assert zero.rank() == 0 and zero.determinant() == 0
+    sol = solve_many(zero, [[0, 0], [0, 5]])
+    assert sol == Inconsistent([Fraction(0), Fraction(1)])
+    assert RationalMatrix([]).determinant() == 1
+    with pytest.raises(ValueError, match="row width"):
+        solve_many([{2: 1}], [], ncols=2)
+    with pytest.raises(ValueError, match="row width"):
+        solve_many([[1, 2, 3]], [], ncols=2)
+    with pytest.raises(ValueError, match="rhs length"):
+        solve_many([{0: 1}], [{1: 1}], ncols=1)
+    # sparse right-hand sides give the same solutions as dense ones
+    a = RationalMatrix([[1, 2, 0], [0, 1, 1]])
+    assert solve_many(a, [{1: 3}, {}]) == solve_many(a, [[0, 3], [0, 0]])
+    with pytest.raises(TypeError):
+        solve_many([{0: 0.0}], [], ncols=1)
+    with pytest.raises(TypeError, match="ncols"):
+        solve_many([{0: 1}], [])
