@@ -19,17 +19,15 @@ from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 def laplacian(qg: QuotientGraph) -> list:
     """Weighted graph Laplacian as sparse rows, in ``qg.vertices`` order:
-    row k maps k and each neighbour of vertex k to its entry.  A loop
-    adds nothing, so no entry is zero."""
+    row k maps k and each neighbour of vertex k to its entry.  The
+    quotient keeps no loops, so no entry is zero."""
     order = {v: k for k, v in enumerate(qg.vertices)}
     rows = [{} for _ in order]
     zero = Fraction(0)
     for _, u, v, c in qg.edges:
-        iu, iv = order[u], order[v]
-        if iu != iv:
-            for i, j in ((iu, iv), (iv, iu)):
-                rows[i][i] = rows[i].get(i, zero) + c
-                rows[i][j] = rows[i].get(j, zero) - c
+        for i, j in ((order[u], order[v]), (order[v], order[u])):
+            rows[i][i] = rows[i].get(i, zero) + c
+            rows[i][j] = rows[i].get(j, zero) - c
     return rows
 
 

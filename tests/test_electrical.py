@@ -61,7 +61,7 @@ def float_response(qg):
 
 def test_laplacian_structure():
     """Sparse rows with no zero entry, equal to the dense oracle: symmetric
-    with zero row sums; the glued tree's quotient has a loop-free row."""
+    with zero row sums, on glued, shorted and disconnected shapes too."""
     for net in (make_y(1, 2, 3), make_glued_tree(), make_grid4(), make_shorted(),
                 make_disconnected(), make_two_hubs()):
         qg = quotient_graph(net)
@@ -343,6 +343,6 @@ def test_one_solve_per_matrix(monkeypatch):
     assert [c[:2] for c in calls] == [(6, 6)]   # block 0 grounded
     calls.clear()
     resistance_matrix(make_grid4())
-    # 11 diagonals, and both ends of the 12 edges less spoke s1 at b1
+    # 11 diagonals, and both ends of the 11 edges that avoid the ground b1
     assert calls == [(11, 11, 11 + 2 * 11)]
     assert responses == []
