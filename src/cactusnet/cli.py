@@ -1,25 +1,27 @@
 """Command-line surface: every computation behind one deterministic tool.
 
-``main`` runs each request as one pipeline: parse the arguments with the
-named command's parser, load each network file (``equiv`` takes two,
-``kernel-dim`` none) and validate it once, call the compute-only handler
-``cmd_<name>(*networks, args)``, and print the document it returns with
-``netfile.dump_document``.  The handler of ``validate`` gets the report
-instead of the network.  A handler that writes its own output returns
-None: ``lambda`` streams its entries, ``ydelta`` and ``dual`` may write
-a network file.
+``main`` runs each request as one pipeline: parse the arguments against
+the ``COMMANDS`` table (``parse_args``), load each network file
+(``equiv`` takes two, ``kernel-dim`` none) and validate it once, call the
+compute-only handler ``cmd_<name>(*networks, args)``, and print the
+document it returns with ``netfile.dump_document``.  The handler of
+``validate`` gets the report instead of the network.  A handler that
+writes its own output returns None: ``lambda`` streams its entries,
+``ydelta`` and ``dual`` may write a network file.
 
 Exit codes: 0 success, 1 invalid input file (one that does not load or
 fails validation; ``validate`` prints its report first), 2 precondition
 violation, 3 internal error (an identity the library guarantees broke,
 or any other unexpected exception; always a bug, reported without a
-traceback).
+traceback).  A malformed command line raises ``SystemExit(2)`` after a
+usage message on stderr, and ``-h`` raises ``SystemExit(0)`` after the
+help on stdout, as argparse would.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import electrical, grassmann, groves, netfile, network
 from .combinat import catalan, noncrossing_names
@@ -166,9 +168,11 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-# command -> (takes a network file, further arguments).  The handler of
-# "kernel-dim" is cmd_kernel_dim; it is looked up when the parser is
-# built, so a rebound handler is the one called.
+# command -> (takes a network file, further arguments).  An argument is
+# its flags and the argparse keywords it uses: action="store_true", dest,
+# required, choices, type and help.  The handler of "kernel-dim" is
+# cmd_kernel_dim; it is looked up when the arguments are parsed, so a
+# rebound handler is the one called.
 COMMANDS = {
     "validate": (True, ()),
     "lambda": (True, ()),
@@ -193,40 +197,223 @@ COMMANDS = {
     "kernel-dim": (False, (_arg("--n", type=int, required=True),)),
 }
 
+DESCRIPTION = ("Exact electrical invariants of planar cactus networks "
+               "and their Grassmannian coordinates.")
+_HELP = _arg("-h", "--help", action="help",
+             help="show this help message and exit")
+_NETWORK = _arg("network", help="path to a network file")
+_COMPACT = _arg("--compact", action="store_true", help="single-line output")
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the command ``only`` alone.
 
-    A parser for one command still lists every command in its usage line,
-    so it prints the same help and errors for that command as the full
-    parser.  The full parser lists them as its choices, and its errors
-    name the argument "command", which a metavar would replace.
+def _arguments(name):
+    """The arguments of command ``name`` in the order argparse would
+    list them: help, the network file, ``--compact``, then the table's."""
+    network_arg, extra = COMMANDS[name]
+    return (_HELP, *((_NETWORK,) if network_arg else ()), _COMPACT, *extra)
+
+
+def _dest(flags, kw):
+    return kw.get("dest") or flags[-1].lstrip("-").replace("-", "_")
+
+
+def _label(flags, kw):
+    """An argument as usage and help show it: ``--from {a,b}``, ``--n N``."""
+    if flags[0][0] != "-" or kw.get("action"):
+        return flags[0]
+    choices = kw.get("choices")
+    metavar = "{" + ",".join(choices) + "}" if choices else _dest(flags, kw).upper()
+    return f"{flags[0]} {metavar}"
+
+
+def _usage(name=None) -> str:
+    if name is None:
+        return "usage: cactusnet [-h] {" + ",".join(COMMANDS) + "} ..."
+    words, positional = ["usage: cactusnet", name], []
+    for flags, kw in _arguments(name):
+        if flags[0][0] != "-":
+            positional.append(flags[0])
+        else:
+            label = _label(flags, kw)
+            words.append(label if kw.get("required") else f"[{label}]")
+    return " ".join(words + positional)
+
+
+def _help(name=None):
+    """Print the usage and arguments of ``name``, or every command's usage,
+    to stdout and exit 0."""
+    lines = [_usage(name), ""]
+    if name is None:
+        lines += [DESCRIPTION, "", "commands:"]
+        lines += ["  " + _usage(c).removeprefix("usage: ") for c in COMMANDS]
+    else:
+        lines.append("arguments:")
+        for flags, kw in sorted(_arguments(name), key=lambda a: a[0][0][0] == "-"):
+            label = ", ".join(flags) if flags is _HELP[0] else _label(flags, kw)
+            lines.append(f"  {label:<30} {kw.get('help', '')}".rstrip())
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _fail(name, message):
+    """Report a malformed command line as argparse does: the usage and one
+    ``error:`` line on stderr, then exit 2."""
+    prog = "cactusnet" if name is None else "cactusnet " + name
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help_option(name, flag, value):
+    """Act on -h or --help given as ``flag`` with an explicit ``value``
+    (None if there is none); ``-hh`` is ``-h -h``."""
+    if flag == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is None:
+        _help(name)
+    _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _negative_number(token: str) -> bool:
+    whole, dot, frac = token[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return frac.isdecimal() and (not whole or whole.isdecimal())
+
+
+def _option(token, options, name):
+    """How argparse reads ``token`` given the flags in ``options``: None for
+    a value, ``(flag, explicit value or None)`` for an option, with a flag
+    of None for an unknown option.  A flag may be abbreviated to a unique
+    prefix; an ambiguous prefix is an error."""
+    if token[:1] != "-":
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return head, value
+    if token[1] == "-":
+        matches = [(f, value if eq else None) for f in options if f.startswith(head)]
+    else:  # only -h is a one-dash flag; -hX gives it the value X
+        matches = [("-h", token[2:])] if token[:2] == "-h" else []
+    if len(matches) > 1:
+        _fail(name, f"ambiguous option: {token} could match "
+              + ", ".join(f for f, _ in matches))
+    if matches:
+        return matches[0]
+    if _negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_args(argv):
+    """Parse a command line against ``COMMANDS`` in one pass, the way an
+    argparse parser with one sub-parser per command does.
+
+    Options and positionals may interleave, ``--opt=value`` and unique
+    prefixes of a flag are accepted, ``--`` ends the options, and an
+    option given twice keeps its last value.  ``-h`` prints help and
+    exits 0; a malformed command line exits 2 (see ``_fail``).  Returns a
+    namespace holding ``command``, its handler ``func`` and one attribute
+    per argument of the command.
     """
-    parser = argparse.ArgumentParser(
-        prog="cactusnet",
-        description="Exact electrical invariants of planar cactus networks "
-        "and their Grassmannian coordinates.",
-    )
-    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if only is None else (only,):
-        network_arg, extra = COMMANDS[name]
-        p = sub.add_parser(name)
-        if network_arg:
-            p.add_argument("network", help="path to a network file")
-        p.add_argument("--compact", action="store_true",
-                       help="single-line output")
-        for flags, kwargs in extra:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
-    return parser
+    top, extras, i = {f: _HELP for f in _HELP[0]}, [], 0
+    while i < len(argv) and argv[i] != "--":
+        kind = _option(argv[i], top, None)
+        if kind is None:
+            break
+        if kind[0] is not None:  # before the command only -h is known
+            _help_option(None, *kind)
+        extras.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _fail(None, "the following arguments are required: command")
+    name = argv[i]
+    if name not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {name!r} (choose from "
+              + ", ".join(map(repr, COMMANDS)) + ")")
+    args = _parse_command(name, argv[i + 1:], extras)
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def _parse_command(name, argv, extras):
+    """The namespace of ``name`` from its arguments; unknown options and
+    surplus positionals are appended to ``extras``."""
+    arguments = _arguments(name)
+    options = {f: (flags, kw) for flags, kw in arguments
+               for f in flags if f[0] == "-"}
+    free = [_dest(*a) for a in arguments if a[0][0][0] != "-"]
+    values = {"command": name}
+    for flags, kw in arguments:
+        if flags[0][0] == "-" and flags is not _HELP[0]:
+            values[_dest(flags, kw)] = False if kw.get("action") else None
+    # every token is read before any is used, so an ambiguous prefix
+    # fails even after -h
+    kinds = []
+    for k, token in enumerate(argv):
+        if token == "--":
+            kinds += ["--"] + [None] * (len(argv) - k - 1)
+            break
+        kinds.append(_option(token, options, name))
+    seen, run, stray, i = set(), 0, False, 0
+    while i < len(argv):
+        token, kind = argv[i], kinds[i]
+        i += 1
+        if kind is None:  # a positional, or a surplus one
+            run += 1
+            if free:
+                values[free.pop(0)] = token
+            else:
+                extras.append(token)
+                stray = True
+        elif kind == "--":
+            # argparse drops "--" only next to a positional it fills
+            if stray or not (run or (free and i < len(argv))):
+                extras.append(token)
+        elif kind[0] is None:
+            extras.append(token)
+            run, stray = 0, False
+        else:
+            flag, value = kind
+            flags, kw = options[flag]
+            label = "/".join(flags)
+            if flags is _HELP[0]:
+                _help_option(name, flag, value)
+            if kw.get("action"):
+                if value is not None:
+                    _fail(name, f"argument {label}: ignored explicit argument {value!r}")
+                value = True
+            elif value is None:
+                if i == len(argv) or kinds[i] is not None:
+                    _fail(name, f"argument {label}: expected one argument")
+                value, i = argv[i], i + 1
+            if "type" in kw:
+                try:
+                    value = kw["type"](value)
+                except (TypeError, ValueError):
+                    _fail(name, f"argument {label}: invalid "
+                          f"{kw['type'].__name__} value: {value!r}")
+            choices = kw.get("choices")
+            if choices and value not in choices:
+                _fail(name, f"argument {label}: invalid choice: {value!r} "
+                      "(choose from " + ", ".join(map(repr, choices)) + ")")
+            values[_dest(flags, kw)] = value
+            seen.add(flags)
+            run, stray = 0, False
+    missing = ["/".join(flags) if flags[0][0] == "-" else _dest(flags, kw)
+               for flags, kw in arguments if _dest(flags, kw) in free
+               or (kw.get("required") and flags not in seen)]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    values["func"] = globals()["cmd_" + name.replace("-", "_")]
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # only the named command's parser; help and bad commands get them all
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(only).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code, inputs = 0, []
         for dest in ("network", "other"):  # "other": equiv's second file

@@ -15,8 +15,48 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+
+class Record:
+    """Base of the plain record classes.
+
+    ``_fields`` names the attributes that ``__init__`` sets, in order; the
+    repr and the value equality read them.  A record is unhashable unless
+    its class defines ``__hash__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``__init__``.
+
+    Subclasses write ``__init__`` (through ``object.__setattr__``),
+    ``__eq__`` and ``__hash__`` field by field.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def circle_position(n: int, label: int) -> int:
@@ -102,12 +142,22 @@ def is_noncrossing_on_circle(blocks, position) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class NoncrossingPartition:
+class NoncrossingPartition(FrozenRecord):
     """A noncrossing partition of {1..n}, blocks in canonical order."""
 
-    n: int
-    blocks: tuple
+    __slots__ = _fields = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: tuple):
+        _set_n(self, n)  # the slots' own setters: the quickest way in
+        _set_blocks(self, blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.blocks))
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "NoncrossingPartition":
@@ -137,6 +187,10 @@ class NoncrossingPartition:
 
     def __str__(self) -> str:
         return ",".join(map(_block_name, self.blocks))
+
+
+_set_n = NoncrossingPartition.n.__set__
+_set_blocks = NoncrossingPartition.blocks.__set__
 
 
 def _block_name(block) -> str:
@@ -219,8 +273,7 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
-class KrewerasPair:
+class KrewerasPair(FrozenRecord):
     """A noncrossing partition together with its Kreweras complement.
 
     ``tilde_blocks`` partitions the labels n+1..2n; the union of the two
@@ -228,8 +281,20 @@ class KrewerasPair:
     counts sum to n + 1.
     """
 
-    sigma: NoncrossingPartition
-    tilde_blocks: tuple
+    _fields = ("sigma", "tilde_blocks")
+
+    def __init__(self, sigma: NoncrossingPartition, tilde_blocks: tuple):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tilde_blocks", tilde_blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sigma == other.sigma
+                    and self.tilde_blocks == other.tilde_blocks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sigma, self.tilde_blocks))
 
     @classmethod
     def of(cls, sigma: NoncrossingPartition) -> "KrewerasPair":
@@ -308,12 +373,22 @@ def concordant_index_pairs(pair: KrewerasPair) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(FrozenRecord):
     """A perfect matching on {1..2n}, pairs in canonical order."""
 
-    n: int
-    pairs: tuple
+    _fields = ("n", "pairs")
+
+    def __init__(self, n: int, pairs: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.pairs))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Matching":

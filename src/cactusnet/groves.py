@@ -20,10 +20,9 @@ the induced partition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import NoncrossingPartition, enumerate_noncrossing
+from .combinat import NoncrossingPartition, Record, enumerate_noncrossing
 from .linalg import _sparse_ratio
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
@@ -117,16 +116,18 @@ def grove_partition(net, edge_ids) -> NoncrossingPartition:
     return _partition(qg, root[:len(qg.boundary)])
 
 
-@dataclass
-class GroveMeasurements:
+class GroveMeasurements(Record):
     """Measurement vector indexed by noncrossing partitions of [n].
 
     ``values`` may omit partitions: a missing partition measures 0.
     ``lambda_vector`` stores only the nonzero values.
     """
 
-    n: int
-    values: dict  # NoncrossingPartition -> Fraction
+    _fields = ("n", "values")
+
+    def __init__(self, n: int, values: dict):
+        self.n = n
+        self.values = values  # NoncrossingPartition -> Fraction
 
     def __getitem__(self, sigma) -> Fraction:
         return self.values.get(sigma, _ZERO)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .combinat import Record
 
 
 def _exact(x) -> Fraction:
@@ -238,19 +239,23 @@ def _reduce(rows, ncols=None) -> list:
                 by_size.setdefault(len(target), set()).add(t)
 
 
-@dataclass
-class Inconsistent:
+class Inconsistent(Record):
     """Certificate y with y^T A = 0 but y^T b != 0."""
 
-    certificate: list
+    _fields = ("certificate",)
+
+    def __init__(self, certificate: list):
+        self.certificate = certificate
 
 
-@dataclass
-class Solutions:
+class Solutions(Record):
     """One particular solution per right-hand side, plus a kernel basis."""
 
-    particulars: list
-    nullspace: list
+    _fields = ("particulars", "nullspace")
+
+    def __init__(self, particulars: list, nullspace: list):
+        self.particulars = particulars
+        self.nullspace = nullspace
 
 
 def solve_many(a, rhs_columns, ncols=None):

@@ -17,38 +17,58 @@ arcs are added along the disc boundary.  Faces are orbits of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinat import (
+    FrozenRecord,
     Matching,
     NoncrossingPartition,
+    Record,
     canonical_blocks,
     is_noncrossing,
     is_partition,
 )
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    ends: tuple
-    conductance: Fraction
+class Edge(FrozenRecord):
+    _fields = ("id", "ends", "conductance")
+
+    def __init__(self, id: str, ends: tuple, conductance: Fraction):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "conductance", conductance)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id == other.id and self.ends == other.ends
+                    and self.conductance == other.conductance)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.ends, self.conductance))
 
 
 def boundary_name(i: int) -> str:
     return f"b{i}"
 
 
-@dataclass(eq=False)
-class CactusNetwork:
-    """Immutable by convention; rewrites return new networks."""
+class CactusNetwork(Record):
+    """Immutable by convention; rewrites return new networks.
 
-    n: int
-    shape: tuple  # canonical blocks of 1..n (may be invalid; see validate)
-    internal_vertices: tuple
-    edges: tuple
-    rotations: dict  # vertex name -> tuple of incident edge ids, clockwise
+    Two networks are equal only when they are the same object.
+    """
+
+    _fields = ("n", "shape", "internal_vertices", "edges", "rotations")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, shape: tuple, internal_vertices: tuple,
+                 edges: tuple, rotations: dict):
+        self.n = n
+        self.shape = shape  # canonical blocks of 1..n (may be invalid; see validate)
+        self.internal_vertices = internal_vertices
+        self.edges = edges
+        self.rotations = rotations  # vertex name -> incident edge ids, clockwise
 
     @classmethod
     def build(cls, n, shape, internal_vertices, edges, rotations):
@@ -97,9 +117,11 @@ class CactusNetwork:
         return CactusNetwork.build(**data)
 
 
-@dataclass
-class ValidationReport:
-    checks: list = field(default_factory=list)  # (name, ok, detail)
+class ValidationReport(Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: list | None = None):
+        self.checks = [] if checks is None else checks  # (name, ok, detail)
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.checks.append((name, ok, detail))
@@ -419,14 +441,17 @@ def require_valid(net: CactusNetwork) -> None:
 # Quotient graph (for Laplacian and groves)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuotientGraph:
+class QuotientGraph(Record):
     """The graph Gamma: boundary vertices are shape blocks."""
 
-    boundary: tuple          # block tuples, canonical order
-    internal: tuple          # internal vertex names, sorted
-    edges: tuple             # (edge_id, key_u, key_v, conductance), no loops
-    loop_ids: tuple          # edges collapsed to loops by the quotient
+    _fields = ("boundary", "internal", "edges", "loop_ids")
+
+    def __init__(self, boundary: tuple, internal: tuple, edges: tuple,
+                 loop_ids: tuple):
+        self.boundary = boundary  # block tuples, canonical order
+        self.internal = internal  # internal vertex names, sorted
+        self.edges = edges        # (edge_id, key_u, key_v, conductance), no loops
+        self.loop_ids = loop_ids  # edges collapsed to loops by the quotient
 
     @property
     def vertices(self):

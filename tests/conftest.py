@@ -1,5 +1,6 @@
 """Shared fixtures: small reference networks and random generators."""
 
+import argparse
 import itertools
 import random
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cactusnet import cli
 from cactusnet.combinat import (
     NoncrossingPartition,
     canonical_blocks,
@@ -627,6 +629,26 @@ def dense_kappa_kernel_dimension(n, form):
     dense = RationalMatrix([[image.get(k, 0) for k in targets]
                             for image in images])
     return len(images) - dense_rank(dense)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """argparse over ``cli.COMMANDS``: the oracle of ``cli.parse_args``.
+
+    One sub-parser per command, with the network file, ``--compact`` and
+    the table's arguments, and the command's handler as ``func``.
+    """
+    parser = argparse.ArgumentParser(prog="cactusnet", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (network_arg, extra) in cli.COMMANDS.items():
+        p = sub.add_parser(name)
+        if network_arg:
+            p.add_argument("network", help="path to a network file")
+        p.add_argument("--compact", action="store_true",
+                       help="single-line output")
+        for flags, kwargs in extra:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=getattr(cli, "cmd_" + name.replace("-", "_")))
+    return parser
 
 
 class RecordingStream:

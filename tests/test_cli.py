@@ -1,13 +1,16 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
 from conftest import (
     RecordingStream,
+    build_parser,
     grown_noncrossing_blocks,
     make_delta,
     make_disconnected,
@@ -317,7 +320,7 @@ def test_isolated_internal_vertex(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert "an internal vertex is isolated from the boundary" in err
     for name, args in command_argvs(net, net).items():
-        code, _, err = outcome(capsys, [name] + args)
+        code, _, err = run(capsys, name, *args)
         assert code in (0, 1, 2), (name, code, err)
         assert "Traceback" not in err
 
@@ -411,40 +414,154 @@ def command_argvs(y, delta):
     }
 
 
-def outcome(capsys, argv):
+def parsed(capsys, parse, argv):
+    """(argument dict, or ("exit", code)), stdout and stderr of one parse."""
     try:
-        code = main(list(argv))
+        result = vars(parse(list(argv)))
     except SystemExit as exc:
-        code = ("exit", exc.code)
+        result = ("exit", exc.code)
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return result, captured.out, captured.err
 
 
-def test_one_command_parser_matches_the_full_parser(paths, capsys, monkeypatch):
-    valid = command_argvs(paths["y"], paths["delta"])
+def assert_parses_like_argparse(capsys, argv):
+    """``cli.parse_args`` agrees with the argparse oracle on ``argv``: the
+    same values, or the same exit code; an error prints a usage line and
+    the oracle's error line to stderr and nothing to stdout."""
+    want, want_out, want_err = parsed(capsys, build_parser().parse_args, argv)
+    got, out, err = parsed(capsys, cli.parse_args, argv)
+    assert got == want, argv
+    if got == ("exit", 0):  # help: the text is our own
+        assert out.startswith("usage: cactusnet") and err == "", argv
+    elif got == ("exit", 2):
+        assert out == "" and err.startswith("usage: cactusnet"), argv
+        assert err.splitlines()[-1] == want_err.splitlines()[-1], argv
+        assert "Traceback" not in err
+    return got
+
+
+def test_parse_args_matches_the_argparse_oracle(paths, capsys):
+    y, delta = paths["y"], paths["delta"]
+    valid = command_argvs(y, delta)
     assert list(valid) == list(cli.COMMANDS)
-    argvs = [[], ["-h"], ["bogus"], ["bogus", paths["y"]]]
     for name, args in valid.items():
-        # valid, help, a bogus flag, and the first argument missing (the
-        # network file, or the required --n of kernel-dim)
-        argvs += [[name] + args, [name] + args + ["-h"],
-                  [name] + args + ["--bogus"], [name] + args[1:]]
-    built = []
-    full = cli.build_parser
+        values = assert_parses_like_argparse(capsys, [name] + args)
+        assert values["command"] == name and values["func"].__name__ == (
+            "cmd_" + name.replace("-", "_"))
+        assert assert_parses_like_argparse(capsys, [name, "--compact"] + args)[
+            "compact"] is True
+        assert main([name] + args) == 0
+        capsys.readouterr()
+    forms = {  # argv -> the values it must give
+        ("chart", y, "--from=resistance"): {"source": "resistance"},
+        ("chart", "--fr", "response", y): {"source": "response"},
+        ("extract", y, "--ch=connected", "--comp"): {"chart": "connected",
+                                                     "compact": True},
+        ("equiv", y, "--", "-d.json"): {"network": y, "other": "-d.json"},
+        ("validate", "--", y): {"network": y},
+        ("dual", y, "--output", "a", "--out", "b"): {"output": "b"},
+        ("chart", y, "--from", "response", "--from", "resistance"):
+            {"source": "resistance"},
+        ("kernel-dim", "--n", "-3"): {"n": -3},
+        ("kernel-dim", "--n=-3"): {"n": -3},
+        ("ydelta", "--site", "-1", y, "--direction", "dtoy"): {"site": "-1"},
+        ("plucker", y, "--check"): {"check_isotropy": True},
+    }
+    for argv, want in forms.items():
+        values = assert_parses_like_argparse(capsys, argv)
+        assert {k: values[k] for k in want} == want, argv
 
-    def spy(only=None):
-        built.append(only)
-        return full(only)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
-    lazy = [outcome(capsys, argv) for argv in argvs]
-    assert built == [argv[0] if argv and argv[0] in valid else None
-                     for argv in argvs]
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
-    for argv, got in zip(argvs, lazy):
-        assert got == outcome(capsys, argv), argv
-    assert sum(code == 0 for code, _, _ in lazy) == len(valid)
-    assert lazy[0][2].endswith("arguments are required: command\n")
+def test_n_out_of_range_reaches_the_precondition(capsys):
+    for argv in (["kernel-dim", "--n", "-3"], ["kernel-dim", "--n=9"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: n must be between 2 and 6\n"
+
+
+def test_malformed_command_lines_exit_2(paths, capsys):
+    y, delta = paths["y"], paths["delta"]
+    malformed = {
+        (): "the following arguments are required: command",
+        ("bogus", y): "argument command: invalid choice: 'bogus'",
+        ("validate",): "required: network",
+        ("equiv", y): "required: other",
+        ("validate", y, delta): f"unrecognized arguments: {delta}",
+        ("chart", y, "--from", "lstar"): "argument --from: invalid choice",
+        ("chart", y): "required: --from",
+        ("kernel-dim", "--n", "four"): "argument --n: invalid int value: 'four'",
+        ("kernel-dim", "--n"): "argument --n: expected one argument",
+        ("lambda", y, "--bogus"): "unrecognized arguments: --bogus",
+        ("plucker", y, "--c"): "ambiguous option: --c could match "
+                               "--compact, --check-isotropy",
+        ("lambda", y, "--compact=yes"): "ignored explicit argument 'yes'",
+        ("ydelta", y, "--site", "--direction", "ytod"):
+            "argument --site: expected one argument",
+        ("--compact", "lambda", y): "unrecognized arguments: --compact",
+    }
+    for argv, message in malformed.items():
+        assert assert_parses_like_argparse(capsys, argv) == ("exit", 2)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err.splitlines()[-1], argv
+
+
+def test_help_exits_0_and_lists_commands_or_options(paths, capsys):
+    for argv in (["-h"], ["--help"], ["--he", "bogus"]):
+        assert assert_parses_like_argparse(capsys, argv) == ("exit", 0)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"cactusnet {name} " in out for name in cli.COMMANDS)
+    for name, args in command_argvs(paths["y"], paths["delta"]).items():
+        assert assert_parses_like_argparse(capsys, [name, "-h"] + args) == (
+            "exit", 0)
+        with pytest.raises(SystemExit):
+            main([name] + args + ["--help"])
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: cactusnet {name} [-h] [--compact]")
+        for flags, kwargs in cli.COMMANDS[name][1]:
+            assert flags[0] in out
+            assert all(choice in out for choice in kwargs.get("choices", ()))
+
+
+def test_import_footprint():
+    """Importing the CLI loads every layer module (a tracer patches them
+    through ``sys.modules``) and none of argparse, dataclasses or inspect."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cactusnet.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert not loaded & {"argparse", "dataclasses", "inspect"}
+    layers = ("cli", "netfile", "network", "groves", "electrical", "grassmann",
+              "linalg", "combinat")
+    assert {f"cactusnet.{layer}" for layer in layers} <= loaded
+
+
+def test_random_command_lines_parse_like_argparse(capsys):
+    """Command lines drawn from valid and invalid pieces: the parser and
+    the oracle give the same values or the same exit and error line."""
+    pieces = ["y.json", "d.json", "--compact", "--c", "--co", "--compact=1",
+              "--check-isotropy", "--from", "response", "--fr=resistance",
+              "--from=bad", "--chart", "connected", "--site", "v", "--si=-3",
+              "--direction", "ytod", "--dir", "--output", "--o", "--out=x",
+              "--n", "3", "--n=4", "-3", "x", "--", "-h", "--he", "--bogus",
+              "-x", "-", "-hx", "a b", "-1.5", "--help=1", ""]
+    rng = random.Random(12)
+    exits = set()
+    for _ in range(1500):
+        argv = [rng.choice(list(cli.COMMANDS))]
+        argv += [rng.choice(pieces) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.1:
+            argv.insert(0, rng.choice(["--bogus", "-h", "--"]))
+        got = assert_parses_like_argparse(capsys, argv)
+        exits.add(got[1] if isinstance(got, tuple) else None)
+    assert exits == {None, 0, 2}
 
 
 def test_lambda_streams_in_batches(tmp_path, monkeypatch):
