@@ -44,10 +44,11 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record whose fields are set once, by ``__init__``.
+    """A hashable record whose fields are set once, by ``__init__``.
 
-    Subclasses write ``__init__`` (through ``object.__setattr__``),
-    ``__eq__`` and ``__hash__`` field by field.
+    Subclasses write ``__init__`` (through ``object.__setattr__`` or a
+    slot's setter), ``__eq__`` and ``__hash__`` field by field: they are
+    called often enough that a loop over ``_fields`` would show.
     """
 
     __slots__ = ()
@@ -57,6 +58,9 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), self._values()
 
 
 def circle_position(n: int, label: int) -> int:

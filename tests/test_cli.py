@@ -424,11 +424,14 @@ def parsed(capsys, parse, argv):
     return result, captured.out, captured.err
 
 
+ORACLE = build_parser()
+
+
 def assert_parses_like_argparse(capsys, argv):
     """``cli.parse_args`` agrees with the argparse oracle on ``argv``: the
     same values, or the same exit code; an error prints a usage line and
     the oracle's error line to stderr and nothing to stdout."""
-    want, want_out, want_err = parsed(capsys, build_parser().parse_args, argv)
+    want, _, want_err = parsed(capsys, ORACLE.parse_args, argv)
     got, out, err = parsed(capsys, cli.parse_args, argv)
     assert got == want, argv
     if got == ("exit", 0):  # help: the text is our own
@@ -554,7 +557,7 @@ def test_random_command_lines_parse_like_argparse(capsys):
               "-x", "-", "-hx", "a b", "-1.5", "--help=1", ""]
     rng = random.Random(12)
     exits = set()
-    for _ in range(1500):
+    for _ in range(3000):
         argv = [rng.choice(list(cli.COMMANDS))]
         argv += [rng.choice(pieces) for _ in range(rng.randint(0, 6))]
         if rng.random() < 0.1:

@@ -5,6 +5,8 @@ for ``CactusNetwork``, by identity), is hashable exactly when it is
 frozen, refuses assignment when frozen, and has a repr naming its fields.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -110,3 +112,12 @@ def test_repr_names_the_fields(cls):
     fields, _ = VALUES[cls]
     assert repr(cls(**fields)) == cls.__qualname__ + "(" + ", ".join(
         f"{f}={v!r}" for f, v in fields.items()) + ")"
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+def test_copy_and_pickle_keep_the_fields(cls):
+    fields, _ = VALUES[cls]
+    obj = cls(**fields)
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is cls
+        assert {f: getattr(twin, f) for f in fields} == fields
