@@ -18,8 +18,6 @@ usage message on stderr, and ``-h`` raises ``SystemExit(0)`` after the
 help on stdout, as argparse would.
 """
 
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 

@@ -11,8 +11,6 @@ where label i sits at circle position 2*(i-1) and label k~ at position
 that convention is defined; every other module imports it from here.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from functools import lru_cache
@@ -46,12 +44,16 @@ class Record:
 class FrozenRecord(Record):
     """A hashable record whose fields are set once, by ``__init__``.
 
-    Subclasses write ``__init__`` (through ``object.__setattr__`` or a
-    slot's setter), ``__eq__`` and ``__hash__`` field by field: they are
-    called often enough that a loop over ``_fields`` would show.
+    Subclasses write ``__init__`` through ``object.__setattr__`` or a
+    slot's setter.  Equality and the hash read ``_fields``; a class whose
+    instances are compared or hashed in a hot loop may write them field
+    by field instead.
     """
 
     __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -155,6 +157,7 @@ class NoncrossingPartition(FrozenRecord):
         _set_n(self, n)  # the slots' own setters: the quickest way in
         _set_blocks(self, blocks)
 
+    # field by field: the partition is the key of every measurement dict
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.n == other.n and self.blocks == other.blocks
@@ -291,15 +294,6 @@ class KrewerasPair(FrozenRecord):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "tilde_blocks", tilde_blocks)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sigma == other.sigma
-                    and self.tilde_blocks == other.tilde_blocks)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sigma, self.tilde_blocks))
-
     @classmethod
     def of(cls, sigma: NoncrossingPartition) -> "KrewerasPair":
         return cls(sigma, _kreweras_tilde_blocks(sigma))
@@ -385,14 +379,6 @@ class Matching(FrozenRecord):
     def __init__(self, n: int, pairs: tuple):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.pairs))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Matching":

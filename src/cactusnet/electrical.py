@@ -9,8 +9,6 @@ Resistances are not computed from L, though: one solve on the quotient
 Laplacian with boundary block 0 grounded gives them all.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .linalg import Inconsistent, RationalMatrix, solve_many

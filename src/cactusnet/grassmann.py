@@ -8,8 +8,6 @@ basis of concordant wedges, are the Plucker coordinates of an isotropic
 point of Gr(n+1, 2n).
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

@@ -17,8 +17,6 @@ is >= nboundary, and the first nboundary roots are a canonical key of
 the induced partition.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

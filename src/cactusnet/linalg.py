@@ -11,8 +11,6 @@ signed product of its pivots) and solving with any number of
 right-hand sides.  Products skip zero entries of both factors.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from fractions import Fraction

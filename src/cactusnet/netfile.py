@@ -7,8 +7,6 @@ same rational encoding; exterior vector keys are index-set strings like
 "1,1~,2" listing ground elements in circle order.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 from fractions import Fraction

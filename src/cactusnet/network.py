@@ -14,8 +14,6 @@ arcs are added along the disc boundary.  Faces are orbits of
 ``d -> sigma(alpha(d))`` on darts.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 
@@ -37,15 +35,6 @@ class Edge(FrozenRecord):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "conductance", conductance)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id == other.id and self.ends == other.ends
-                    and self.conductance == other.conductance)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.id, self.ends, self.conductance))
 
 
 def boundary_name(i: int) -> str:
@@ -153,22 +142,26 @@ class CombMap:
     def __init__(self, net: CactusNetwork):
         self.net = net
         n = net.n
-        part = net.shape_partition()
         label = net.boundary_labels()
 
         self.rot = {}          # vertex key -> list of darts, clockwise
         self.pre_vertex = {}   # dart -> pre-quotient vertex name
 
         end_of = {}
+        edge_index = {}
+        incident = {}
         for e in net.edges:
             if e.ends[0] == e.ends[1]:
                 raise ValueError(f"loop edge {e.id} in pre-quotient network")
             end_of[(e.id, e.ends[0])] = 0
             end_of[(e.id, e.ends[1])] = 1
+            edge_index[e.id] = e
+            for v in e.ends:
+                incident.setdefault(v, []).append(e)
 
-        def labels_beyond(o, blocked):
+        def labels_beyond(o, block):
             """Boundary labels reachable from vertex o without passing
-            through the glued vertices ``blocked``."""
+            through the vertices glued by ``block``."""
             seen = {o}
             stack = [o]
             labels = set()
@@ -178,105 +171,69 @@ class CombMap:
                     labels.add(label[v])
                 for e2 in incident.get(v, ()):
                     for w in e2.ends:
-                        if w not in seen and w not in blocked:
+                        if w not in seen and label.get(w) not in block:
                             seen.add(w)
                             stack.append(w)
             return labels
 
-        edge_index = {e.id: e for e in net.edges}
-        incident = {}
-        for e in net.edges:
-            for v in e.ends:
-                incident.setdefault(v, []).append(e)
+        def within(x, lo, hi):
+            # cyclic interval of labels lo .. hi, endpoints included
+            return (x - lo) % n <= (hi - lo) % n
 
-        def in_closed_interval(x, lo, hi):
-            # cyclic interval of labels [lo .. hi], endpoints included
-            if lo <= hi:
-                return lo <= x <= hi
-            return x >= lo or x <= hi
+        def lobes(block, j, eid):
+            """Whether the edge eid at b_{block[j]} fits the lobe after
+            that label and the lobe before it."""
+            i, nxt, prv = block[j], block[(j + 1) % len(block)], block[j - 1]
+            e = edge_index[eid]
+            o = e.ends[1] if e.ends[0] == boundary_name(i) else e.ends[0]
+            y = label.get(o)
+            if y in block:
+                # the edge must sit in a lobe bounded by both labels; in a
+                # block of two, the lobe after the smaller one
+                after = nxt == y and (prv != y or i < y)
+                if not after and prv != y:
+                    raise ValueError(f"edge {eid} joins non-adjacent labels "
+                                     f"of glued block {block}")
+                return after, not after
+            # otherwise every label that the far side reaches must lie in
+            # the lobe
+            other = labels_beyond(o, block)
+            after = all(within(x, i, nxt) for x in other)
+            before = all(within(x, prv, i) for x in other)
+            if not (after or before):
+                raise ValueError(f"edge {eid} cannot be embedded in any lobe "
+                                 f"at glued block {block}")
+            return after, before
 
-        def dart_at(i, eid):
-            return (eid, end_of[(eid, boundary_name(i))])
-
-        def prev_arc(i):
-            return i - 1 if i > 1 else n
-
-        for block in part.blocks:
-            k = len(block)
-            if k == 1:
-                i = block[0]
-                darts = [(arc_key(i), 0)]
-                darts += [dart_at(i, eid)
-                          for eid in net.rotations.get(boundary_name(i), ())]
-                darts.append((arc_key(prev_arc(i)), 1))
-                for d in darts:
-                    self.pre_vertex[d] = boundary_name(i)
-                self.rot[block] = darts
-                continue
-            # Gluing the labels of the block pinches the disc into k lobes,
-            # one per consecutive label pair (i_j, i_{j+1}).  Around the
-            # glued point the clockwise order visits each lobe in turn:
-            # the tail of arc i_j, the edges embedded in that lobe, then
-            # the head of arc i_{j+1} - 1.  An edge at b_{i_j} belongs to
-            # the lobe whose label interval contains everything its
-            # component of the pre-quotient graph attaches to; when both
-            # adjacent lobes qualify the following lobe is chosen.
-            into = {}  # j -> edges of lobe j contributed by b_{i_j} / b_{i_{j+1}}
-            glued = {boundary_name(i) for i in block}
+        for block in net.shape_partition().blocks:
+            # Gluing the k labels of a block pinches the disc into k lobes,
+            # lobe j running clockwise from label block[j] to block[j+1].
+            # Each label's own wheel, read clockwise as stored (the tail of
+            # the arc after it, its edges, the head of the arc before it),
+            # is cut once: at its first edge that cannot lie in the lobe
+            # after the label.  Every edge from there on must fit the lobe
+            # before it.  Around the glued point the clockwise order visits
+            # each lobe in turn: the first half of one label's wheel, then
+            # the second half of the next label's.
+            halves = []
             for j, i in enumerate(block):
-                nxt = block[(j + 1) % k]
-                prv = block[(j - 1) % k]
-                fwd, back = [], []
-                for eid in net.rotations.get(boundary_name(i), ()):
-                    e = edge_index[eid]
-                    o = e.ends[1] if e.ends[0] == boundary_name(i) else e.ends[0]
-                    if o in glued:
-                        # both ends glued here: the edge must sit in a
-                        # lobe bounded by both labels; ties (blocks of
-                        # size two) go to the lobe after the smaller one
-                        y = label[o]
-                        if nxt == y and (prv != y or i < y):
-                            fwd.append(eid)
-                        elif prv == y:
-                            back.append(eid)
-                        else:
-                            raise ValueError(
-                                f"edge {eid} joins non-adjacent labels of "
-                                f"glued block {block}"
-                            )
-                        continue
-                    other = labels_beyond(o, glued)
-                    fits_fwd = all(in_closed_interval(x, i, nxt) for x in other)
-                    fits_back = all(in_closed_interval(x, prv, i) for x in other)
-                    if fits_fwd:
-                        fwd.append(eid)
-                    elif fits_back:
-                        back.append(eid)
-                    else:
-                        raise ValueError(
-                            f"edge {eid} cannot be embedded in any lobe at "
-                            f"glued block {block}"
-                        )
-                if back and fwd and net.rotations[boundary_name(i)].index(
-                        back[0]) < net.rotations[boundary_name(i)].index(fwd[-1]):
-                    raise ValueError(
-                        f"rotation at {boundary_name(i)} interleaves lobes"
-                    )
-                into.setdefault(j, {})["prefix"] = fwd
-                into.setdefault((j - 1) % k, {})["suffix"] = back
-            darts = []
-            for j, i in enumerate(block):
-                nxt = block[(j + 1) % k]
-                seg = [(arc_key(i), 0)]
-                seg += [dart_at(i, eid) for eid in into[j].get("prefix", [])]
-                for d in seg:
-                    self.pre_vertex.setdefault(d, boundary_name(i))
-                tail = [dart_at(nxt, eid) for eid in into[j].get("suffix", [])]
-                tail.append((arc_key(prev_arc(nxt)), 1))
-                for d in tail:
-                    self.pre_vertex.setdefault(d, boundary_name(nxt))
-                darts += seg + tail
-            self.rot[block] = darts
+                name = boundary_name(i)
+                rot = net.rotations.get(name, ())
+                cut = len(rot)  # a single label's one lobe is the whole disc
+                if len(block) > 1:
+                    fits = [lobes(block, j, eid) for eid in rot]
+                    cut = next((c for c, (after, _) in enumerate(fits)
+                                if not after), cut)
+                    if not all(before for _, before in fits[cut:]):
+                        raise ValueError(f"rotation at {name} interleaves lobes")
+                wheel = [(arc_key(i), 0)]
+                wheel += [(eid, end_of[(eid, name)]) for eid in rot]
+                wheel.append((arc_key(i - 1 or n), 1))
+                for d in wheel:
+                    self.pre_vertex[d] = name
+                halves.append((wheel[:cut + 1], wheel[cut + 1:]))
+            self.rot[block] = [d for j, (first, _) in enumerate(halves)
+                               for d in first + halves[(j + 1) % len(block)][1]]
         for v in net.internal_vertices:
             darts = [(eid, end_of[(eid, v)]) for eid in net.rotations.get(v, ())]
             for d in darts:
@@ -330,41 +287,25 @@ class CombMap:
             out.append(cyc)
         return out
 
-    def components(self):
-        """Connected components of the map, as sets of vertex keys."""
-        adj = {v: set() for v in self.rot}
-        for d, v in self.vertex_of.items():
-            adj[v].add(self.vertex_of[self.alpha(d)])
-        comps = []
-        todo = set(self.rot)
-        while todo:
-            start = todo.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            todo -= comp
-            comps.append(comp)
-        return comps
-
     def euler_ok(self) -> bool:
-        """V - E + F = 2 for every connected component (genus 0); a lone
-        vertex without darts has one face."""
-        face_of = {}
-        for idx, f in enumerate(self.faces()):
-            for d in f:
-                face_of[d] = idx
-        for comp in self.components():
-            darts = [d for d, v in self.vertex_of.items() if v in comp]
-            v_count = len(comp)
-            e_count = len(darts) // 2
-            f_count = len({face_of[d] for d in darts}) if darts else 1
-            if v_count - e_count + f_count != 2:
-                return False
-        return True
+        """V - E + F = 2 on every connected component (genus 0).
+
+        A component has V - E + F = 2 - 2g <= 2, so the map passes iff the
+        counts over the whole map give twice the number of components; a
+        lone vertex without darts has one face."""
+        root = {v: v for v in self.rot}
+
+        def find(v):
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for d, v in self.vertex_of.items():
+            root[find(v)] = find(self.vertex_of[self.alpha(d)])
+        components = sum(1 for v, r in root.items() if v == r)
+        lone = sum(1 for darts in self.rot.values() if not darts)
+        return (len(self.rot) - len(self.vertex_of) // 2 + len(self.faces())
+                + lone == 2 * components)
 
     def outer_face(self, faces):
         """The face walking the outside of the cactus: one dart per arc."""
@@ -705,7 +646,8 @@ def dual(net: CactusNetwork) -> CactusNetwork:
     Faces of the quotient map become dual vertices; a face containing
     the inner side of boundary arc i hosts the dual boundary label i~,
     which the clockwise shift s renames to i.  Dual conductances are the
-    reciprocals of the primal ones.
+    reciprocals of the primal ones.  Raises ValueError when an edge's dual
+    would be a loop, which ``validate`` rejects.
     """
     require_valid(net)
     cmap = CombMap(net)
@@ -742,11 +684,12 @@ def dual(net: CactusNetwork) -> CactusNetwork:
                 p = (p + 1) % len(f)
             segments[name] = seg
 
-    dual_edges = []
-    for e in net.edges:
-        u = owner[(e.id, 0)]
-        v = owner[(e.id, 1)]
-        dual_edges.append(Edge(e.id, (u, v), 1 / e.conductance))
+    dual_edges = [Edge(e.id, (owner[(e.id, 0)], owner[(e.id, 1)]),
+                       1 / e.conductance) for e in net.edges]
+    loops = [e.id for e in dual_edges if e.ends[0] == e.ends[1]]
+    if loops:
+        # a bridge with one face on both sides
+        raise ValueError(f"the dual edges of {loops} would be loops")
     # face walks run counterclockwise as seen from the dual vertex, so
     # clockwise rotations are the reversed segments
     rotations = {

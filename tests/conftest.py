@@ -18,7 +18,13 @@ from cactusnet.combinat import (
 )
 from cactusnet.grassmann import ExteriorVector, d_matrix, positions_of
 from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions
-from cactusnet.network import CactusNetwork, quotient_graph, require_valid
+from cactusnet.network import (
+    CactusNetwork,
+    CombMap,
+    arc_key,
+    quotient_graph,
+    require_valid,
+)
 
 
 def make_y(a, b, c):
@@ -30,6 +36,15 @@ def make_y(a, b, c):
          ("e3", ("b3", "v"), Fraction(c))],
         {"b1": ["e1"], "b2": ["e2"], "b3": ["e3"], "v": ["e1", "e2", "e3"]},
     )
+
+
+def make_y_with_pendant():
+    """``make_y(1, 2, 3)`` plus a pendant edge ep from the hub v to an
+    internal vertex p: a bridge with one face on both sides."""
+    net = make_y(1, 2, 3)
+    return CactusNetwork.build(
+        3, net.shape, ["v", "p"], [*net.edges, ("ep", ("v", "p"), Fraction(4))],
+        dict(net.rotations, v=["e1", "ep", "e2", "e3"], p=["ep"]))
 
 
 def make_delta(c12, c23, c31):
@@ -629,6 +644,150 @@ def dense_kappa_kernel_dimension(n, form):
     dense = RationalMatrix([[image.get(k, 0) for k in targets]
                             for image in images])
     return len(images) - dense_rank(dense)
+
+
+def lobe_list_comb_map(net):
+    """Oracle for the ``CombMap`` constructor: each glued label's edges
+    are sorted into a ``fwd`` list (the lobe after the label, taken by an
+    edge that fits both lobes) and a ``back`` list (the lobe before it),
+    and the rotation must list all of ``fwd`` before ``back``.  A block
+    of one label takes its rotation as it is.  Raises ValueError as the
+    constructor does."""
+    cmap = object.__new__(CombMap)
+    cmap.net = net
+    n = net.n
+    part = net.shape_partition()
+    label = net.boundary_labels()
+    cmap.rot, cmap.pre_vertex = {}, {}
+    end_of = {}
+    for e in net.edges:
+        if e.ends[0] == e.ends[1]:
+            raise ValueError(f"loop edge {e.id} in pre-quotient network")
+        end_of[(e.id, e.ends[0])] = 0
+        end_of[(e.id, e.ends[1])] = 1
+    edge_index = {e.id: e for e in net.edges}
+    incident = {}
+    for e in net.edges:
+        for v in e.ends:
+            incident.setdefault(v, []).append(e)
+
+    def labels_beyond(o, blocked):
+        seen, stack, labels = {o}, [o], set()
+        while stack:
+            v = stack.pop()
+            if v in label:
+                labels.add(label[v])
+            for e2 in incident.get(v, ()):
+                for w in e2.ends:
+                    if w not in seen and w not in blocked:
+                        seen.add(w)
+                        stack.append(w)
+        return labels
+
+    def in_closed_interval(x, lo, hi):
+        return lo <= x <= hi if lo <= hi else x >= lo or x <= hi
+
+    def dart_at(i, eid):
+        return (eid, end_of[(eid, f"b{i}")])
+
+    def prev_arc(i):
+        return i - 1 if i > 1 else n
+
+    for block in part.blocks:
+        k = len(block)
+        if k == 1:
+            i = block[0]
+            darts = [(arc_key(i), 0)]
+            darts += [dart_at(i, eid) for eid in net.rotations.get(f"b{i}", ())]
+            darts.append((arc_key(prev_arc(i)), 1))
+            for d in darts:
+                cmap.pre_vertex[d] = f"b{i}"
+            cmap.rot[block] = darts
+            continue
+        into = {}
+        glued = {f"b{i}" for i in block}
+        for j, i in enumerate(block):
+            nxt, prv = block[(j + 1) % k], block[(j - 1) % k]
+            fwd, back = [], []
+            for eid in net.rotations.get(f"b{i}", ()):
+                e = edge_index[eid]
+                o = e.ends[1] if e.ends[0] == f"b{i}" else e.ends[0]
+                if o in glued:
+                    y = label[o]
+                    if nxt == y and (prv != y or i < y):
+                        fwd.append(eid)
+                    elif prv == y:
+                        back.append(eid)
+                    else:
+                        raise ValueError(f"edge {eid} joins non-adjacent "
+                                         f"labels of glued block {block}")
+                    continue
+                other = labels_beyond(o, glued)
+                if all(in_closed_interval(x, i, nxt) for x in other):
+                    fwd.append(eid)
+                elif all(in_closed_interval(x, prv, i) for x in other):
+                    back.append(eid)
+                else:
+                    raise ValueError(f"edge {eid} cannot be embedded in any "
+                                     f"lobe at glued block {block}")
+            rot = net.rotations.get(f"b{i}", ())
+            if back and fwd and rot.index(back[0]) < rot.index(fwd[-1]):
+                raise ValueError(f"rotation at b{i} interleaves lobes")
+            into.setdefault(j, {})["prefix"] = fwd
+            into.setdefault((j - 1) % k, {})["suffix"] = back
+        darts = []
+        for j, i in enumerate(block):
+            nxt = block[(j + 1) % k]
+            seg = [(arc_key(i), 0)]
+            seg += [dart_at(i, eid) for eid in into[j].get("prefix", [])]
+            for d in seg:
+                cmap.pre_vertex.setdefault(d, f"b{i}")
+            tail = [dart_at(nxt, eid) for eid in into[j].get("suffix", [])]
+            tail.append((arc_key(prev_arc(nxt)), 1))
+            for d in tail:
+                cmap.pre_vertex.setdefault(d, f"b{nxt}")
+            darts += seg + tail
+        cmap.rot[block] = darts
+    for v in net.internal_vertices:
+        darts = [(eid, end_of[(eid, v)]) for eid in net.rotations.get(v, ())]
+        for d in darts:
+            cmap.pre_vertex[d] = v
+        cmap.rot[v] = darts
+    cmap.vertex_of, cmap.index_of = {}, {}
+    for v, darts in cmap.rot.items():
+        for k, d in enumerate(darts):
+            if d in cmap.vertex_of:
+                raise ValueError(f"dart {d} listed twice in rotations")
+            cmap.vertex_of[d] = v
+            cmap.index_of[d] = k
+    for e in net.edges:
+        for end in (0, 1):
+            if (e.id, end) not in cmap.vertex_of:
+                raise ValueError(
+                    f"edge {e.id} missing from rotation of {e.ends[end]}")
+    return cmap
+
+
+def component_euler_ok(cmap):
+    """Oracle for ``CombMap.euler_ok``: V - E + F = 2 checked on each
+    connected component, a dartless component counting one face."""
+    face_of = {d: idx for idx, f in enumerate(cmap.faces()) for d in f}
+    adj = {v: set() for v in cmap.rot}
+    for d, v in cmap.vertex_of.items():
+        adj[v].add(cmap.vertex_of[cmap.alpha(d)])
+    todo = set(cmap.rot)
+    while todo:
+        comp, stack = set(), [todo.pop()]
+        while stack:
+            v = stack.pop()
+            comp.add(v)
+            stack.extend(adj[v] - comp)
+        todo -= comp
+        darts = [d for d, v in cmap.vertex_of.items() if v in comp]
+        faces = len({face_of[d] for d in darts}) if darts else 1
+        if len(comp) - len(darts) // 2 + faces != 2:
+            return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

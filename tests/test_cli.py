@@ -20,6 +20,7 @@ from conftest import (
     make_isolated_vertex,
     make_shorted,
     make_y,
+    make_y_with_pendant,
     partition_name,
     random_planar_net,
 )
@@ -269,6 +270,15 @@ def test_dual_round_trip(paths, capsys):
     assert run(capsys, "dual", d1, "--output", d2)[0] == 0
     net = netfile.load_network(d2)
     assert sorted(e.conductance for e in net.edges) == [1, 2, 3]
+
+
+def test_dual_refusing_a_loop_exits_2_and_writes_nothing(paths, capsys):
+    net_path, out_path = paths["tmp"] / "pendant.json", paths["tmp"] / "d.json"
+    netfile.save_network(make_y_with_pendant(), net_path)
+    code, out, err = run(capsys, "dual", str(net_path), "--output", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: the dual edges of ['ep'] would be loops\n"
+    assert not out_path.exists()
 
 
 def test_kernel_dim(paths, capsys):

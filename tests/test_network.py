@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    component_euler_ok,
+    lobe_list_comb_map,
     make_delta,
     make_disconnected,
     make_edgeless,
@@ -13,12 +15,16 @@ from conftest import (
     make_shorted,
     make_single_edge,
     make_y,
+    make_y_with_pendant,
     random_planar_net,
 )
+from cactusnet.combinat import enumerate_noncrossing
+from cactusnet.electrical import response_matrix
 from cactusnet.groves import equivalence_factor, lambda_vector
 from cactusnet.network import (
     CactusNetwork,
     CombMap,
+    Edge,
     dual,
     is_minimal,
     medial_pairing,
@@ -114,6 +120,93 @@ def test_comb_map_euler_on_fixtures():
     for net in (make_y(1, 2, 3), make_delta(1, 2, 3), make_glued_tree(),
                 make_shorted(), make_edgeless(2)):
         assert CombMap(net).euler_ok()
+
+
+# n = 4 with labels 1 and 3 glued: the lobe {1,2,3} follows label 1
+# clockwise and the lobe {3,4,1} precedes it
+GLUED_13 = [[1, 3], [2], [4]]
+
+
+def test_pendant_fits_either_lobe_at_a_glued_label():
+    """A pendant at b1 reaches no other label, so it may sit in the lobe
+    before label 1, after the edge to b4 that must lie there."""
+    edges = [("e14", ("b1", "b4"), 2), ("ep", ("b1", "p"), 3)]
+    nets = [CactusNetwork.build(4, GLUED_13, ["p"], edges,
+                                {"b1": rot, "b4": ["e14"], "p": ["ep"]})
+            for rot in (["e14", "ep"], ["ep", "e14"])]
+    for net in nets:
+        assert validate(net).ok
+    assert lambda_vector(nets[0]) == lambda_vector(nets[1])
+    assert response_matrix(nets[0]) == response_matrix(nets[1])
+
+
+@pytest.mark.parametrize("shape, edges, rotations, message", [
+    ([[1, 2, 3, 4]], [("e13", ("b1", "b3"), 1)], {"b1": ["e13"], "b3": ["e13"]},
+     "edge e13 joins non-adjacent labels of glued block (1, 2, 3, 4)"),
+    (GLUED_13,
+     [("e1", ("b1", "u"), 1), ("e2", ("u", "b2"), 1), ("e4", ("u", "b4"), 1)],
+     {"b1": ["e1"], "b2": ["e2"], "b4": ["e4"], "u": ["e1", "e2", "e4"]},
+     "edge e1 cannot be embedded in any lobe at glued block (1, 3)"),
+    (GLUED_13, [("e12", ("b1", "b2"), 1), ("e14", ("b1", "b4"), 1)],
+     {"b1": ["e14", "e12"], "b2": ["e12"], "b4": ["e14"]},
+     "rotation at b1 interleaves lobes"),
+], ids=["non-adjacent", "no-lobe", "interleaved"])
+def test_glued_lobe_errors(shape, edges, rotations, message):
+    internal = ["u"] if "u" in rotations else []
+    net = CactusNetwork.build(4, shape, internal, edges, rotations)
+    assert validate(net).failures() == [("planar-embedding", message)]
+
+
+def test_glued_lobes_in_clockwise_order_validate():
+    """The interleaved case above with the lobe after label 1 first."""
+    net = CactusNetwork.build(
+        4, GLUED_13, [], [("e12", ("b1", "b2"), 1), ("e14", ("b1", "b4"), 1)],
+        {"b1": ["e12", "e14"], "b2": ["e12"], "b4": ["e14"]})
+    assert validate(net).ok
+
+
+def random_glued_wheel(rng, n):
+    """``random_planar_net`` under a random noncrossing shape, plus a
+    pendant b<i> - p at a random slot of b<i>'s rotation, with one
+    boundary rotation shuffled."""
+    net = random_planar_net(rng, n)
+    rotations = {v: list(rot) for v, rot in net.rotations.items()}
+    i = rng.randint(1, n)
+    rotations[f"b{i}"].insert(rng.randint(0, len(rotations[f"b{i}"])), "ep")
+    rotations["p"] = ["ep"]
+    rng.shuffle(rotations[f"b{rng.randint(1, n)}"])
+    return CactusNetwork.build(
+        n, rng.choice(enumerate_noncrossing(n)).blocks,
+        [*net.internal_vertices, "p"],
+        [*net.edges, Edge("ep", (f"b{i}", "p"), Fraction(1))], rotations)
+
+
+def test_comb_map_matches_the_lobe_list_oracle():
+    """Where the lobe-list oracle builds a map the two maps are identical;
+    where they part, the oracle had refused an interleaved rotation."""
+    rng = random.Random(13)
+    counts = {"same": 0, "refused": 0, "planar": 0, "nonplanar": 0}
+    for _ in range(400):
+        net = random_glued_wheel(rng, rng.randint(3, 6))
+        try:
+            old = lobe_list_comb_map(net)
+        except ValueError as exc:
+            old = exc
+        try:
+            new = CombMap(net)
+        except ValueError as exc:
+            new = exc
+        if isinstance(new, CombMap):
+            counts["planar" if new.euler_ok() else "nonplanar"] += 1
+            assert new.euler_ok() == component_euler_ok(new)
+        if isinstance(old, CombMap):
+            assert (new.rot, new.pre_vertex, new.euler_ok()) == (
+                old.rot, old.pre_vertex, component_euler_ok(old))
+            counts["same"] += 1
+        elif isinstance(new, CombMap) or str(new) != str(old):
+            assert str(old).endswith("interleaves lobes")
+            counts["refused"] += 1
+    assert min(counts.values()) >= 10
 
 
 def test_comb_map_outer_face():
@@ -224,6 +317,14 @@ def test_dual_is_involutive_up_to_equivalence():
         # conductances return to the originals under the double dual
         assert sorted(e.conductance for e in d2.edges) == sorted(
             e.conductance for e in net.edges)
+
+
+def test_dual_refuses_loops():
+    """The dual of the pendant would be a loop, which validate rejects."""
+    net = make_y_with_pendant()
+    assert validate(net).ok
+    with pytest.raises(ValueError, match=r"dual edges of \['ep'\] would be loops"):
+        dual(net)
 
 
 def test_dual_swaps_series_and_parallel():
