@@ -293,16 +293,19 @@ class CombMap:
         A component has V - E + F = 2 - 2g <= 2, so the map passes iff the
         counts over the whole map give twice the number of components; a
         lone vertex without darts has one face."""
-        root = {v: v for v in self.rot}
-
-        def find(v):
-            while root[v] != v:
-                root[v] = v = root[root[v]]
-            return v
-
-        for d, v in self.vertex_of.items():
-            root[find(v)] = find(self.vertex_of[self.alpha(d)])
-        components = sum(1 for v, r in root.items() if v == r)
+        components, seen = 0, set()
+        for start in self.rot:
+            if start in seen:
+                continue
+            components += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for key, end in self.rot[stack.pop()]:
+                    w = self.vertex_of[(key, 1 - end)]
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         lone = sum(1 for darts in self.rot.values() if not darts)
         return (len(self.rot) - len(self.vertex_of) // 2 + len(self.faces())
                 + lone == 2 * components)
