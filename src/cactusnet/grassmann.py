@@ -30,19 +30,31 @@ from .linalg import (
 
 
 class ExteriorVector:
-    """Sparse element of wedge^k R^{2n}, keyed by sorted position tuples."""
+    """Sparse element of wedge^k R^{2n}, keyed by tuples of k strictly
+    increasing positions in 0 .. 2n - 1."""
 
     def __init__(self, n: int, degree: int, coords=None):
         self.n = n
         self.degree = degree
         self.coords = {}
+        top = 2 * n
         for key, val in (coords or {}).items():
+            # degree positions, strictly increasing, in 0 .. 2n - 1
+            if len(key) != degree or list(key) != sorted(set(key)) or \
+                    key and (key[0] < 0 or key[-1] >= top):
+                raise ValueError(f"bad key {key} for degree {degree}, n = {n}")
             if type(val) is not Fraction:
                 val = _exact(val)
             if val:
-                if len(key) != degree or list(key) != sorted(key):
-                    raise ValueError(f"bad key {key} for degree {degree}")
                 self.coords[tuple(key)] = val
+
+    @classmethod
+    def _built(cls, n: int, degree: int, coords: dict) -> "ExteriorVector":
+        """The vector of ``coords`` as given: nonzero Fractions on keys
+        that this module built valid, so no key is checked again."""
+        vec = cls.__new__(cls)
+        vec.n, vec.degree, vec.coords = n, degree, coords
+        return vec
 
     def __getitem__(self, key) -> Fraction:
         return self.coords.get(tuple(key), Fraction(0))
@@ -134,8 +146,8 @@ def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
         for key in _concordant_keys(KrewerasPair.of(sigma)):
             out[key] = out.get(key, 0) + weight
     n = measurements.n
-    return ExteriorVector(
-        n, n + 1, {key: Fraction(total, denom) for key, total in out.items()})
+    return ExteriorVector._built(n, n + 1, {
+        key: Fraction(total, denom) for key, total in out.items() if total})
 
 
 def plucker(m: RationalMatrix) -> ExteriorVector:
@@ -260,7 +272,7 @@ def kappa(form: RationalMatrix, vec: ExteriorVector) -> ExteriorVector:
         for rest, w in _contractions(partners, key):
             out[rest] = out.get(rest, 0) + w * scaled
     denom *= vdenom
-    return ExteriorVector(vec.n, vec.degree - 2, {
+    return ExteriorVector._built(vec.n, vec.degree - 2, {
         rest: Fraction(total, denom) for rest, total in out.items() if total})
 
 
@@ -277,11 +289,11 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     if form is None:
         form = omega(n)
     # one basis wedge contracts to distinct keys, so a row has no repeated
-    # column; scaling the form by its denominator does not change the rank
+    # column; scaling the form by its denominator does not change the rank,
+    # and the kernel takes the integer rows as they are
     _, partners = _partners(form)
     src = list(itertools.combinations(range(2 * n), n + 1))
-    rows = [{rest: Fraction(w) for rest, w in _contractions(partners, key)}
-            for key in src]
+    rows = [dict(_contractions(partners, key)) for key in src]
     return len(src) - len(_reduce(rows))
 
 

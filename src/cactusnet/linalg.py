@@ -1,14 +1,18 @@
-"""Exact-rational matrices and one sparse elimination kernel.
+"""Exact-rational matrices and one sparse, fraction-free elimination kernel.
 
-Everything is a ``Fraction``; no floating point enters this module.  An
-entry that is already a ``Fraction`` is kept as it is, any other is
-converted, and a ``float`` is refused.  Matrices are stored dense, but
-what the package eliminates is sparse (a Laplacian row holds a vertex
-and its neighbours, a contraction row at most n entries).  So one
-elimination over rows held as dicts of their nonzero entries, each
-pivot on the shortest candidate row, serves rank, determinant (the
-signed product of its pivots) and solving with any number of
-right-hand sides.  Products skip zero entries of both factors.
+Integer rows inside the kernel, Fractions at its edges; no floating
+point enters this module.  A matrix entry that is already a
+``Fraction`` is kept as it is, any other is converted, and a ``float``
+is refused.  Matrices are stored dense, but what the package eliminates
+is sparse (a Laplacian row holds a vertex and its neighbours, a
+contraction row at most n entries).  So one elimination over rows held
+as dicts of their nonzero entries, each pivot on the shortest candidate
+row, serves rank, determinant (the signed product of its pivots) and
+solving with any number of right-hand sides.  The kernel holds each row
+as a primitive integer row and a rational scale, in the manner of
+Bareiss's integer-preserving elimination, so an update costs integer
+products and one gcd rather than a Fraction per entry.  Products skip
+zero entries of both factors.
 """
 
 import math
@@ -148,9 +152,10 @@ class RationalMatrix:
 
 
 def _sparse(rows) -> list:
-    """Rows as dicts from column index to nonzero Fraction; a row may be a
-    list or already such a dict, and a float entry is refused."""
-    return [{j: x for j, x in ((j, x if type(x) is Fraction else _exact(x))
+    """Rows as dicts from column index to nonzero Fraction or int, the
+    entries the kernel takes; a row may be a list or already such a dict,
+    and a float entry is refused."""
+    return [{j: x for j, x in ((j, x if type(x) in (Fraction, int) else _exact(x))
                                for j, x in (r.items() if isinstance(r, dict)
                                             else enumerate(r))) if x}
             for r in rows]
@@ -165,7 +170,8 @@ def _fits(vectors, sparse, width) -> bool:
 
 def _reduce(rows, ncols=None) -> list:
     """Sparse elimination in place on rows given as dicts from column to
-    nonzero Fraction; the one elimination kernel of the package.
+    nonzero entry (a Fraction or an int); the one elimination kernel of
+    the package.
 
     With ``ncols``, the pivot columns run left to right over ``0 ..
     ncols - 1`` and each pivot column is cleared from every other row
@@ -175,13 +181,32 @@ def _reduce(rows, ncols=None) -> list:
     held by the fewest rows, and the pivot row then leaves the
     elimination: enough for a rank or a determinant.  Either way a
     pivot is taken on the shortest candidate row, which keeps the fill
-    small, and rows that share no column are never mixed.  Pivot rows
-    are scaled to 1 at the pivot.  Returns the pivots as (row, column,
-    value) in the order taken.
+    small, and rows that share no column are never mixed.
+
+    The arithmetic is fraction-free.  Each row is held as a primitive
+    integer row (its entries share no factor) and a rational scale m / d
+    in lowest terms, the true row being the integer row times m / d.
+    Clearing column c of a target t with the pivot row r is ``p * t -
+    t[c] * r`` for the pivot entry p, divided by its content g, and the
+    scale of t becomes m * g / (d * p), reduced: integer work only, where
+    the same update over Fractions builds one per entry.  The zero
+    pattern, and so every pivot choice, is that of the same elimination
+    over Fractions.  On return every row holds Fractions: a pivot row
+    scaled to 1 at its pivot, any other row as its true row.  Returns
+    the pivots as (row, column, value before scaling) in the order
+    taken.
     """
     holders = {}                                  # column -> rows holding it
+    scales = []                                   # row i is rows[i] * m / d
     for i, row in enumerate(rows):
-        for c in row:
+        d = math.lcm(*(x.denominator for x in row.values()))
+        ints = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        g = math.gcd(*ints.values())
+        if g > 1:
+            ints = {j: x // g for j, x in ints.items()}
+        rows[i] = ints
+        scales.append((g or 1, d))
+        for c in ints:
             holders.setdefault(c, set()).add(i)
     live = set(range(len(rows)))                  # rows not yet pivots
     if ncols is None:
@@ -195,7 +220,7 @@ def _reduce(rows, ncols=None) -> list:
         if ncols is None:                         # shortest row, rarest column
             size = min((s for s, held in by_size.items() if held), default=None)
             if size is None:
-                return pivots
+                break
             i = min(by_size[size])
             by_size[size].discard(i)
             c = min(rows[i], key=lambda c: len(holders[c]))
@@ -203,13 +228,12 @@ def _reduce(rows, ncols=None) -> list:
             c = next((c for c in columns if not live.isdisjoint(holders.get(c, ()))),
                      None)
             if c is None:
-                return pivots
+                break
             i = min(live.intersection(holders[c]), key=lambda i: (len(rows[i]), i))
         live.discard(i)
         row, p = rows[i], rows[i][c]
-        pivots.append((i, c, p))
-        if p != 1:
-            row = rows[i] = {j: x / p for j, x in row.items()}
+        m, d = scales[i]
+        pivots.append((i, c, Fraction(p * m, d)))
         if ncols is None:
             for j in row:
                 holders[j].discard(i)
@@ -219,6 +243,8 @@ def _reduce(rows, ncols=None) -> list:
                 by_size[len(target)].discard(t)
             f = target.pop(c)
             holders[c].discard(t)
+            if p != 1:
+                target = {j: p * x for j, x in target.items()}
             for j, y in row.items():
                 if j == c:
                     continue
@@ -233,8 +259,23 @@ def _reduce(rows, ncols=None) -> list:
                     else:
                         del target[j]
                         holders[j].discard(t)
-            if ncols is None and target:
-                by_size.setdefault(len(target), set()).add(t)
+            g = math.gcd(*target.values())
+            if g > 1:
+                target = {j: x // g for j, x in target.items()}
+            rows[t] = target
+            if target and t in live:
+                m, d = scales[t]
+                m, d = m * g, d * p
+                h = math.gcd(m, d)
+                scales[t] = m // h, d // h
+                if ncols is None:
+                    by_size.setdefault(len(target), set()).add(t)
+    # a pivot row's true row is 1 at its pivot
+    for i, c, _ in pivots:
+        scales[i] = (1, rows[i][c])
+    for i, (m, d) in enumerate(scales):
+        rows[i] = {j: Fraction(x * m, d) for j, x in rows[i].items()}
+    return pivots
 
 
 class Inconsistent(Record):
@@ -289,7 +330,7 @@ def solve_many(a, rhs_columns, ncols=None):
         # redo the same row operations on an identity block to record them
         rows = _sparse(a)
         for i, row in enumerate(rows):
-            row[nc + 1 + i] = Fraction(1)
+            row[nc + 1 + i] = 1
         for i, x in cols[bad - nc].items():
             rows[i][nc] = x
         rest = set(range(nr)).difference(i for i, _, _ in _reduce(rows, nc))

@@ -22,8 +22,31 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# the characters of "p" and "p/q"; int() alone would also take spaces,
+# "+", "_" and non-ASCII digits
+_RATIONAL_CHARS = frozenset("-/0123456789")
+
+
+def _rational(s):
+    """The rational of a ``"p"`` or ``"p/q"`` string with q > 0, or None."""
+    if not isinstance(s, str) or not _RATIONAL_CHARS.issuperset(s):
+        return None
+    num, slash, den = s.partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        return None
+    return Fraction(p, q) if q > 0 else None
+
+
 def parse_rational(s: str) -> Fraction:
-    return Fraction(str(s).strip())
+    """The rational written ``"p"`` or ``"p/q"`` (q > 0); anything else,
+    a JSON number, a decimal, an exponent or surrounding spaces, raises
+    ValueError."""
+    x = _rational(s)
+    if x is None:
+        raise ValueError(f'not a "p" or "p/q" string: {s!r}')
+    return x
 
 
 def load_network(path: str) -> CactusNetwork:
@@ -45,15 +68,13 @@ def network_from_dict(doc: dict) -> CactusNetwork:
             if not isinstance(ids, list):
                 raise ValueError(f"rotation of {v} must be a list of edge ids")
         edges = [
-            (str(e["id"]), (str(e["ends"][0]), str(e["ends"][1])),
-             parse_rational(e["conductance"]))
+            (str(e["id"]), (str(e["ends"][0]), str(e["ends"][1])), e["conductance"])
             for e in doc["edges"]
         ]
         rotations = {
             str(v): [str(x) for x in ids] for v, ids in doc["rotations"].items()
         }
-    except (KeyError, IndexError, TypeError, ValueError,
-            ZeroDivisionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed network file: {exc}") from exc
     # bool is an int subclass, and int() would truncate 3.7
     if type(n) is not int:
@@ -63,8 +84,8 @@ def network_from_dict(doc: dict) -> CactusNetwork:
         raise ValueError(f"shape labels must be JSON integers: {bad_labels}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    unquoted = [str(e["id"]) for e in doc["edges"]
-                if not isinstance(e["conductance"], str)]
+    edges = [(i, ends, _rational(c)) for i, ends, c in edges]
+    unquoted = [i for i, _, c in edges if c is None]
     if unquoted:
         raise ValueError(f'conductances must be "p" or "p/q" strings: {unquoted}')
     ids = [e[0] for e in edges]

@@ -582,6 +582,69 @@ def block_rank(rows):
     return rank
 
 
+def fraction_reduce(rows, ncols=None):
+    """Oracle for the fraction-free kernel ``linalg._reduce``: the same
+    sparse elimination, pivot rule and contract over Fractions, every
+    update building its entries as Fractions.  Pivot rows are scaled to
+    1 at the pivot; returns the pivots as (row, column, value)."""
+    holders = {}                                  # column -> rows holding it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    live = set(range(len(rows)))                  # rows not yet pivots
+    if ncols is None:
+        by_size = {}                              # length -> live rows that long
+        for i, row in enumerate(rows):
+            if row:
+                by_size.setdefault(len(row), set()).add(i)
+    columns = iter(range(ncols or 0))
+    pivots = []
+    while True:
+        if ncols is None:                         # shortest row, rarest column
+            size = min((s for s, held in by_size.items() if held), default=None)
+            if size is None:
+                return pivots
+            i = min(by_size[size])
+            by_size[size].discard(i)
+            c = min(rows[i], key=lambda c: len(holders[c]))
+        else:                                     # next column with a candidate
+            c = next((c for c in columns if not live.isdisjoint(holders.get(c, ()))),
+                     None)
+            if c is None:
+                return pivots
+            i = min(live.intersection(holders[c]), key=lambda i: (len(rows[i]), i))
+        live.discard(i)
+        row, p = rows[i], rows[i][c]
+        pivots.append((i, c, p))
+        if p != 1:
+            row = rows[i] = {j: x / p for j, x in row.items()}
+        if ncols is None:
+            for j in row:
+                holders[j].discard(i)
+        for t in [t for t in holders[c] if t != i]:
+            target = rows[t]
+            if ncols is None:
+                by_size[len(target)].discard(t)
+            f = target.pop(c)
+            holders[c].discard(t)
+            for j, y in row.items():
+                if j == c:
+                    continue
+                x = target.get(j)
+                if x is None:
+                    target[j] = -f * y
+                    holders[j].add(t)
+                else:
+                    x -= f * y
+                    if x:
+                        target[j] = x
+                    else:
+                        del target[j]
+                        holders[j].discard(t)
+            if ncols is None and target:
+                by_size.setdefault(len(target), set()).add(t)
+
+
 def dense_laplacian(qg):
     """The weighted Laplacian of a quotient graph as a dense matrix."""
     order = {v: k for k, v in enumerate(qg.vertices)}

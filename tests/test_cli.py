@@ -369,6 +369,7 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["rotations"].update(zz=[]), "rotations of unknown vertices"),
     (lambda doc: doc["edges"][0].update(conductance=1.5), "conductances must be"),
+    (lambda doc: doc["edges"][0].update(conductance="1.5"), "conductances must be"),
     (lambda doc: doc.update(n=0), "n must be >= 1"),
     (lambda doc: doc.update(n=3.7), "n must be a JSON integer"),
     (lambda doc: doc.update(n=True), "n must be a JSON integer"),
@@ -383,8 +384,8 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
      "ends of edge e1 must be a list of two names"),
     (lambda doc: doc["rotations"].update(b1="e1"),
      "rotation of b1 must be a list of edge ids"),
-], ids=["unknown-rotation-vertex", "numeric-conductance", "n-zero",
-        "n-float", "n-bool", "shape-label-float", "internal-named-b2",
+], ids=["unknown-rotation-vertex", "numeric-conductance", "decimal-conductance",
+        "n-zero", "n-float", "n-bool", "shape-label-float", "internal-named-b2",
         "edge-three-ends", "edge-ends-string", "rotation-string"])
 def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, message):
     doc = json.loads(open(paths["y"]).read())

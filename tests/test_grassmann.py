@@ -107,6 +107,32 @@ def test_exterior_vector_refuses_floats():
     assert ExteriorVector(2, 3, {(0, 1, 2): "1/3"})[(0, 1, 2)] == third
 
 
+def test_exterior_vector_keys_are_checked():
+    """Every key, a zero-valued one too, holds ``degree`` strictly
+    increasing positions in 0 .. 2n - 1."""
+    for key in ((0, 0, 1), (0, 1, 1), (0, 1, 9), (0, 1, 4), (-1, 0, 1),
+                (2, 1, 0), (0, 1), (0, 1, 2, 3)):
+        for val in (1, 0):
+            with pytest.raises(ValueError, match="bad key"):
+                ExteriorVector(2, 3, {key: val})
+    assert ExteriorVector(2, 3, {(0, 1, 3): 0, (1, 2, 3): 2}).coords == {
+        (1, 2, 3): 2}
+    assert ExteriorVector(1, 0, {(): 5})[()] == 5
+    with pytest.raises(ValueError, match="bad key"):
+        ExteriorVector(1, 0, {(0,): 5})
+
+
+def test_lam_map_and_kappa_build_valid_keys(rng):
+    """The vectors that lam_map and kappa build without the key check
+    pass it."""
+    for n in (2, 3, 4, 5):
+        vec = lam_map(lambda_vector(random_planar_net(rng, n, connected=True)))
+        contracted = kappa(omega(n), vec)
+        for v in (vec, contracted):
+            assert ExteriorVector(v.n, v.degree, v.coords) == v
+            assert all(type(x) is Fraction and x for x in v.coords.values())
+
+
 def test_proportionality_factor_exterior():
     v = ExteriorVector(2, 3, {(0, 1, 2): Fraction(2), (1, 2, 3): Fraction(4)})
     w = v.scale(Fraction(-3, 2))

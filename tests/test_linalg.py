@@ -15,7 +15,9 @@ from conftest import (
     dense_matmul,
     dense_rank,
     dense_solve_many,
+    fraction_reduce,
 )
+from cactusnet import linalg
 from cactusnet.linalg import (
     Inconsistent,
     RationalMatrix,
@@ -153,6 +155,17 @@ def test_determinant_against_sympy():
         det = m.determinant()
         assert sympy.Rational(det.numerator, det.denominator) == \
             to_sympy(m).det()
+    # dense integer matrices with entries up to 40 bits, some singular
+    for size in (1, 2, 4, 7):
+        for bits in (3, 20, 40):
+            for _ in range(4):
+                m = RationalMatrix([[rng.randint(-2 ** bits, 2 ** bits)
+                                     for _ in range(size)] for _ in range(size)])
+                if size > 1 and rng.random() < 0.25:
+                    m.rows[-1] = [x + y for x, y in zip(m.rows[0], m.rows[1])]
+                det = m.determinant()
+                assert det.denominator == 1
+                assert det == to_sympy(m).det()
 
 
 def test_rank_against_sympy():
@@ -391,3 +404,61 @@ def test_sparse_kernel_on_empty_and_zero_rows():
         solve_many([{0: 0.0}], [], ncols=1)
     with pytest.raises(TypeError, match="ncols"):
         solve_many([{0: 1}], [])
+
+
+@st.composite
+def kernel_rows(draw):
+    """Sparse rows for the elimination kernel: small rationals or
+    30-60-bit ones, with zero rows, repeated rows and multiples of
+    earlier rows, over ``ncols`` columns and up to three further keys
+    (right-hand sides).  Returns (rows, ncols)."""
+    if draw(st.booleans()):
+        entry = st.fractions(-4, 4, max_denominator=3)
+    else:
+        entry = st.builds(lambda s, p, q: Fraction(s * p, q),
+                          st.sampled_from([-1, 1]), st.integers(2 ** 30, 2 ** 60),
+                          st.sampled_from([1, 1, 3, 2 ** 20 + 7]))
+    ncols, extra = draw(st.integers(1, 7)), draw(st.integers(0, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat", "multiple"]))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "new" or not rows:
+            keys = draw(st.sets(st.integers(0, ncols + extra - 1), max_size=5))
+            rows.append({j: x for j in sorted(keys) if (x := draw(entry))})
+        else:
+            t = 1 if kind == "repeat" else draw(entry.filter(bool))
+            rows.append({j: t * x for j, x in draw(st.sampled_from(rows)).items()})
+    return rows, ncols
+
+
+def copy_rows(rows, integers):
+    """Copies of the rows; with ``integers``, integral entries become ints."""
+    return [{j: x.numerator if integers and x.denominator == 1 else x
+             for j, x in row.items()} for row in rows]
+
+
+@given(kernel_rows(), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_kernel_matches_the_fraction_oracle(system, gauss_jordan,
+                                                          integers):
+    """The fraction-free kernel takes the same pivots, with the same
+    values, as the elimination over Fractions, and leaves the same rows
+    (all Fractions), in both modes and from int or Fraction entries; so
+    ``solve_many`` gives the same solutions or the same certificate."""
+    rows, ncols = system
+    ncols = ncols if gauss_jordan else None
+    got, expected = copy_rows(rows, integers), copy_rows(rows, False)
+    assert _reduce(got, ncols) == fraction_reduce(expected, ncols)
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row.values())
+    if ncols is None:
+        return
+    a = [{j: x for j, x in row.items() if j < ncols} for row in rows]
+    rhs = [{i: row[j] for i, row in enumerate(rows) if j in row}
+           for j in range(ncols, ncols + 3)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_reduce", fraction_reduce)
+        oracle = solve_many(a, rhs, ncols=ncols)
+    assert solve_many(a, rhs, ncols=ncols) == oracle

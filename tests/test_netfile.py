@@ -60,6 +60,23 @@ def test_malformed_documents_rejected():
         })
 
 
+def test_conductances_are_p_or_p_over_q_strings():
+    """Only "p" and "p/q" (q > 0) are read; decimals, exponents, spaces,
+    signs on q, zero denominators and JSON numbers are malformed."""
+    assert netfile.parse_rational("-12/08") == Fraction(-3, 2)
+    assert netfile.parse_rational("0") == 0
+    for bad in ("1.5", "1e2", " 3/4 ", "3/4 ", "+3", "3/-4", "-3/+4", "1/0",
+                "1/00", "1/-0", "", "-", "/2", "3/", "1/2/3", "3-4", "--3",
+                "1_000", "٣", "²", 3, 1.5, None):
+        with pytest.raises(ValueError, match='"p" or "p/q"'):
+            netfile.parse_rational(bad)
+        doc = {"n": 2, "shape": [[1], [2]], "internal_vertices": [],
+               "edges": [{"id": "e", "ends": ["b1", "b2"], "conductance": bad}],
+               "rotations": {"b1": ["e"], "b2": ["e"]}}
+        with pytest.raises(ValueError, match=r"conductances must be .*\['e'\]"):
+            netfile.network_from_dict(doc)
+
+
 def test_duplicate_edge_ids_rejected():
     with pytest.raises(ValueError):
         netfile.network_from_dict({
