@@ -165,7 +165,7 @@ def test_determinant_against_sympy():
                     m.rows[-1] = [x + y for x, y in zip(m.rows[0], m.rows[1])]
                 det = m.determinant()
                 assert det.denominator == 1
-                assert det == to_sympy(m).det()
+                assert det == int(to_sympy(m).det())
 
 
 def test_rank_against_sympy():
