@@ -13,12 +13,14 @@ Exit codes: 0 success, 1 invalid input file (one that does not load or
 fails validation; ``validate`` prints its report first), 2 precondition
 violation, 3 internal error (an identity the library guarantees broke,
 or any other unexpected exception; always a bug, reported without a
-traceback).  A malformed command line raises ``SystemExit(2)`` after a
-usage message on stderr, and ``-h`` raises ``SystemExit(0)`` after the
-help on stdout, as argparse would.
+traceback).  ``parse_args`` reads the common command line in one pass
+and hands every other one to argparse, imported only then: a malformed
+command line raises ``SystemExit(2)`` after argparse's usage message on
+stderr, and ``-h`` raises ``SystemExit(0)`` after argparse's help.
 """
 
 import sys
+from functools import lru_cache
 from types import SimpleNamespace
 
 from . import electrical, grassmann, groves, netfile, network
@@ -169,8 +171,7 @@ def _arg(*flags, **kwargs):
 # command -> (takes a network file, further arguments).  An argument is
 # its flags and the argparse keywords it uses: action="store_true", dest,
 # required, choices, type and help.  The handler of "kernel-dim" is
-# cmd_kernel_dim; it is looked up when the arguments are parsed, so a
-# rebound handler is the one called.
+# cmd_kernel_dim.
 COMMANDS = {
     "validate": (True, ()),
     "lambda": (True, ()),
@@ -197,217 +198,103 @@ COMMANDS = {
 
 DESCRIPTION = ("Exact electrical invariants of planar cactus networks "
                "and their Grassmannian coordinates.")
-_HELP = _arg("-h", "--help", action="help",
-             help="show this help message and exit")
-_NETWORK = _arg("network", help="path to a network file")
-_COMPACT = _arg("--compact", action="store_true", help="single-line output")
 
 
-def _arguments(name):
-    """The arguments of command ``name`` in the order argparse would
-    list them: help, the network file, ``--compact``, then the table's."""
-    network_arg, extra = COMMANDS[name]
-    return (_HELP, *((_NETWORK,) if network_arg else ()), _COMPACT, *extra)
+def _quick(argv):
+    """The namespace of a command line in its common form, or None.
 
-
-def _dest(flags, kw):
-    return kw.get("dest") or flags[-1].lstrip("-").replace("-", "_")
-
-
-def _label(flags, kw):
-    """An argument as usage and help show it: ``--from {a,b}``, ``--n N``."""
-    if flags[0][0] != "-" or kw.get("action"):
-        return flags[0]
-    choices = kw.get("choices")
-    metavar = "{" + ",".join(choices) + "}" if choices else _dest(flags, kw).upper()
-    return f"{flags[0]} {metavar}"
-
-
-def _usage(name=None) -> str:
-    if name is None:
-        return "usage: cactusnet [-h] {" + ",".join(COMMANDS) + "} ..."
-    words, positional = ["usage: cactusnet", name], []
-    for flags, kw in _arguments(name):
-        if flags[0][0] != "-":
-            positional.append(flags[0])
+    The common form is the command, then its positionals and its exact
+    flags or ``--compact``, each value in its own token, and no other
+    token that starts with ``-``.  Types, choices and required arguments
+    are checked.  Any other command line, well formed or not, gives None.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    network_arg, extra = COMMANDS[argv[0]]
+    options = {"--compact": ("compact", {"action": "store_true"})}
+    free = ["network"] if network_arg else []
+    for flags, kw in extra:
+        dest = kw.get("dest") or flags[0].lstrip("-").replace("-", "_")
+        if flags[0][0] == "-":
+            options[flags[0]] = (dest, kw)
         else:
-            label = _label(flags, kw)
-            words.append(label if kw.get("required") else f"[{label}]")
-    return " ".join(words + positional)
-
-
-def _help(name=None):
-    """Print the usage and arguments of ``name``, or every command's usage,
-    to stdout and exit 0."""
-    lines = [_usage(name), ""]
-    if name is None:
-        lines += [DESCRIPTION, "", "commands:"]
-        lines += ["  " + _usage(c).removeprefix("usage: ") for c in COMMANDS]
-    else:
-        lines.append("arguments:")
-        for flags, kw in sorted(_arguments(name), key=lambda a: a[0][0][0] == "-"):
-            label = ", ".join(flags) if flags is _HELP[0] else _label(flags, kw)
-            lines.append(f"  {label:<30} {kw.get('help', '')}".rstrip())
-    print("\n".join(lines))
-    raise SystemExit(0)
-
-
-def _fail(name, message):
-    """Report a malformed command line as argparse does: the usage and one
-    ``error:`` line on stderr, then exit 2."""
-    prog = "cactusnet" if name is None else "cactusnet " + name
-    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _help_option(name, flag, value):
-    """Act on -h or --help given as ``flag`` with an explicit ``value``
-    (None if there is none); ``-hh`` is ``-h -h``."""
-    if flag == "-h" and value:
-        value = value.lstrip("h") or None
-    if value is None:
-        _help(name)
-    _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
-
-
-def _negative_number(token: str) -> bool:
-    whole, dot, frac = token[1:].partition(".")
-    if not dot:
-        return whole.isdecimal()
-    return frac.isdecimal() and (not whole or whole.isdecimal())
-
-
-def _option(token, options, name):
-    """How argparse reads ``token`` given the flags in ``options``: None for
-    a value, ``(flag, explicit value or None)`` for an option, with a flag
-    of None for an unknown option.  A flag may be abbreviated to a unique
-    prefix; an ambiguous prefix is an error."""
-    if token[:1] != "-":
+            free.append(dest)
+    values = {dest: False if kw.get("action") else None
+              for dest, kw in options.values()}
+    values["command"] = argv[0]
+    positionals, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            positionals.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, kw = options[token]
+        if kw.get("action"):
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if len(positionals) != len(free) or any(
+            kw.get("required") and values[dest] is None
+            for dest, kw in options.values()):
         return None
-    if token in options:
-        return token, None
-    if len(token) == 1:
-        return None
-    head, eq, value = token.partition("=")
-    if eq and head in options:
-        return head, value
-    if token[1] == "-":
-        matches = [(f, value if eq else None) for f in options if f.startswith(head)]
-    else:  # only -h is a one-dash flag; -hX gives it the value X
-        matches = [("-h", token[2:])] if token[:2] == "-h" else []
-    if len(matches) > 1:
-        _fail(name, f"ambiguous option: {token} could match "
-              + ", ".join(f for f, _ in matches))
-    if matches:
-        return matches[0]
-    if _negative_number(token) or " " in token:
-        return None
-    return None, None
+    values.update(zip(free, positionals))
+    return SimpleNamespace(**values)
+
+
+@lru_cache(maxsize=None)  # a test parses thousands of command lines
+def _parser():
+    """argparse over ``COMMANDS``, one sub-parser per command; the
+    top-level help lists every command's usage."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="cactusnet", description=DESCRIPTION,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    usages = []
+    for name, (network_arg, extra) in COMMANDS.items():
+        p = sub.add_parser(name)
+        if network_arg:
+            p.add_argument("network", help="path to a network file")
+        p.add_argument("--compact", action="store_true",
+                       help="single-line output")
+        for flags, kw in extra:
+            p.add_argument(*flags, **kw)
+        usages.append(p.format_usage().replace("usage: ", "  ", 1)
+                      .replace("\n     ", "\n"))
+    parser.epilog = "commands:\n" + "".join(usages)
+    return parser
 
 
 def parse_args(argv):
-    """Parse a command line against ``COMMANDS`` in one pass, the way an
-    argparse parser with one sub-parser per command does.
+    """Parse a command line against ``COMMANDS`` as an argparse parser
+    with one sub-parser per command does.
 
-    Options and positionals may interleave, ``--opt=value`` and unique
-    prefixes of a flag are accepted, ``--`` ends the options, and an
-    option given twice keeps its last value.  ``-h`` prints help and
-    exits 0; a malformed command line exits 2 (see ``_fail``).  Returns a
-    namespace holding ``command``, its handler ``func`` and one attribute
-    per argument of the command.
+    ``_quick`` reads the common form; argparse reads every other command
+    line, so help, errors (exit 2), prefixes, ``=``, ``--`` and negative
+    numbers are its own, but the list it gives for a lone ``--`` value
+    (``--site=--``) is read as ``--``.  Returns a namespace holding
+    ``command``, its handler ``func`` and one attribute per argument.
     """
-    top, extras, i = {f: _HELP for f in _HELP[0]}, [], 0
-    while i < len(argv) and argv[i] != "--":
-        kind = _option(argv[i], top, None)
-        if kind is None:
-            break
-        if kind[0] is not None:  # before the command only -h is known
-            _help_option(None, *kind)
-        extras.append(argv[i])
-        i += 1
-    if argv[i:] in ([], ["--"]):
-        _fail(None, "the following arguments are required: command")
-    name = argv[i]
-    if name not in COMMANDS:
-        _fail(None, f"argument command: invalid choice: {name!r} (choose from "
-              + ", ".join(map(repr, COMMANDS)) + ")")
-    args = _parse_command(name, argv[i + 1:], extras)
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    args = _quick(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
+        for dest, value in list(vars(args).items()):
+            if isinstance(value, list):
+                setattr(args, dest, "--")
+    # looked up now, so a rebound handler is the one called
+    args.func = globals()["cmd_" + args.command.replace("-", "_")]
     return args
-
-
-def _parse_command(name, argv, extras):
-    """The namespace of ``name`` from its arguments; unknown options and
-    surplus positionals are appended to ``extras``."""
-    arguments = _arguments(name)
-    options = {f: (flags, kw) for flags, kw in arguments
-               for f in flags if f[0] == "-"}
-    free = [_dest(*a) for a in arguments if a[0][0][0] != "-"]
-    values = {"command": name}
-    for flags, kw in arguments:
-        if flags[0][0] == "-" and flags is not _HELP[0]:
-            values[_dest(flags, kw)] = False if kw.get("action") else None
-    # every token is read before any is used, so an ambiguous prefix
-    # fails even after -h
-    kinds = []
-    for k, token in enumerate(argv):
-        if token == "--":
-            kinds += ["--"] + [None] * (len(argv) - k - 1)
-            break
-        kinds.append(_option(token, options, name))
-    seen, run, stray, i = set(), 0, False, 0
-    while i < len(argv):
-        token, kind = argv[i], kinds[i]
-        i += 1
-        if kind is None:  # a positional, or a surplus one
-            run += 1
-            if free:
-                values[free.pop(0)] = token
-            else:
-                extras.append(token)
-                stray = True
-        elif kind == "--":
-            # argparse drops "--" only next to a positional it fills
-            if stray or not (run or (free and i < len(argv))):
-                extras.append(token)
-        elif kind[0] is None:
-            extras.append(token)
-            run, stray = 0, False
-        else:
-            flag, value = kind
-            flags, kw = options[flag]
-            label = "/".join(flags)
-            if flags is _HELP[0]:
-                _help_option(name, flag, value)
-            if kw.get("action"):
-                if value is not None:
-                    _fail(name, f"argument {label}: ignored explicit argument {value!r}")
-                value = True
-            elif value is None:
-                if i == len(argv) or kinds[i] is not None:
-                    _fail(name, f"argument {label}: expected one argument")
-                value, i = argv[i], i + 1
-            if "type" in kw:
-                try:
-                    value = kw["type"](value)
-                except (TypeError, ValueError):
-                    _fail(name, f"argument {label}: invalid "
-                          f"{kw['type'].__name__} value: {value!r}")
-            choices = kw.get("choices")
-            if choices and value not in choices:
-                _fail(name, f"argument {label}: invalid choice: {value!r} "
-                      "(choose from " + ", ".join(map(repr, choices)) + ")")
-            values[_dest(flags, kw)] = value
-            seen.add(flags)
-            run, stray = 0, False
-    missing = ["/".join(flags) if flags[0][0] == "-" else _dest(flags, kw)
-               for flags, kw in arguments if _dest(flags, kw) in free
-               or (kw.get("required") and flags not in seen)]
-    if missing:
-        _fail(name, "the following arguments are required: " + ", ".join(missing))
-    values["func"] = globals()["cmd_" + name.replace("-", "_")]
-    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -83,14 +83,6 @@ def canonical_blocks(blocks) -> tuple:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _blocks_cross(b1, b2) -> bool:
-    # Interleave the two sorted blocks; they cross iff the block labels
-    # alternate at least 1,2,1,2 along the line (equivalently the circle).
-    merged = sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])
-    runs = [k for k, _ in itertools.groupby(tag for _, tag in merged)]
-    return len(runs) >= 4
-
-
 def is_partition(n: int, blocks) -> bool:
     seen = set()
     for b in blocks:
@@ -142,10 +134,10 @@ def is_noncrossing_on_circle(blocks, position) -> bool:
     ``position`` maps each label to its circle position; positions of
     distinct labels must be distinct.
     """
-    placed = [tuple(sorted(position(x) for x in b)) for b in blocks]
-    return not any(
-        _blocks_cross(b1, b2) for b1, b2 in itertools.combinations(placed, 2)
-    )
+    placed = [[position(x) for x in b] for b in blocks]
+    # ranks 1..m of the positions make the blocks a partition of [m]
+    rank = {p: r for r, p in enumerate(sorted(itertools.chain(*placed)), 1)}
+    return not _crossing(len(rank), [[rank[p] for p in b] for b in placed])
 
 
 class NoncrossingPartition(FrozenRecord):

@@ -423,10 +423,12 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
                      @ md.submatrix(rows, other_cols)).rows
     if len(set(top)) != 1 or top[0] == 0:
         raise ValueError("plane is not in this chart")
-    # entries[j][i] / top is the chart entry of label j in the column of i
+    # entries[j] is the chart row of label j plus a multiple of the
+    # constant top row, whatever representative m is: only differences
+    # of its entries are invariants of the plane
     step = -1 if mode == "response" else 1
     return RationalMatrix(
-        [[(row[(i + step) % n] - row[i]) / top[0] for row in entries]
+        [[row[(i + step) % n] - row[i] for row in entries]
          for i in range(n)]
     )
 

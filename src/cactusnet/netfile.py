@@ -59,8 +59,13 @@ def network_from_dict(doc: dict) -> CactusNetwork:
     try:
         n = doc["n"]
         shape = [tuple(b) for b in doc["shape"]]
+        # a string would be read as its characters, an object as its keys,
+        # a longer list cut short
+        if not isinstance(doc["internal_vertices"], list):
+            raise ValueError("internal_vertices must be a list of names")
+        if not isinstance(doc["rotations"], dict):
+            raise ValueError("rotations must be an object of edge id lists")
         internal = [str(v) for v in doc["internal_vertices"]]
-        # a string would be read as its characters, a longer list cut short
         for e in doc["edges"]:
             if not isinstance(e["ends"], list) or len(e["ends"]) != 2:
                 raise ValueError(f"ends of edge {e['id']} must be a list of two names")

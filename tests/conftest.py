@@ -363,6 +363,15 @@ def partition_name(blocks):
     return "{" + "},{".join(",".join(str(x) for x in b) for b in blocks) + "}"
 
 
+def blocks_cross(b1, b2) -> bool:
+    """Oracle for the crossing scan: interleave the two sorted blocks; they
+    cross iff the block labels alternate at least 1,2,1,2 along the line
+    (equivalently the circle)."""
+    merged = sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])
+    runs = [k for k, _ in itertools.groupby(tag for _, tag in merged)]
+    return len(runs) >= 4
+
+
 def pairwise_kreweras_tilde_blocks(sigma):
     """Oracle for the Kreweras complement, as blocks of n+1..2n.
 
@@ -480,7 +489,7 @@ def extract_symmetric_via_d(m, mode):
         raise ValueError("plane is not in this chart")
     step = -1 if mode == "response" else 1
     return RationalMatrix(
-        [[(row[(i + step) % n] - row[i]) / top[0] for row in entries]
+        [[row[(i + step) % n] - row[i] for row in entries]
          for i in range(n)]
     )
 

@@ -384,9 +384,13 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
      "ends of edge e1 must be a list of two names"),
     (lambda doc: doc["rotations"].update(b1="e1"),
      "rotation of b1 must be a list of edge ids"),
+    (lambda doc: doc.update(rotations=[]), "rotations must be an object"),
+    (lambda doc: doc.update(internal_vertices="v"),
+     "internal_vertices must be a list"),
 ], ids=["unknown-rotation-vertex", "numeric-conductance", "decimal-conductance",
         "n-zero", "n-float", "n-bool", "shape-label-float", "internal-named-b2",
-        "edge-three-ends", "edge-ends-string", "rotation-string"])
+        "edge-three-ends", "edge-ends-string", "rotation-string",
+        "rotations-list", "internal-vertices-string"])
 def test_malformed_fields_are_invalid_input(paths, capsys, tmp_path, edit, message):
     doc = json.loads(open(paths["y"]).read())
     edit(doc)
@@ -548,6 +552,42 @@ def test_import_footprint():
     layers = ("cli", "netfile", "network", "groves", "electrical", "grassmann",
               "linalg", "combinat")
     assert {f"cactusnet.{layer}" for layer in layers} <= loaded
+
+
+def test_common_command_lines_do_not_import_argparse(paths):
+    """Every command's exact form, with and without --compact, and the
+    benchmark corpus's shapes are read without importing argparse."""
+    y, delta = paths["y"], paths["delta"]
+    argvs = [[name] + args for name, args in command_argvs(y, delta).items()]
+    argvs += [argv + ["--compact"] for argv in argvs]
+    argvs += [["chart", y, "--from", "resistance"],
+              ["extract", y, "--chart", "not-shorted"],
+              ["ydelta", y, "--site", "r1c1", "--direction", "dtoy"],
+              ["kernel-dim", "--n", "5"], ["plucker", y]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from cactusnet import cli; "
+            f"names = [cli.parse_args(a).command for a in {argvs!r}]; "
+            "print(' '.join(names), 'argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [a[0] for a in argvs] + ["False"]
+
+
+def test_values_that_start_with_a_dash_parse_like_argparse(paths, capsys):
+    """Such a value may be an option, a negative number or a lone dash."""
+    for value in ("-x", "-1", "-", "--", "--bogus", "--output"):
+        for argv in (["ydelta", paths["y"], "--site", value, "--direction", "ytod"],
+                     ["kernel-dim", "--n", value]):
+            assert_parses_like_argparse(capsys, argv)
+
+
+def test_lone_double_dash_values_are_user_errors(paths, capsys):
+    """argparse gives a lone "--" value as a list; it is read as "--"."""
+    for argv in (["equiv", paths["y"], "--", "--"],
+                 ["ydelta", paths["y"], "--site=--", "--direction", "ytod"]):
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2) and out == "", argv
+        assert "internal error" not in err
 
 
 def test_random_command_lines_parse_like_argparse(capsys):

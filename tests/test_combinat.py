@@ -1,6 +1,7 @@
 """Noncrossing partitions, complements, concordance, matchings."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    blocks_cross,
     grown_noncrossing_blocks,
     pairwise_kreweras_tilde_blocks,
     partition_name,
@@ -17,7 +19,6 @@ from cactusnet.combinat import (
     KrewerasPair,
     Matching,
     NoncrossingPartition,
-    _blocks_cross,
     _crossing,
     _kreweras_tilde_blocks,
     canonical_blocks,
@@ -96,7 +97,7 @@ def test_linear_crossing_scan_matches_pairwise(n):
     seen = 0
     for p in all_set_partitions(range(1, n + 1)):
         canon = canonical_blocks(p)
-        pairwise = any(_blocks_cross(b1, b2)
+        pairwise = any(blocks_cross(b1, b2)
                        for b1, b2 in itertools.combinations(canon, 2))
         assert _crossing(n, canon) == pairwise
         assert is_noncrossing(n, [set(b) for b in reversed(p)]) == (not pairwise)
@@ -107,6 +108,18 @@ def test_linear_crossing_scan_matches_pairwise(n):
         else:
             assert NoncrossingPartition.from_blocks(n, p).blocks == canon
     assert seen == len(list(all_set_partitions(range(n)))) - catalan(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_circle_crossing_matches_pairwise(n):
+    """Blocks of arbitrary labels at arbitrary distinct circle positions."""
+    rng = random.Random(n)
+    for p in all_set_partitions(range(1, n + 1)):
+        spots = dict(zip(range(1, n + 1), rng.sample(range(100), n)))
+        placed = [sorted(spots[x] for x in b) for b in p]
+        pairwise = any(blocks_cross(b1, b2)
+                       for b1, b2 in itertools.combinations(placed, 2))
+        assert is_noncrossing_on_circle(p, spots.get) == (not pairwise)
 
 
 def test_is_noncrossing_rejects_non_partitions():

@@ -313,6 +313,26 @@ def test_charts_and_extract_match_the_sign_matrix_oracle(rng, n):
                     _outcome(extract_symmetric_via_d, m, mode)
 
 
+def test_extract_depends_on_the_plane_not_the_representative(rng):
+    """Extraction from A @ chart gives L (response) and L* (dual) for every
+    invertible A: a scalar, one row added to another, random matrices."""
+    for n in (1, 2, 3, 4, 5):
+        add = RationalMatrix.identity(n + 1)
+        add.rows[0][1] += 1  # row 1 added to row 0
+        bases = [RationalMatrix.identity(n + 1).scale(2), add]
+        while len(bases) < 6:
+            a = random_rational_matrix(rng, n + 1, n + 1)
+            if a.determinant() != 0:
+                bases.append(a.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+        for _ in range(3):
+            sym = random_symmetric(rng, n, zero_row_sums=True)
+            for chart, mode in ((chart_from_response(sym), "response"),
+                                (chart_from_lstar(sym), "dual")):
+                for a in bases:
+                    assert extract_symmetric(a @ chart, mode) == sym
+                    assert extract_symmetric_via_d(a @ chart, mode) == sym
+
+
 def test_charts_do_not_multiply_by_the_sign_matrix(monkeypatch):
     def refuse(n):
         raise AssertionError("d_matrix called")

@@ -60,6 +60,20 @@ def test_malformed_documents_rejected():
         })
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rotations", [], "rotations must be an object"),
+    ("rotations", "b1", "rotations must be an object"),
+    ("internal_vertices", "v", "internal_vertices must be a list"),
+    ("internal_vertices", {"v": []}, "internal_vertices must be a list"),
+])
+def test_vertex_fields_have_their_json_types(field, value, message):
+    """A string is not read as its characters, nor an object as its keys."""
+    doc = netfile.network_to_dict(make_y(1, 2, 3))
+    doc[field] = value
+    with pytest.raises(ValueError, match=message):
+        netfile.network_from_dict(doc)
+
+
 def test_conductances_are_p_or_p_over_q_strings():
     """Only "p" and "p/q" (q > 0) are read; decimals, exponents, spaces,
     signs on q, zero denominators and JSON numbers are malformed."""
