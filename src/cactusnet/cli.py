@@ -13,14 +13,12 @@ Exit codes: 0 success, 1 invalid input file (one that does not load or
 fails validation; ``validate`` prints its report first), 2 precondition
 violation, 3 internal error (an identity the library guarantees broke,
 or any other unexpected exception; always a bug, reported without a
-traceback).  ``parse_args`` reads the common command line in one pass
-and hands every other one to argparse, imported only then: a malformed
-command line raises ``SystemExit(2)`` after argparse's usage message on
-stderr, and ``-h`` raises ``SystemExit(0)`` after argparse's help.
+traceback).  Only a command line that ``parse_args`` cannot read in one
+pass imports argparse; a malformed one raises ``SystemExit(2)`` after
+argparse's usage message, ``-h`` ``SystemExit(0)`` after its help.
 """
 
 import sys
-from functools import lru_cache
 from types import SimpleNamespace
 
 from . import electrical, grassmann, groves, netfile, network
@@ -251,17 +249,16 @@ def _quick(argv):
     return SimpleNamespace(**values)
 
 
-@lru_cache(maxsize=None)  # a test parses thousands of command lines
 def _parser():
-    """argparse over ``COMMANDS``, one sub-parser per command; the
-    top-level help lists every command's usage."""
+    """argparse over ``COMMANDS`` (its help lists every command's usage),
+    and the sub-parser and action of each ``COMMANDS`` argument."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="cactusnet", description=DESCRIPTION,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    usages = []
+    usages, actions = [], {}
     for name, (network_arg, extra) in COMMANDS.items():
         p = sub.add_parser(name)
         if network_arg:
@@ -269,29 +266,35 @@ def _parser():
         p.add_argument("--compact", action="store_true",
                        help="single-line output")
         for flags, kw in extra:
-            p.add_argument(*flags, **kw)
+            action = p.add_argument(*flags, **kw)
+            actions[name, action.dest] = p, action
         usages.append(p.format_usage().replace("usage: ", "  ", 1)
                       .replace("\n     ", "\n"))
     parser.epilog = "commands:\n" + "".join(usages)
-    return parser
+    return parser, actions
 
 
 def parse_args(argv):
-    """Parse a command line against ``COMMANDS`` as an argparse parser
-    with one sub-parser per command does.
-
-    ``_quick`` reads the common form; argparse reads every other command
-    line, so help, errors (exit 2), prefixes, ``=``, ``--`` and negative
-    numbers are its own, but the list it gives for a lone ``--`` value
-    (``--site=--``) is read as ``--``.  Returns a namespace holding
-    ``command``, its handler ``func`` and one attribute per argument.
+    """The namespace of a command line: ``command``, its handler ``func``
+    and one attribute per argument.  ``_quick`` reads the common form and
+    argparse every other one.  A lone ``--`` value (``--site=--``), which
+    argparse gives as an unchecked list, is read and checked as ``--``.
     """
     args = _quick(argv)
     if args is None:
-        args = _parser().parse_args(argv)
+        import argparse
+
+        parser, actions = _parser()
+        args = parser.parse_args(argv)
         for dest, value in list(vars(args).items()):
             if isinstance(value, list):
-                setattr(args, dest, "--")
+                sub, action = actions[args.command, dest]
+                try:
+                    value = sub._get_value(action, "--")
+                    sub._check_value(action, value)
+                except argparse.ArgumentError as exc:
+                    sub.error(str(exc))
+                setattr(args, dest, value)
     # looked up now, so a rebound handler is the one called
     args.func = globals()["cmd_" + args.command.replace("-", "_")]
     return args

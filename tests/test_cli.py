@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import functools
 import json
 import os
 import random
@@ -582,17 +583,34 @@ def test_values_that_start_with_a_dash_parse_like_argparse(paths, capsys):
 
 
 def test_lone_double_dash_values_are_user_errors(paths, capsys):
-    """argparse gives a lone "--" value as a list; it is read as "--"."""
-    for argv in (["equiv", paths["y"], "--", "--"],
-                 ["ydelta", paths["y"], "--site=--", "--direction", "ytod"]):
+    """argparse gives a lone "--" value as a list; it is read as "--" and
+    checked against the argument's type and choices."""
+    y = paths["y"]
+    for argv in (["equiv", y, "--", "--"],
+                 ["ydelta", y, "--site=--", "--direction", "ytod"]):
         code, out, err = run(capsys, *argv)
         assert code in (1, 2) and out == "", argv
         assert "internal error" not in err
+    malformed = {
+        ("chart", y, "--from=--"): "argument --from: invalid choice: '--'",
+        ("extract", y, "--chart=--"): "argument --chart: invalid choice: '--'",
+        ("ydelta", y, "--site", "v", "--direction=--"):
+            "argument --direction: invalid choice: '--'",
+        ("kernel-dim", "--n=--"): "argument --n: invalid int value: '--'",
+    }
+    for argv, message in malformed.items():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: cactusnet {argv[0]} ")
+        assert message in err.splitlines()[-1], argv
 
 
-def test_random_command_lines_parse_like_argparse(capsys):
+def test_random_command_lines_parse_like_argparse(capsys, monkeypatch):
     """Command lines drawn from valid and invalid pieces: the parser and
     the oracle give the same values or the same exit and error line."""
+    monkeypatch.setattr(cli, "_parser", functools.lru_cache(cli._parser))
     pieces = ["y.json", "d.json", "--compact", "--c", "--co", "--compact=1",
               "--check-isotropy", "--from", "response", "--fr=resistance",
               "--from=bad", "--chart", "connected", "--site", "v", "--si=-3",
