@@ -22,7 +22,7 @@ import sys
 from types import SimpleNamespace
 
 from . import electrical, grassmann, groves, netfile, network
-from .combinat import catalan, noncrossing_names
+from .combinat import catalan, noncrossing_runs
 
 
 class _InvalidInput(Exception):
@@ -49,10 +49,9 @@ def cmd_lambda(net, args):
         )
     lam = groves.lambda_vector(net)
     nonzero = {str(s): netfile.format_rational(v) for s, v in lam.values.items()}
-    # streamed: the Cat_n entries are written as they are named
-    netfile.write_pairs(
-        ((name, nonzero.get(name, "0")) for name in noncrossing_names(net.n)),
-        sys.stdout, compact=args.compact)
+    # streamed: the Cat_n entries are written run by run as they are named
+    netfile.write_lambda(noncrossing_runs(net.n), nonzero, sys.stdout,
+                         compact=args.compact)
 
 
 def cmd_response(net, args):

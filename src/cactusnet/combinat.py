@@ -128,18 +128,6 @@ def is_noncrossing(n: int, blocks) -> bool:
     return not _crossing(n, blocks)
 
 
-def is_noncrossing_on_circle(blocks, position) -> bool:
-    """Noncrossing test for blocks of arbitrary labels placed on a circle.
-
-    ``position`` maps each label to its circle position; positions of
-    distinct labels must be distinct.
-    """
-    placed = [[position(x) for x in b] for b in blocks]
-    # ranks 1..m of the positions make the blocks a partition of [m]
-    rank = {p: r for r, p in enumerate(sorted(itertools.chain(*placed)), 1)}
-    return not _crossing(len(rank), [[rank[p] for p in b] for b in placed])
-
-
 class NoncrossingPartition(FrozenRecord):
     """A noncrossing partition of {1..n}, blocks in canonical order."""
 
@@ -197,59 +185,63 @@ def _block_name(block) -> str:
     return "{" + ",".join(map(str, block)) + "}"
 
 
-def _lex_subsets(lo: int, hi: int):
-    """Subsets of lo..hi as sorted tuples, in lexicographic order."""
-    yield ()
-    for x in range(lo, hi + 1):
-        for rest in _lex_subsets(x + 1, hi):
-            yield (x,) + rest
-
-
-def _noncrossing(n: int, unit, empty):
+def _noncrossing_runs(n: int, unit, empty):
     """Every noncrossing partition of [n], sorted, built from ``unit``.
 
     ``unit(block)`` stands for a one-block partition and ``empty`` for
     the partition of nothing; partitions are joined with ``+``, so
-    ``unit=lambda b: (b,)`` yields canonical block tuples and a string
-    unit yields names.  The block of 1 comes first, in lexicographic
-    order.  The gaps between its elements (and after its last one) are
-    then partitioned on their own, since a block meeting two gaps would
-    cross it; their partitions follow in product order with the first gap
-    slowest.  That is the lexicographic order of the canonical block
-    tuples.  Partitions of each gap interval are built once per call and
-    kept; those of [n] itself are generated one at a time.
+    ``unit=lambda b: (b,)`` gives canonical block tuples and a string
+    unit gives names.  Yields one triple ``(head, mids, lasts)`` for each
+    block of 1, in lexicographic order: ``head`` is ``unit(block)`` and
+    the partitions with that block are ``head + m + r``, m in ``mids``
+    (slower) and r in ``lasts``.
+
+    The gaps between the elements of the block of 1 (and after its last
+    one) are partitioned on their own, since a block meeting two gaps
+    would cross it; their partitions follow in product order with the
+    first gap slowest.  That is the lexicographic order of the canonical
+    block tuples.  ``mids`` holds the partitions of all nonempty gaps but
+    the last one, ``lasts`` those of that one.  The partitions of each gap
+    interval are built once per call and kept, so ``lasts`` may be shared
+    between triples and must not be mutated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     memo = {}
 
     def interval(a: int, b: int) -> list:
-        if a > b:
-            return [empty]
         got = memo.get((a, b))
         if got is None:
-            got = memo[(a, b)] = list(partitions(a, b))
+            got = memo[a, b] = [p + r for head, mids, lasts in runs(a, b)
+                                for p in [head + m for m in mids]
+                                for r in lasts]
         return got
 
-    def partitions(a: int, b: int):
-        for rest in _lex_subsets(a + 1, b):
-            block = (a,) + rest
-            ends = block + (b + 1,)
-            parts = [empty]  # partitions of the gaps from the last one back
-            for lo, hi in reversed(list(zip(ends, ends[1:]))):
-                if hi - lo > 1:
-                    parts = [p + q for p in interval(lo + 1, hi - 1)
-                             for q in parts]
-            head = unit(block)
-            for p in parts:
-                yield head + p
+    def runs(a: int, b: int):
+        # The blocks of a in lexicographic order, a walk in preorder: each
+        # block, then its extensions by each larger label x, x ascending.
+        # With a block go the partition lists of its gaps before its last
+        # element.
+        stack = [((a,), [])]
+        while stack:
+            block, gaps = stack.pop()
+            last = block[-1]
+            parts = gaps + [interval(last + 1, b)] if last < b else gaps
+            mids = (empty,)
+            for got in parts[:-1]:
+                mids = [m + p for m in mids for p in got]
+            yield unit(block), mids, parts[-1] if parts else (empty,)
+            for x in range(b, last, -1):
+                stack.append((block + (x,), gaps + [interval(last + 1, x - 1)]
+                              if x > last + 1 else gaps))
 
-    return partitions(1, n)
+    return runs(1, n)
 
 
 def _noncrossing_blocks(n: int) -> list:
     """Canonical blocks of every noncrossing partition of [n], sorted."""
-    return list(_noncrossing(n, lambda b: (b,), ()))
+    return [p + r for head, mids, lasts in _noncrossing_runs(n, lambda b: (b,), ())
+            for p in [head + m for m in mids] for r in lasts]
 
 
 @lru_cache(maxsize=None)
@@ -261,11 +253,23 @@ def enumerate_noncrossing(n: int) -> tuple:
     return tuple(NoncrossingPartition(n, b) for b in _noncrossing_blocks(n))
 
 
+def noncrossing_runs(n: int):
+    """Iterator over the ``str`` of every noncrossing partition of [n] in
+    runs ``(first, rests)``, one for each block of 1: the names
+    ``first + r``, r in ``rests``, in enumeration order.  ``first`` is the
+    name of the block of 1 and each r is empty or starts with ``","``.
+    The lists of rests may be shared: do not mutate them.  Raises
+    ``ValueError`` at once for n < 1."""
+    runs = _noncrossing_runs(n, lambda b: "," + _block_name(b), "")
+    return ((head[1:], lasts if mids == ("",) else
+             [m + r for m in mids for r in lasts])
+            for head, mids, lasts in runs)
+
+
 def noncrossing_names(n: int):
     """Iterator over the ``str`` of every noncrossing partition of [n], in
     enumeration order.  Raises ``ValueError`` at once for n < 1."""
-    names = _noncrossing(n, lambda b: "," + _block_name(b), "")
-    return (name[1:] for name in names)
+    return (first + r for first, rests in noncrossing_runs(n) for r in rests)
 
 
 def catalan(n: int) -> int:
@@ -381,11 +385,3 @@ class Matching(FrozenRecord):
         ):
             raise ValueError(f"not a perfect matching on [2n]: {pairs}")
         return cls(n, canon)
-
-    def partner(self, i: int) -> int:
-        for a, b in self.pairs:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise ValueError(f"{i} not matched")

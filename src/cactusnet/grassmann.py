@@ -115,24 +115,6 @@ def f_sigma(pair: KrewerasPair) -> ExteriorVector:
         pair.n, pair.n + 1, dict.fromkeys(_concordant_keys(pair), Fraction(1)))
 
 
-def block_vector_matrix(pair: KrewerasPair) -> RationalMatrix:
-    """Matrix whose rows are the alternating-sign block vectors.
-
-    Row k sums (-1)^label e_label over the k-th block of the pair; the
-    wedge of the rows equals f_sigma up to sign, so its row span is the
-    isotropic plane of the pair.
-    """
-    n = pair.n
-    rows = []
-    for blk in pair.all_blocks():
-        row = [Fraction(0)] * (2 * n)
-        for lbl in blk:
-            base = lbl if lbl <= n else lbl - n
-            row[circle_position(n, lbl)] = Fraction((-1) ** base)
-        rows.append(row)
-    return RationalMatrix(rows)
-
-
 def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
     """Exterior vector of a measurement vector: sum of Lambda_sigma f_sigma.
 

@@ -20,7 +20,7 @@ the induced partition.
 import math
 from fractions import Fraction
 
-from .combinat import NoncrossingPartition, Record, enumerate_noncrossing
+from .combinat import NoncrossingPartition, Record, canonical_blocks
 from .linalg import _sparse_ratio
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
@@ -96,22 +96,17 @@ def enumerate_groves(net):
 
 
 def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
-    """The partition of [n] whose blocks join the boundary blocks sharing a root."""
+    """The partition of [n] whose blocks join the boundary blocks sharing a root.
+
+    The boundary blocks of a valid network partition [n], and a grove of
+    a planar network induces a noncrossing partition, so the blocks are
+    only put in canonical order, not proved again.
+    """
     groups = {}
     for root, block in zip(roots, qg.boundary):
         groups.setdefault(root, []).extend(block)
     n = sum(len(b) for b in qg.boundary)
-    return NoncrossingPartition.from_blocks(n, groups.values())
-
-
-def grove_partition(net, edge_ids) -> NoncrossingPartition:
-    """The boundary partition induced by a grove."""
-    qg = _as_quotient(net)
-    ends = _edge_ends(qg)
-    root = list(range(len(qg.vertices)))
-    for eid in edge_ids:
-        root = _joined(root, *ends[eid])
-    return _partition(qg, root[:len(qg.boundary)])
+    return NoncrossingPartition(n, canonical_blocks(groups.values()))
 
 
 class GroveMeasurements(Record):
@@ -129,10 +124,6 @@ class GroveMeasurements(Record):
 
     def __getitem__(self, sigma) -> Fraction:
         return self.values.get(sigma, _ZERO)
-
-    def as_list(self):
-        """Values in the deterministic enumeration order of partitions."""
-        return [self[s] for s in enumerate_noncrossing(self.n)]
 
 
 def lambda_vector(net: CactusNetwork) -> GroveMeasurements:

@@ -157,21 +157,60 @@ def dump_document(doc, compact: bool = False) -> str:
     return json.dumps(doc, indent=2)
 
 
-# entries per write of write_pairs
+# entries per write of write_lambda
 STREAM_BATCH = 4096
 
 
-def write_pairs(pairs, stream, compact: bool = False) -> None:
-    """Write (str, str) pairs with distinct keys to ``stream`` as the line
-    ``print(dump_document(dict(pairs), compact))`` prints, STREAM_BATCH
-    entries per write, without holding the document in memory."""
-    quote = json.encoder.encode_basestring_ascii
+def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
+    """Write the document {name: nonzero.get(name, "0")}, the names in the
+    order of ``runs``, to ``stream`` as the line
+    ``print(dump_document(doc, compact))`` prints, STREAM_BATCH entries per
+    write, without holding the document in memory.
+
+    ``runs`` yields ``(first, rests)``, the names ``first + r`` whose first
+    block, up to and with its ``"}"``, is ``first``
+    (``combinat.noncrossing_runs``).  Names and values are written
+    unquoted, so neither may need a JSON escape.  A run with few nonzero
+    entries is written as stretches of "0" entries, each joined in one
+    call, between its nonzero ones; a run with many, entry by entry.
+    """
     colon, sep, lead, close = ((":", ",", "{", "}") if compact
                                else (": ", ",\n  ", "{\n  ", "\n}"))
-    pairs = iter(pairs)
-    written = False
-    while chunk := [quote(k) + colon + quote(v)
-                    for k, v in itertools.islice(pairs, STREAM_BATCH)]:
-        stream.write((sep if written else lead) + sep.join(chunk))
-        written = True
-    stream.write(close + "\n" if written else "{}\n")
+    zero = '"' + colon + '"0"'
+    tails_of = {}  # first block -> {rest of a name: the end of its entry}
+    for name, value in nonzero.items():
+        first, brace, rest = name.partition("}")
+        tails_of.setdefault(first + brace, {})[rest] = f'"{colon}"{value}"'
+    texts, room, opening = [], STREAM_BATCH, lead
+    for first, rests in runs:
+        head = '"' + first
+        tails = tails_of.get(first, {})
+        # (start, stop, tail): rests[start:stop] all end in tail, or each
+        # in its own tail if tail is None
+        if not tails:
+            stretches = ((0, len(rests), zero),)
+        elif len(tails) * 10 > len(rests):  # more than 1 entry in 10 nonzero
+            stretches = ((0, len(rests), None),)
+        else:
+            stretches, start = [], 0
+            for i in itertools.compress(range(len(rests)),
+                                        map(tails.__contains__, rests)):
+                stretches += ((start, i, zero), (i, i + 1, tails[rests[i]]))
+                start = i + 1
+            stretches.append((start, len(rests), zero))
+        for start, stop, tail in stretches:
+            while start < stop:
+                cut = stop if stop - start <= room else start + room
+                part = rests[start:cut]
+                if tail is None:
+                    texts += [head + r + tails.get(r, zero) for r in part]
+                else:
+                    texts.append(head + (zero + sep + head).join(part) + tail)
+                room -= cut - start
+                start = cut
+                if not room:
+                    stream.write(opening + sep.join(texts))
+                    texts, room, opening = [], STREAM_BATCH, sep
+    if texts:
+        stream.write(opening + sep.join(texts))
+    stream.write(close + "\n" if texts or opening == sep else "{}\n")

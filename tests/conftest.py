@@ -2,19 +2,20 @@
 
 import argparse
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from cactusnet import cli
+from cactusnet import cli, groves, netfile
 from cactusnet.combinat import (
     NoncrossingPartition,
+    _crossing,
     canonical_blocks,
     circle_position,
     concordant_index_pairs,
-    is_noncrossing_on_circle,
 )
 from cactusnet.grassmann import ExteriorVector, d_matrix, positions_of
 from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions
@@ -334,6 +335,17 @@ def path_halving_partition(qg, grove):
     return NoncrossingPartition.from_blocks(n, groups.values())
 
 
+def grove_partition(net, edge_ids):
+    """The boundary partition induced by a grove, through the roots of
+    ``groves._joined`` and the classes of ``groves._partition``."""
+    qg = groves._as_quotient(net)
+    ends = groves._edge_ends(qg)
+    root = list(range(len(qg.vertices)))
+    for eid in edge_ids:
+        root = groves._joined(root, *ends[eid])
+    return groves._partition(qg, root[:len(qg.boundary)])
+
+
 def grown_noncrossing_blocks(n):
     """Canonical blocks of every noncrossing partition of [n], sorted.
 
@@ -361,6 +373,46 @@ def grown_noncrossing_blocks(n):
 def partition_name(blocks):
     """Oracle for the partition name format, e.g. "{1,2},{3}"."""
     return "{" + "},{".join(",".join(str(x) for x in b) for b in blocks) + "}"
+
+
+def is_noncrossing_on_circle(blocks, position) -> bool:
+    """Noncrossing test for blocks of arbitrary labels placed on a circle.
+
+    ``position`` maps each label to its circle position; positions of
+    distinct labels must be distinct.
+    """
+    placed = [[position(x) for x in b] for b in blocks]
+    # ranks 1..m of the positions make the blocks a partition of [m]
+    rank = {p: r for r, p in enumerate(sorted(itertools.chain(*placed)), 1)}
+    return not _crossing(len(rank), [[rank[p] for p in b] for b in placed])
+
+
+def matching_partner(matching, i):
+    """The label that a perfect matching pairs with i."""
+    for a, b in matching.pairs:
+        if i == a:
+            return b
+        if i == b:
+            return a
+    raise ValueError(f"{i} not matched")
+
+
+def block_vector_matrix(pair):
+    """Matrix whose rows are the alternating-sign block vectors.
+
+    Row k sums (-1)^label e_label over the k-th block of the pair; the
+    wedge of the rows equals f_sigma up to sign, so its row span is the
+    isotropic plane of the pair.
+    """
+    n = pair.n
+    rows = []
+    for blk in pair.all_blocks():
+        row = [Fraction(0)] * (2 * n)
+        for lbl in blk:
+            base = lbl if lbl <= n else lbl - n
+            row[circle_position(n, lbl)] = Fraction((-1) ** base)
+        rows.append(row)
+    return RationalMatrix(rows)
 
 
 def blocks_cross(b1, b2) -> bool:
@@ -894,6 +946,23 @@ class RecordingStream:
 
     def flush(self):
         pass
+
+
+def write_pairs(pairs, stream, compact=False):
+    """Oracle of ``netfile.write_lambda``: write (str, str) pairs with
+    distinct keys, each quoted by json, as the line
+    ``print(dump_document(dict(pairs), compact))`` prints,
+    ``netfile.STREAM_BATCH`` entries per write."""
+    quote = json.encoder.encode_basestring_ascii
+    colon, sep, lead, close = ((":", ",", "{", "}") if compact
+                               else (": ", ",\n  ", "{\n  ", "\n}"))
+    pairs = iter(pairs)
+    written = False
+    while chunk := [quote(k) + colon + quote(v)
+                    for k, v in itertools.islice(pairs, netfile.STREAM_BATCH)]:
+        stream.write((sep if written else lead) + sep.join(chunk))
+        written = True
+    stream.write(close + "\n" if written else "{}\n")
 
 
 @pytest.fixture

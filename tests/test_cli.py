@@ -134,7 +134,7 @@ def test_over_cap_lambda_fails_before_any_name(capsys, tmp_path, monkeypatch):
     def no_names(n):
         raise AssertionError("names built before the edge cap check")
 
-    monkeypatch.setattr(cli, "noncrossing_names", no_names)
+    monkeypatch.setattr(cli, "noncrossing_runs", no_names)
     code, out, err = run(capsys, "lambda", str(path))
     assert (code, out) == (2, "")
     assert "too many edges" in err

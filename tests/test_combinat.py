@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import (
     blocks_cross,
     grown_noncrossing_blocks,
+    is_noncrossing_on_circle,
+    matching_partner,
     pairwise_kreweras_tilde_blocks,
     partition_name,
 )
@@ -29,10 +31,10 @@ from cactusnet.combinat import (
     format_element,
     is_concordant,
     is_noncrossing,
-    is_noncrossing_on_circle,
     is_partition,
     kreweras_complement,
     noncrossing_names,
+    noncrossing_runs,
 )
 
 
@@ -85,11 +87,27 @@ def test_names_follow_the_enumeration(n):
     assert names == [partition_name(s.blocks) for s in enumerate_noncrossing(n)]
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_runs_hold_the_names_by_block_of_1(n):
+    """One run for each block of 1, in order; its first part is that block
+    and the flat runs are the names."""
+    runs = list(noncrossing_runs(n))
+    assert len(runs) == 2 ** (n - 1)
+    assert [first + r for first, rests in runs for r in rests] == [
+        str(s) for s in enumerate_noncrossing(n)]
+    firsts = [first for first, _ in runs]
+    assert firsts == [partition_name([(1,) + rest]) for rest in
+                      sorted(c for k in range(n) for c in
+                             itertools.combinations(range(2, n + 1), k))]
+    assert all(r == "" or r.startswith(",{") for _, rests in runs for r in rests)
+
+
 def test_name_count_is_catalan():
     for n in range(1, 13):
         assert len(list(noncrossing_names(n))) == catalan(n)
-    with pytest.raises(ValueError):
-        noncrossing_names(0)
+    for names in (noncrossing_names, noncrossing_runs):
+        with pytest.raises(ValueError):
+            names(0)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -262,7 +280,7 @@ def test_concordant_pairs_definition(n):
 def test_matching_partner_involution():
     m = Matching.from_pairs(3, [(1, 4), (2, 5), (3, 6)])
     for t in range(1, 7):
-        assert m.partner(m.partner(t)) == t
+        assert matching_partner(m, matching_partner(m, t)) == t
 
 
 def test_matching_rejects_bad_pairs():

@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from conftest import (
+    block_vector_matrix,
     chart_from_lstar_via_d,
     chart_from_response_via_d,
     concordant_keys_oracle,
@@ -37,7 +38,6 @@ from cactusnet.electrical import (
 )
 from cactusnet.grassmann import (
     ExteriorVector,
-    block_vector_matrix,
     chart_from_lstar,
     chart_from_response,
     cyclic_shift,

@@ -8,10 +8,12 @@ import networkx as nx
 import pytest
 
 from conftest import (
+    grove_partition,
     make_delta,
     make_disconnected,
     make_edgeless,
     make_glued_tree,
+    make_grid,
     make_grid4,
     make_shorted,
     make_single_edge,
@@ -30,7 +32,6 @@ from cactusnet.groves import (
     electrically_equivalent,
     enumerate_groves,
     equivalence_factor,
-    grove_partition,
     lambda_vector,
     proportionality_factor,
 )
@@ -124,7 +125,34 @@ def test_lambda_vector_y():
     }
     for sigma in enumerate_noncrossing(3):
         assert lam[sigma] == expect[str(sigma)]
-    assert lam.as_list() == [lam[s] for s in enumerate_noncrossing(3)]
+
+
+def test_lambda_classes_equal_the_proved_partitions(monkeypatch):
+    """Every class that lambda_vector measures is the partition that
+    NoncrossingPartition.from_blocks proves from the same blocks."""
+    build = groves._partition
+    proved = []
+
+    def checked(qg, roots):
+        sigma = build(qg, roots)
+        groups = {}
+        for root, block in zip(roots, qg.boundary):
+            groups.setdefault(root, []).extend(block)
+        assert sigma == NoncrossingPartition.from_blocks(sigma.n, groups.values())
+        proved.append(sigma)
+        return sigma
+
+    monkeypatch.setattr(groves, "_partition", checked)
+    rng = random.Random(9)
+    nets = [make_glued_tree(), make_shorted(), make_disconnected(), make_grid4(),
+            make_grid(3, rng), make_grid(4, rng), make_subdivided_wheel(),
+            make_two_hubs()]
+    nets += [random_planar_net(rng, rng.randint(2, 7)) for _ in range(80)]
+    for net in nets:
+        before = len(proved)
+        lam = lambda_vector(net)
+        assert proved[before:] == list(lam.values)
+    assert len(proved) > 1000
 
 
 def test_lambda_vector_loops_never_contribute():

@@ -1,14 +1,22 @@
 """Serialization round trips and deterministic output documents."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import RecordingStream, make_glued_tree, make_y, random_planar_net
+from conftest import (
+    RecordingStream,
+    make_glued_tree,
+    make_y,
+    random_planar_net,
+    write_pairs,
+)
 from cactusnet import netfile
+from cactusnet.combinat import noncrossing_names, noncrossing_runs
 from cactusnet.grassmann import lam_map
 from cactusnet.groves import lambda_vector
 from cactusnet.linalg import RationalMatrix
@@ -128,11 +136,12 @@ def printed_document(doc, compact):
 
 
 def check_written(doc, compact, batch):
-    """write_pairs prints dump_document's line, one batch per write."""
+    """The oracle write_pairs prints dump_document's line, one batch per
+    write."""
     out = RecordingStream()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(netfile, "STREAM_BATCH", batch)
-        netfile.write_pairs(doc.items(), out, compact)
+        write_pairs(doc.items(), out, compact)
     text = "".join(out.writes)
     assert text == printed_document(doc, compact)
     assert text == netfile.dump_document(doc, compact) + "\n"
@@ -164,3 +173,55 @@ def test_write_pairs_matches_dump_document(data, batch, compact):
 def test_write_pairs_default_batch(size, compact):
     doc = {f'{{{i}}} "\\\x07é': f"{i}/7" for i in range(size)}
     check_written(doc, compact, netfile.STREAM_BATCH)
+
+
+def nonzero_sets(n):
+    """Named sets of nonzero names of [n], each with made-up values."""
+    rng = random.Random(n)
+    runs = [[first + r for r in rests] for first, rests in noncrossing_runs(n)]
+    names = [name for run in runs for name in run]
+    longest = max(runs, key=len)
+    k = len(runs) // 2
+    sets = {
+        "empty": [],
+        "random 1%": [m for m in names if rng.random() < 0.01],
+        "random 30%": [m for m in names if rng.random() < 0.3],
+        "ends": [names[0], names[-1]],
+        "one run": longest,
+        # the last entry of one run and the first of the next
+        "boundary": [runs[k - 1][-1], runs[k][0]] if k else [names[0]],
+    }
+    if n <= 10:
+        sets["all"] = names
+    return {key: {m: f"{i + 1}/7" for i, m in enumerate(chosen)}
+            for key, chosen in sets.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_write_lambda_matches_write_pairs(n):
+    """The run writer makes the writes of the oracle: every name of the
+    enumeration, quoted by json, with its value or "0"."""
+    batches = [netfile.STREAM_BATCH] + ([5] if n <= 8 else [])
+    sets = nonzero_sets(n)
+    if n >= 11:  # the oracle alone takes ~0.3 s at n = 12
+        sets = {key: sets[key] for key in ("random 1%", "boundary")}
+    for i, (key, nonzero) in enumerate(sets.items()):
+        layouts = [False, True] if n <= 9 else [i % 2 == 1]
+        for batch in batches:
+            for compact in layouts:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(netfile, "STREAM_BATCH", batch)
+                    want, got = RecordingStream(), RecordingStream()
+                    write_pairs(((m, nonzero.get(m, "0"))
+                                 for m in noncrossing_names(n)), want, compact)
+                    netfile.write_lambda(noncrossing_runs(n), nonzero, got,
+                                         compact)
+                assert got.writes == want.writes, (key, batch, compact)
+
+
+def test_partition_names_need_no_json_escape():
+    """write_lambda writes names unquoted: json quotes each as is."""
+    quote = json.encoder.encode_basestring_ascii
+    for n in range(1, 13):
+        for name in noncrossing_names(n):
+            assert quote(name) == '"' + name + '"'
