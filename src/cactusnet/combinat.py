@@ -9,6 +9,12 @@ output.  All circular reasoning uses the interleaved order
 where label i sits at circle position 2*(i-1) and label k~ at position
 2*(k-1) + 1 (positions run 0..2n-1).  This is the single place where
 that convention is defined; every other module imports it from here.
+
+The noncrossing partitions of [n] are enumerated by one walk, in runs:
+one for each block of 1, holding the partitions that start with it.
+``enumerate_noncrossing`` (partitions), ``noncrossing_names`` (their
+names) and ``noncrossing_runs`` (the names run by run, for the Lambda
+writer) are views of that walk.
 """
 
 import itertools
@@ -212,19 +218,21 @@ def _noncrossing_runs(n: int, unit, empty):
     def interval(a: int, b: int) -> list:
         got = memo.get((a, b))
         if got is None:
-            got = memo[a, b] = [p + r for head, mids, lasts in runs(a, b)
-                                for p in [head + m for m in mids]
-                                for r in lasts]
+            got = memo[a, b] = _flat(runs(a, b))
         return got
 
     def runs(a: int, b: int):
         # The blocks of a in lexicographic order, a walk in preorder: each
         # block, then its extensions by each larger label x, x ascending.
-        # With a block go the partition lists of its gaps before its last
-        # element.
-        stack = [((a,), [])]
+        # With a block go the partition lists of its nonempty gaps before
+        # its last element, the newest one as bounds: an interval is built
+        # only once a block that needs it is reached, which keeps the peak
+        # memory down.
+        stack = [((a,), [], None)]
         while stack:
-            block, gaps = stack.pop()
+            block, gaps, gap = stack.pop()
+            if gap:
+                gaps = gaps + [interval(*gap)]
             last = block[-1]
             parts = gaps + [interval(last + 1, b)] if last < b else gaps
             mids = (empty,)
@@ -232,16 +240,21 @@ def _noncrossing_runs(n: int, unit, empty):
                 mids = [m + p for m in mids for p in got]
             yield unit(block), mids, parts[-1] if parts else (empty,)
             for x in range(b, last, -1):
-                stack.append((block + (x,), gaps + [interval(last + 1, x - 1)]
-                              if x > last + 1 else gaps))
+                stack.append((block + (x,), gaps,
+                              (last + 1, x - 1) if x > last + 1 else None))
 
     return runs(1, n)
 
 
+def _flat(runs) -> list:
+    """The partitions ``head + m + r`` of the triples of ``_noncrossing_runs``."""
+    return [p + r for head, mids, lasts in runs
+            for p in [head + m for m in mids] for r in lasts]
+
+
 def _noncrossing_blocks(n: int) -> list:
     """Canonical blocks of every noncrossing partition of [n], sorted."""
-    return [p + r for head, mids, lasts in _noncrossing_runs(n, lambda b: (b,), ())
-            for p in [head + m for m in mids] for r in lasts]
+    return _flat(_noncrossing_runs(n, lambda b: (b,), ()))
 
 
 @lru_cache(maxsize=None)

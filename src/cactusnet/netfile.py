@@ -4,7 +4,9 @@ Network files are JSON with keys n, shape, internal_vertices, edges,
 rotations; boundary vertices are named "b1".."bn" and rationals are
 serialized as "p" or "p/q" in lowest terms.  Output documents reuse the
 same rational encoding; exterior vector keys are index-set strings like
-"1,1~,2" listing ground elements in circle order.
+"1,1~,2" listing ground elements in circle order.  The dense Lambda
+document is streamed by ``write_lambda`` from the runs of names of
+``combinat.noncrossing_runs``, never held whole in memory.
 """
 
 import itertools
@@ -176,20 +178,24 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
     """
     colon, sep, lead, close = ((":", ",", "{", "}") if compact
                                else (": ", ",\n  ", "{\n  ", "\n}"))
-    zero = '"' + colon + '"0"'
-    tails_of = {}  # first block -> {rest of a name: the end of its entry}
+    mid = '"' + colon + '"'
+    zero = mid + '0"'
+    tails_of = {}  # first block without its "}" -> {rest: end of the entry}
     for name, value in nonzero.items():
-        first, brace, rest = name.partition("}")
-        tails_of.setdefault(first + brace, {})[rest] = f'"{colon}"{value}"'
+        first, _, rest = name.partition("}")
+        tails = tails_of.get(first)
+        if tails is None:
+            tails = tails_of[first] = {}
+        tails[rest] = mid + value + '"'
     texts, room, opening = [], STREAM_BATCH, lead
     for first, rests in runs:
         head = '"' + first
-        tails = tails_of.get(first, {})
+        tails = tails_of.get(first[:-1])
         # (start, stop, tail): rests[start:stop] all end in tail, or each
         # in its own tail if tail is None
-        if not tails:
+        if tails is None:
             stretches = ((0, len(rests), zero),)
-        elif len(tails) * 10 > len(rests):  # more than 1 entry in 10 nonzero
+        elif len(tails) * 10 > len(rests):  # dense: cheaper entry by entry
             stretches = ((0, len(rests), None),)
         else:
             stretches, start = [], 0
@@ -200,7 +206,7 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
             stretches.append((start, len(rests), zero))
         for start, stop, tail in stretches:
             while start < stop:
-                cut = stop if stop - start <= room else start + room
+                cut = min(stop, start + room)
                 part = rests[start:cut]
                 if tail is None:
                     texts += [head + r + tails.get(r, zero) for r in part]

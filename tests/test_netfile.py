@@ -203,7 +203,7 @@ def test_write_lambda_matches_write_pairs(n):
     enumeration, quoted by json, with its value or "0"."""
     batches = [netfile.STREAM_BATCH] + ([5] if n <= 8 else [])
     sets = nonzero_sets(n)
-    if n >= 11:  # the oracle alone takes ~0.3 s at n = 12
+    if n >= 11:  # the oracle names every entry in Python: two sets suffice
         sets = {key: sets[key] for key in ("random 1%", "boundary")}
     for i, (key, nonzero) in enumerate(sets.items()):
         layouts = [False, True] if n <= 9 else [i % 2 == 1]
