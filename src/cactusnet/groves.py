@@ -14,7 +14,8 @@ of the quotient graph, boundary blocks first: every vertex holds the
 smallest index in its tree.  So a tree holds a boundary block iff its
 root index is < nboundary, a node of the search is a grove iff no root
 is >= nboundary, and the first nboundary roots are a canonical key of
-the induced partition.
+the induced partition.  ``enumerate_groves`` yields that key with each
+grove, and ``lambda_vector`` sums the grove weights under it.
 """
 
 import math
@@ -54,40 +55,34 @@ def _as_quotient(net) -> QuotientGraph:
     return quotient_graph(net)
 
 
-def _edge_ends(qg: QuotientGraph) -> dict:
-    """Edge id -> its two ends as indices into ``qg.vertices``.
-
-    The boundary blocks come first, so boundary block b has index b.
-    """
-    index = {v: i for i, v in enumerate(qg.vertices)}
-    return {eid: (index[u], index[v]) for eid, u, v, _ in qg.edges}
-
-
 def enumerate_groves(net):
-    """Yield groves as sorted tuples of edge ids, in lexicographic order.
+    """Yield ``(grove, roots)`` pairs, the groves in lexicographic order.
 
-    Accepts a valid network or its quotient graph.  Loop edges of the
-    quotient never appear in a grove.
+    ``grove`` is the sorted tuple of the grove's edge ids.  ``roots`` is
+    the tuple of the first nboundary quick-find roots: boundary blocks
+    with equal roots share a tree, so it keys the induced partition
+    (see ``_partition``).  Accepts a valid network or its quotient
+    graph.  Loop edges of the quotient never appear in a grove.
     """
     qg = _as_quotient(net)
     if len(qg.edges) > GROVE_EDGE_CAP:
         raise ValueError(
             f"too many edges for grove enumeration (cap {GROVE_EDGE_CAP})"
         )
-    eids = sorted(eid for eid, *_ in qg.edges)
-    ends = _edge_ends(qg)
+    index = {v: i for i, v in enumerate(qg.vertices)}  # boundary block b has index b
+    edges = sorted((eid, index[u], index[v]) for eid, u, v, _ in qg.edges)
     nboundary, nvertices = len(qg.boundary), len(qg.vertices)
 
     def extend(start, root, loose, chosen):
         # loose counts the trees without a boundary block
         if not loose:
-            yield tuple(chosen)
-        for k in range(start, len(eids)):
-            u, v = ends[eids[k]]
+            yield tuple(chosen), tuple(root[:nboundary])
+        for k in range(start, len(edges)):
+            eid, u, v = edges[k]
             ru, rv = root[u], root[v]
             if ru == rv:
                 continue  # would close a cycle
-            chosen.append(eids[k])
+            chosen.append(eid)
             yield from extend(k + 1, _joined(root, u, v),
                               loose - (max(ru, rv) >= nboundary), chosen)
             chosen.pop()
@@ -129,34 +124,23 @@ class GroveMeasurements(Record):
 def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     """The grove measurements of a valid network, nonzero values only.
 
+    Each grove's integer weight is added under the roots it is yielded
+    with, one sum per grove size; each class then becomes one Fraction.
+
     Raises ``ValueError`` when no grove exists, that is when some internal
     vertex has no path to the boundary, so the vector is never zero.
     """
     require_valid(net)
     qg = quotient_graph(net)
-    ends = _edge_ends(qg)
-    nboundary = len(qg.boundary)
     # Integer weights a_e = c_e * d, d the lcm of the denominators: a grove
     # of k edges weighs (product of its a_e) / d**k.
     d = math.lcm(*(c.denominator for *_, c in qg.edges))
     weight = {eid: c.numerator * (d // c.denominator) for eid, _, _, c in qg.edges}
     classes = {}  # boundary roots -> {grove size: sum of integer weights}
-    # stack[k] holds the roots and the integer weight of the first k edges
-    # of the last grove: a grove keeps the prefix it shares with the last
-    # one and joins only its other edges.
-    last, stack = (), [(list(range(len(qg.vertices))), 1)]
-    for grove in enumerate_groves(qg):
-        keep = min(len(last), len(grove))
-        while grove[:keep] != last[:keep]:
-            keep -= 1
-        del stack[keep + 1:]
-        for eid in grove[keep:]:
-            root, w = stack[-1]
-            stack.append((_joined(root, *ends[eid]), w * weight[eid]))
-        last = grove
-        root, w = stack[-1]
-        sizes = classes.setdefault(tuple(root[:nboundary]), {})
-        sizes[len(grove)] = sizes.get(len(grove), 0) + w
+    for grove, roots in enumerate_groves(qg):
+        sizes = classes.setdefault(roots, {})
+        sizes[len(grove)] = sizes.get(len(grove), 0) + math.prod(
+            map(weight.__getitem__, grove))
     if not classes:
         # only a component without a boundary block rules out every grove
         raise ValueError("an internal vertex is isolated from the boundary")

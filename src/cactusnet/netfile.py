@@ -91,6 +91,9 @@ def network_from_dict(doc: dict) -> CactusNetwork:
         raise ValueError(f"shape labels must be JSON integers: {bad_labels}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    nlabels = sum(map(len, shape))  # before any structure of size n
+    if n > nlabels:
+        raise ValueError(f"n = {n} exceeds the {nlabels} labels the shape lists")
     edges = [(i, ends, _rational(c)) for i, ends, c in edges]
     unquoted = [i for i, _, c in edges if c is None]
     if unquoted:

@@ -339,7 +339,7 @@ def grove_partition(net, edge_ids):
     """The boundary partition induced by a grove, through the roots of
     ``groves._joined`` and the classes of ``groves._partition``."""
     qg = groves._as_quotient(net)
-    ends = groves._edge_ends(qg)
+    ends = _quotient_ends(qg)
     root = list(range(len(qg.vertices)))
     for eid in edge_ids:
         root = groves._joined(root, *ends[eid])

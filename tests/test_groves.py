@@ -88,12 +88,14 @@ def brute_force_partition(qg, chosen):
 ])
 def test_groves_match_brute_force(builder):
     qg = quotient_graph(builder())
-    listed = list(enumerate_groves(qg))
+    pairs = list(enumerate_groves(qg))
+    listed = [grove for grove, _ in pairs]
     assert listed == sorted(listed)  # deterministic lexicographic order
     assert listed == list(path_halving_groves(qg))
     assert set(listed) == brute_force_groves(qg)
-    for grove in listed:
+    for grove, roots in pairs:
         assert grove_partition(qg, grove) == brute_force_partition(qg, grove)
+        assert groves._partition(qg, roots) == brute_force_partition(qg, grove)
 
 
 def test_groves_match_brute_force_random(rng):
@@ -103,16 +105,19 @@ def test_groves_match_brute_force_random(rng):
         qg = quotient_graph(net)
         if len(qg.edges) > 12:
             continue
-        listed = list(enumerate_groves(qg))
+        pairs = list(enumerate_groves(qg))
+        listed = [grove for grove, _ in pairs]
         assert listed == list(path_halving_groves(qg))
         assert set(listed) == brute_force_groves(qg)
+        for grove, roots in pairs:
+            assert groves._partition(qg, roots) == brute_force_partition(qg, grove)
 
 
 def test_grove_partitions_are_noncrossing(rng):
     for _ in range(10):
         net = random_planar_net(rng, 4)
         qg = quotient_graph(net)
-        for grove in enumerate_groves(qg):
+        for grove, _ in enumerate_groves(qg):
             sigma = grove_partition(qg, grove)
             assert sigma in enumerate_noncrossing(4)
 
@@ -164,7 +169,7 @@ def test_lambda_vector_loops_never_contribute():
         {"b1": ["e1", "loop"], "b2": ["e2"], "b3": ["loop"],
          "v": ["e1", "e2"]},
     )
-    for grove in enumerate_groves(net):
+    for grove, _ in enumerate_groves(net):
         assert "loop" not in grove
 
 
@@ -273,9 +278,9 @@ def test_lambda_vector_consumes_one_grove_search(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        for grove in search(*args):
+        for grove, roots in search(*args):
             seen.append(grove)
-            yield grove
+            yield grove, roots
         finished.append(True)
 
     monkeypatch.setattr(groves, "enumerate_groves", counting)
