@@ -93,7 +93,8 @@ def network_from_dict(doc: dict) -> CactusNetwork:
         raise ValueError("n must be >= 1")
     nlabels = sum(map(len, shape))  # before any structure of size n
     if n > nlabels:
-        raise ValueError(f"n = {n} exceeds the {nlabels} labels the shape lists")
+        raise ValueError(f"n = {n} exceeds the number of labels the shape lists"
+                         f" ({nlabels})")
     edges = [(i, ends, _rational(c)) for i, ends, c in edges]
     unquoted = [i for i, _, c in edges if c is None]
     if unquoted:

@@ -390,7 +390,7 @@ def test_unexpected_exception_is_internal_error(paths, capsys, monkeypatch):
      "internal_vertices must be a list"),
     # refused before any structure of 10**5 labels is built
     (lambda doc: doc.update(n=10 ** 5),
-     "n = 100000 exceeds the 3 labels the shape lists"),
+     "n = 100000 exceeds the number of labels the shape lists (3)"),
 ], ids=["unknown-rotation-vertex", "numeric-conductance", "decimal-conductance",
         "n-zero", "n-float", "n-bool", "shape-label-float", "internal-named-b2",
         "edge-three-ends", "edge-ends-string", "rotation-string",
