@@ -22,7 +22,7 @@ import sys
 from types import SimpleNamespace
 
 from . import electrical, grassmann, groves, netfile, network
-from .combinat import catalan, noncrossing_runs
+from .combinat import _block_name, catalan, noncrossing_runs
 
 
 class _InvalidInput(Exception):
@@ -48,7 +48,10 @@ def cmd_lambda(net, args):
             f"{catalan(net.n)} entries (limit n <= {groves.DENSE_LAMBDA_MAX_N})"
         )
     lam = groves.lambda_vector(net)
-    nonzero = {str(s): netfile.format_rational(v) for s, v in lam.values.items()}
+    # str(s) block by block, each of the at most 2^n - 1 blocks named once
+    names = {b: _block_name(b) for b in {b for s in lam.values for b in s.blocks}}
+    nonzero = {",".join(map(names.__getitem__, s.blocks)): netfile.format_rational(v)
+               for s, v in lam.values.items()}
     # streamed: the Cat_n entries are written run by run as they are named
     netfile.write_lambda(noncrossing_runs(net.n), nonzero, sys.stdout,
                          compact=args.compact)

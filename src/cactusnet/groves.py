@@ -9,19 +9,21 @@ conductance products over groves inducing it.  It is stored sparsely:
 ``GroveMeasurements.values`` holds only the partitions some grove
 induces, and every other partition measures 0.
 
-The search keeps its forest as a quick-find root list over the vertices
-of the quotient graph, boundary blocks first: every vertex holds the
-smallest index in its tree.  So a tree holds a boundary block iff its
-root index is < nboundary, a node of the search is a grove iff no root
-is >= nboundary, and the first nboundary roots are a canonical key of
-the induced partition.  ``enumerate_groves`` yields that key with each
-grove, and ``lambda_vector`` sums the grove weights under it.
+The search walks the forests depth first on one explicit stack.  Each
+forest is a quick-find root list over the vertices of the quotient
+graph, boundary blocks first: every vertex holds the smallest index in
+its tree.  So a tree holds a boundary block iff its root index is
+< nboundary, a forest is a grove iff no root is >= nboundary, and the
+first nboundary roots are a canonical key of the induced partition.
+``enumerate_groves`` yields that key with each grove, and
+``lambda_vector`` sums the grove weights under it into one integer per
+class: the class fixes its number of trees, hence its grove size.
 """
 
 import math
 from fractions import Fraction
 
-from .combinat import NoncrossingPartition, Record, canonical_blocks
+from .combinat import NoncrossingPartition, Record
 from .linalg import _sparse_ratio
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
@@ -34,18 +36,6 @@ GROVE_EDGE_CAP = 20
 DENSE_LAMBDA_MAX_N = 13
 
 _ZERO = Fraction(0)
-
-
-def _joined(root: list, u: int, v: int) -> list:
-    """The roots after joining the trees of vertices u and v.
-
-    The larger of the two roots gives way to the smaller, so every root
-    stays the smallest index in its tree.
-    """
-    ru, rv = root[u], root[v]
-    if ru > rv:
-        ru, rv = rv, ru
-    return [ru if r == rv else r for r in root]
 
 
 def _as_quotient(net) -> QuotientGraph:
@@ -63,6 +53,9 @@ def enumerate_groves(net):
     with equal roots share a tree, so it keys the induced partition
     (see ``_partition``).  Accepts a valid network or its quotient
     graph.  Loop edges of the quotient never appear in a grove.
+
+    A forest on the stack is ``(next edge, roots, loose trees, chosen
+    ids)``; its children are pushed last edge first, so pop in order.
     """
     qg = _as_quotient(net)
     if len(qg.edges) > GROVE_EDGE_CAP:
@@ -71,23 +64,23 @@ def enumerate_groves(net):
         )
     index = {v: i for i, v in enumerate(qg.vertices)}  # boundary block b has index b
     edges = sorted((eid, index[u], index[v]) for eid, u, v, _ in qg.edges)
+    # (index of the next edge, edge) from the last edge back
+    backward = [(k + 1, *edge) for k, edge in enumerate(edges)][::-1]
     nboundary, nvertices = len(qg.boundary), len(qg.vertices)
-
-    def extend(start, root, loose, chosen):
-        # loose counts the trees without a boundary block
+    # loose counts the trees without a boundary block
+    stack = [(0, list(range(nvertices)), nvertices - nboundary, ())]
+    while stack:
+        start, root, loose, chosen = stack.pop()
         if not loose:
-            yield tuple(chosen), tuple(root[:nboundary])
-        for k in range(start, len(edges)):
-            eid, u, v = edges[k]
+            yield chosen, tuple(root[:nboundary])
+        for after, eid, u, v in backward[:len(edges) - start]:
             ru, rv = root[u], root[v]
             if ru == rv:
                 continue  # would close a cycle
-            chosen.append(eid)
-            yield from extend(k + 1, _joined(root, u, v),
-                              loose - (max(ru, rv) >= nboundary), chosen)
-            chosen.pop()
-
-    yield from extend(0, list(range(nvertices)), nvertices - nboundary, [])
+            if ru > rv:
+                ru, rv = rv, ru  # the larger root gives way to the smaller
+            stack.append((after, [ru if r == rv else r for r in root],
+                          loose - (rv >= nboundary), chosen + (eid,)))
 
 
 def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
@@ -95,13 +88,18 @@ def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
 
     The boundary blocks of a valid network partition [n], and a grove of
     a planar network induces a noncrossing partition, so the blocks are
-    only put in canonical order, not proved again.
+    not proved again.  A root is the least boundary index in its tree and
+    the boundary blocks are in canonical order, so the groups come in
+    canonical order; each is sorted already unless the shape glues labels.
     """
     groups = {}
     for root, block in zip(roots, qg.boundary):
         groups.setdefault(root, []).extend(block)
     n = sum(len(b) for b in qg.boundary)
-    return NoncrossingPartition(n, canonical_blocks(groups.values()))
+    blocks = groups.values()
+    if n > len(qg.boundary):  # a glued block can join a later, smaller label
+        blocks = map(sorted, blocks)
+    return NoncrossingPartition(n, tuple(map(tuple, blocks)))
 
 
 class GroveMeasurements(Record):
@@ -125,7 +123,7 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     """The grove measurements of a valid network, nonzero values only.
 
     Each grove's integer weight is added under the roots it is yielded
-    with, one sum per grove size; each class then becomes one Fraction.
+    with, one integer per class; each class then becomes one Fraction.
 
     Raises ``ValueError`` when no grove exists, that is when some internal
     vertex has no path to the boundary, so the vector is never zero.
@@ -136,20 +134,19 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     # of k edges weighs (product of its a_e) / d**k.
     d = math.lcm(*(c.denominator for *_, c in qg.edges))
     weight = {eid: c.numerator * (d // c.denominator) for eid, _, _, c in qg.edges}
-    classes = {}  # boundary roots -> {grove size: sum of integer weights}
+    classes = {}  # boundary roots -> sum of integer weights
     for grove, roots in enumerate_groves(qg):
-        sizes = classes.setdefault(roots, {})
-        sizes[len(grove)] = sizes.get(len(grove), 0) + math.prod(
+        classes[roots] = classes.get(roots, 0) + math.prod(
             map(weight.__getitem__, grove))
     if not classes:
         # only a component without a boundary block rules out every grove
         raise ValueError("an internal vertex is isolated from the boundary")
-    values = {}  # one Fraction per class, over d**(its largest grove size)
-    for roots, sizes in classes.items():
-        top = max(sizes)
-        values[_partition(qg, roots)] = Fraction(
-            sum(s * d ** (top - k) for k, s in sizes.items()), d ** top)
-    return GroveMeasurements(net.n, values)
+    # A grove is spanning and each of its c trees holds a boundary block,
+    # so every grove of a class has len(vertices) - c edges.
+    nvertices = len(qg.vertices)
+    return GroveMeasurements(net.n, {
+        _partition(qg, roots): Fraction(s, d ** (nvertices - len(set(roots))))
+        for roots, s in classes.items()})
 
 
 def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):

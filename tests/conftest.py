@@ -86,6 +86,16 @@ def make_glued_tree():
     )
 
 
+def make_glued_later():
+    """Shape {1,4},{2},{3} with chords x = 1-2 and y = 2-3: the grove {x}
+    joins the glued block to the later label 2, giving the block (1,2,4)."""
+    return CactusNetwork.build(
+        4, [(1, 4), (2,), (3,)], [],
+        [("x", ("b1", "b2"), Fraction(2)), ("y", ("b2", "b3"), Fraction(3))],
+        {"b1": ["x"], "b2": ["y", "x"], "b3": ["y"]},
+    )
+
+
 def make_shorted():
     """Star whose terminals 1 and 3 are glued: no grove keeps all
     boundary labels apart, so the all-singletons measurement is zero."""
@@ -335,14 +345,50 @@ def path_halving_partition(qg, grove):
     return NoncrossingPartition.from_blocks(n, groups.values())
 
 
+def _joined(root, u, v):
+    """The roots after joining the trees of vertices u and v; the larger
+    of the two roots gives way to the smaller."""
+    ru, rv = root[u], root[v]
+    if ru > rv:
+        ru, rv = rv, ru
+    return [ru if r == rv else r for r in root]
+
+
+def recursive_groves(net):
+    """Oracle for ``groves.enumerate_groves``: the same quick-find search
+    as a recursion of generators.  Yields the same ``(grove, roots)``
+    pairs in the same order, and enforces the same edge cap."""
+    qg = groves._as_quotient(net)
+    if len(qg.edges) > groves.GROVE_EDGE_CAP:
+        raise ValueError("too many edges for grove enumeration")
+    index = {v: i for i, v in enumerate(qg.vertices)}
+    edges = sorted((eid, index[u], index[v]) for eid, u, v, _ in qg.edges)
+    nboundary, nvertices = len(qg.boundary), len(qg.vertices)
+
+    def extend(start, root, loose, chosen):
+        if not loose:
+            yield tuple(chosen), tuple(root[:nboundary])
+        for k in range(start, len(edges)):
+            eid, u, v = edges[k]
+            ru, rv = root[u], root[v]
+            if ru == rv:
+                continue
+            chosen.append(eid)
+            yield from extend(k + 1, _joined(root, u, v),
+                              loose - (max(ru, rv) >= nboundary), chosen)
+            chosen.pop()
+
+    yield from extend(0, list(range(nvertices)), nvertices - nboundary, [])
+
+
 def grove_partition(net, edge_ids):
     """The boundary partition induced by a grove, through the roots of
-    ``groves._joined`` and the classes of ``groves._partition``."""
+    ``_joined`` and the classes of ``groves._partition``."""
     qg = groves._as_quotient(net)
     ends = _quotient_ends(qg)
     root = list(range(len(qg.vertices)))
     for eid in edge_ids:
-        root = groves._joined(root, *ends[eid])
+        root = _joined(root, *ends[eid])
     return groves._partition(qg, root[:len(qg.boundary)])
 
 

@@ -12,6 +12,7 @@ from conftest import (
     make_delta,
     make_disconnected,
     make_edgeless,
+    make_glued_later,
     make_glued_tree,
     make_grid,
     make_grid4,
@@ -23,6 +24,7 @@ from conftest import (
     path_halving_groves,
     path_halving_partition,
     random_planar_net,
+    recursive_groves,
 )
 from cactusnet import groves
 from cactusnet.combinat import NoncrossingPartition, enumerate_noncrossing
@@ -80,6 +82,7 @@ def brute_force_partition(qg, chosen):
     make_single_edge,
     lambda: make_edgeless(3),
     make_glued_tree,
+    make_glued_later,
     make_shorted,
     make_disconnected,
     make_grid4,
@@ -111,6 +114,69 @@ def test_groves_match_brute_force_random(rng):
         assert set(listed) == brute_force_groves(qg)
         for grove, roots in pairs:
             assert groves._partition(qg, roots) == brute_force_partition(qg, grove)
+
+
+def assert_grove_invariants(qg, pairs):
+    """Each grove of c trees has len(vertices) - c edges, and each class
+    builds the partition that from_blocks proves from its blocks."""
+    n = sum(len(b) for b in qg.boundary)
+    for grove, roots in pairs:
+        assert len(grove) == len(qg.vertices) - len(set(roots))
+        groups = {}
+        for root, block in zip(roots, qg.boundary):
+            groups.setdefault(root, []).extend(block)
+        assert groves._partition(qg, roots) == NoncrossingPartition.from_blocks(
+            n, groups.values())
+
+
+@pytest.mark.parametrize("builder", [
+    make_glued_tree,
+    make_glued_later,
+    make_shorted,
+    make_disconnected,
+    lambda: make_edgeless(3),
+    make_grid4,
+    make_subdivided_wheel,
+    make_two_hubs,
+])
+def test_search_matches_the_recursive_oracle(builder):
+    qg = quotient_graph(builder())
+    pairs = list(enumerate_groves(qg))
+    assert pairs == list(recursive_groves(qg))
+    assert_grove_invariants(qg, pairs)
+
+
+def test_search_matches_the_recursive_oracle_random(rng):
+    for _ in range(40):
+        qg = quotient_graph(random_planar_net(rng, rng.randint(2, 8)))
+        pairs = list(enumerate_groves(qg))
+        assert pairs == list(recursive_groves(qg))
+        assert_grove_invariants(qg, pairs)
+
+
+def test_search_matches_the_recursive_oracle_at_the_cap():
+    """The full wheel on ten labels has exactly GROVE_EDGE_CAP edges and
+    214,207 groves; the two searches are compared pair by pair."""
+    class KeepAll(random.Random):
+        def random(self):
+            return 0.0  # keep every chord and spoke
+
+    qg = quotient_graph(random_planar_net(KeepAll(0), 10, connected=True))
+    assert len(qg.edges) == GROVE_EDGE_CAP
+    count = 0
+    for new, old in itertools.zip_longest(enumerate_groves(qg),
+                                          recursive_groves(qg)):
+        assert new == old
+        count += 1
+    assert count == 214207
+
+
+def test_partition_sorts_a_glued_block_joining_a_later_label():
+    qg = quotient_graph(make_glued_later())
+    assert groves._partition(qg, (0, 0, 2)).blocks == ((1, 2, 4), (3,))
+    lam = lambda_vector(make_glued_later())
+    assert lam[NoncrossingPartition(4, ((1, 2, 4), (3,)))] == 2
+    assert_grove_invariants(qg, list(enumerate_groves(qg)))
 
 
 def test_grove_partitions_are_noncrossing(rng):
