@@ -97,7 +97,7 @@ def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
         groups.setdefault(root, []).extend(block)
     n = sum(len(b) for b in qg.boundary)
     blocks = groups.values()
-    if n > len(qg.boundary):  # a glued block can join a later, smaller label
+    if n > len(qg.boundary):  # a glued block may precede a smaller label
         blocks = map(sorted, blocks)
     return NoncrossingPartition(n, tuple(map(tuple, blocks)))
 

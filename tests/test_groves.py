@@ -40,6 +40,13 @@ from cactusnet.groves import (
 from cactusnet.network import CactusNetwork, Edge, quotient_graph
 
 
+class KeepAll(random.Random):
+    """Makes random_planar_net keep every chord and spoke."""
+
+    def random(self):
+        return 0.0
+
+
 def brute_force_groves(qg):
     """All groves by filtering every edge subset with networkx."""
     out = set()
@@ -118,15 +125,21 @@ def test_groves_match_brute_force_random(rng):
 
 def assert_grove_invariants(qg, pairs):
     """Each grove of c trees has len(vertices) - c edges, and each class
-    builds the partition that from_blocks proves from its blocks."""
+    builds the partition that from_blocks proves from its blocks.
+    Returns the number of pairs."""
     n = sum(len(b) for b in qg.boundary)
+    classes, count = set(), 0
     for grove, roots in pairs:
         assert len(grove) == len(qg.vertices) - len(set(roots))
+        classes.add(roots)
+        count += 1
+    for roots in classes:
         groups = {}
         for root, block in zip(roots, qg.boundary):
             groups.setdefault(root, []).extend(block)
         assert groves._partition(qg, roots) == NoncrossingPartition.from_blocks(
             n, groups.values())
+    return count
 
 
 @pytest.mark.parametrize("builder", [
@@ -156,19 +169,18 @@ def test_search_matches_the_recursive_oracle_random(rng):
 
 def test_search_matches_the_recursive_oracle_at_the_cap():
     """The full wheel on ten labels has exactly GROVE_EDGE_CAP edges and
-    214,207 groves; the two searches are compared pair by pair."""
-    class KeepAll(random.Random):
-        def random(self):
-            return 0.0  # keep every chord and spoke
-
+    214,207 groves; the two searches are compared pair by pair, without
+    holding the lists."""
     qg = quotient_graph(random_planar_net(KeepAll(0), 10, connected=True))
     assert len(qg.edges) == GROVE_EDGE_CAP
-    count = 0
-    for new, old in itertools.zip_longest(enumerate_groves(qg),
-                                          recursive_groves(qg)):
-        assert new == old
-        count += 1
-    assert count == 214207
+
+    def matched():
+        for new, old in itertools.zip_longest(enumerate_groves(qg),
+                                              recursive_groves(qg)):
+            assert new == old
+            yield new
+
+    assert assert_grove_invariants(qg, matched()) == 214207
 
 
 def test_partition_sorts_a_glued_block_joining_a_later_label():
@@ -176,7 +188,6 @@ def test_partition_sorts_a_glued_block_joining_a_later_label():
     assert groves._partition(qg, (0, 0, 2)).blocks == ((1, 2, 4), (3,))
     lam = lambda_vector(make_glued_later())
     assert lam[NoncrossingPartition(4, ((1, 2, 4), (3,)))] == 2
-    assert_grove_invariants(qg, list(enumerate_groves(qg)))
 
 
 def test_grove_partitions_are_noncrossing(rng):
@@ -371,10 +382,6 @@ def test_grove_functions_refuse_invalid_networks():
 
 
 def test_over_cap_lambda_fails_before_any_catalan_table():
-    class KeepAll(random.Random):
-        def random(self):
-            return 0.0  # keep every chord and spoke
-
     net = random_planar_net(KeepAll(0), 11, connected=True)
     assert len(net.edges) > GROVE_EDGE_CAP
     before = enumerate_noncrossing.cache_info()
