@@ -54,8 +54,8 @@ def enumerate_groves(net):
     (see ``_partition``).  Accepts a valid network or its quotient
     graph.  Loop edges of the quotient never appear in a grove.
 
-    A forest on the stack is ``(next edge, roots, loose trees, chosen
-    ids)``; its children are pushed last edge first, so pop in order.
+    A stacked forest is ``(next edge, roots, loose trees, chosen ids)``;
+    its children are pushed last edge first, so they pop in order.
     """
     qg = _as_quotient(net)
     if len(qg.edges) > GROVE_EDGE_CAP:
