@@ -5,13 +5,16 @@ nonnegative and rows sum to zero, so the diagonal is nonpositive.  With
 this convention a potential vector V and the net currents out of the
 boundary satisfy current = -L V, and effective resistance comes out
 positive: solving L V = e_u - e_v gives R(u, v) = V[v] - V[u].
+L is the Kron reduction of the quotient Laplacian: eliminating the
+internal vertices, each on its own diagonal, leaves the Schur complement
+-L in the boundary rows (one forward pass of ``linalg._reduce``).
 Resistances are not computed from L, though: one solve on the quotient
 Laplacian with boundary block 0 grounded gives them all.
 """
 
 from fractions import Fraction
 
-from .linalg import Inconsistent, RationalMatrix, solve_many
+from .linalg import Inconsistent, RationalMatrix, _reduce, solve_many
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 
@@ -33,26 +36,20 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
     """The boundary response matrix L (negated Schur complement).
 
     Rows and columns follow the canonical order of the shape blocks.
-    Internal vertices must all be connected to the boundary.
+    Internal vertices must all be connected to the boundary.  The
+    Laplacian's internal vertices are eliminated in place, forward only:
+    an internal vertex cut off from the boundary is left without a pivot.
     """
     require_valid(net)
     qg = quotient_graph(net)
     lap = laplacian(qg)
-    nb, ni = len(qg.boundary), len(qg.internal)
-    # BI and II as sparse rows over the internal columns
-    bi, ii = ([{j - nb: x for j, x in row.items() if j >= nb} for row in rows]
-              for rows in (lap[:nb], lap[nb:]))
-    # solve II X = IB for all columns at once (the columns of IB are the
-    # rows of BI); II is invertible exactly when every internal vertex
-    # connects to the boundary
-    sol = solve_many(ii, bi, ncols=ni)
-    if isinstance(sol, Inconsistent) or sol.nullspace:
+    nb = len(qg.boundary)
+    internal = range(nb, len(lap))
+    if len(_reduce(lap, diagonal=internal)) < len(internal):
         raise ValueError("an internal vertex is isolated from the boundary")
-    # L = -(BB - BI X); column b of X is the particular solution b
     zero = Fraction(0)
-    return RationalMatrix(
-        [[sum((x * sol.particulars[b][k] for k, x in bi[a].items()), zero)
-          - lap[a].get(b, zero) for b in range(nb)] for a in range(nb)])
+    return RationalMatrix([[-row.get(b, zero) for b in range(nb)]
+                           for row in lap[:nb]])
 
 
 def resistance_matrix(net: CactusNetwork) -> RationalMatrix:

@@ -51,7 +51,7 @@ def enumerate_groves(net):
     ``grove`` is the sorted tuple of the grove's edge ids.  ``roots`` is
     the tuple of the first nboundary quick-find roots: boundary blocks
     with equal roots share a tree, so it keys the induced partition
-    (see ``_partition``).  Accepts a valid network or its quotient
+    (see ``_partitions``).  Accepts a valid network or its quotient
     graph.  Loop edges of the quotient never appear in a grove.
 
     A stacked forest is ``(next edge, roots, loose trees, chosen ids)``;
@@ -83,23 +83,25 @@ def enumerate_groves(net):
                           loose - (rv >= nboundary), chosen + (eid,)))
 
 
-def _partition(qg: QuotientGraph, roots) -> NoncrossingPartition:
-    """The partition of [n] whose blocks join the boundary blocks sharing a root.
+def _partitions(qg: QuotientGraph, classes):
+    """Yield, for each class of roots in order, the partition of [n] whose
+    blocks join the boundary blocks sharing a root.
 
     The boundary blocks of a valid network partition [n], and a grove of
     a planar network induces a noncrossing partition, so the blocks are
-    not proved again.  A root is the least boundary index in its tree and
-    the boundary blocks are in canonical order, so the groups come in
-    canonical order; each is sorted already unless the shape glues labels.
-    """
-    groups = {}
-    for root, block in zip(roots, qg.boundary):
-        groups.setdefault(root, []).extend(block)
-    n = sum(len(b) for b in qg.boundary)
-    blocks = groups.values()
-    if n > len(qg.boundary):  # a glued block may precede a smaller label
-        blocks = map(sorted, blocks)
-    return NoncrossingPartition(n, tuple(map(tuple, blocks)))
+    not proved again.  A root is the least boundary index in its tree, so
+    the groups come in canonical order; each is sorted already unless the
+    shape glues labels."""
+    boundary = qg.boundary
+    n = sum(map(len, boundary))
+    glued = n > len(boundary)  # a glued block may precede a smaller label
+    for roots in classes:
+        groups = {}
+        for i, root, block in zip(range(len(boundary)), roots, boundary):
+            groups[root] = block if root == i else groups[root] + block
+        blocks = groups.values()
+        yield NoncrossingPartition(n, tuple(
+            map(tuple, map(sorted, blocks))) if glued else tuple(blocks))
 
 
 class GroveMeasurements(Record):
@@ -144,9 +146,9 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     # A grove is spanning and each of its c trees holds a boundary block,
     # so every grove of a class has len(vertices) - c edges.
     nvertices = len(qg.vertices)
-    return GroveMeasurements(net.n, {
-        _partition(qg, roots): Fraction(s, d ** (nvertices - len(set(roots))))
-        for roots, s in classes.items()})
+    return GroveMeasurements(net.n, dict(zip(_partitions(qg, classes), [
+        Fraction(s, d ** (nvertices - len(set(roots))))
+        for roots, s in classes.items()])))
 
 
 def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):

@@ -168,7 +168,7 @@ def _fits(vectors, sparse, width) -> bool:
                else len(v) == width for v, d in zip(vectors, sparse))
 
 
-def _reduce(rows, ncols=None) -> list:
+def _reduce(rows, ncols=None, diagonal=None) -> list:
     """Sparse elimination in place on rows given as dicts from column to
     nonzero entry (a Fraction or an int); the one elimination kernel of
     the package.
@@ -179,9 +179,12 @@ def _reduce(rows, ncols=None) -> list:
     any further keys (right-hand sides) undergo the same row operations.
     Without it, each pivot is taken on the shortest row, in its column
     held by the fewest rows, and the pivot row then leaves the
-    elimination: enough for a rank or a determinant.  Either way a
-    pivot is taken on the shortest candidate row, which keeps the fill
-    small, and rows that share no column are never mixed.
+    elimination: enough for a rank or a determinant.  With ``diagonal``,
+    row indices, too, only those rows take pivots, each on its diagonal,
+    and the other rows end as the Schur complement of the pivot block
+    (Kron reduction of a Laplacian).  Either way a pivot is taken on the
+    shortest candidate row, which keeps the fill small, and rows that
+    share no column are never mixed.
 
     The arithmetic is fraction-free.  Each row is held as a primitive
     integer row (its entries share no factor) and a rational scale m / d
@@ -192,9 +195,10 @@ def _reduce(rows, ncols=None) -> list:
     the same update over Fractions builds one per entry.  The zero
     pattern, and so every pivot choice, is that of the same elimination
     over Fractions.  On return every row holds Fractions: a pivot row
-    scaled to 1 at its pivot, any other row as its true row.  Returns
-    the pivots as (row, column, value before scaling) in the order
-    taken.
+    scaled to 1 at its pivot, any other row as its true row; with
+    ``diagonal``, only the rows that took no pivot are converted.
+    Returns the pivots as (row, column, value before scaling) in the
+    order taken.
     """
     holders = {}                                  # column -> rows holding it
     scales = []                                   # row i is rows[i] * m / d
@@ -209,11 +213,12 @@ def _reduce(rows, ncols=None) -> list:
         for c in ints:
             holders.setdefault(c, set()).add(i)
     live = set(range(len(rows)))                  # rows not yet pivots
+    pool = range(len(rows)) if diagonal is None else diagonal
     if ncols is None:
-        by_size = {}                              # length -> live rows that long
-        for i, row in enumerate(rows):
-            if row:
-                by_size.setdefault(len(row), set()).add(i)
+        by_size = {}                              # length -> pool rows that long
+        for i in pool:
+            if rows[i]:
+                by_size.setdefault(len(rows[i]), set()).add(i)
     columns = iter(range(ncols or 0))
     pivots = []
     while True:
@@ -223,7 +228,9 @@ def _reduce(rows, ncols=None) -> list:
                 break
             i = min(by_size[size])
             by_size[size].discard(i)
-            c = min(rows[i], key=lambda c: len(holders[c]))
+            c = min(rows[i], key=lambda c: len(holders[c])) if diagonal is None else i
+            if c not in rows[i]:                  # no diagonal entry, no pivot
+                continue
         else:                                     # next column with a candidate
             c = next((c for c in columns if not live.isdisjoint(holders.get(c, ()))),
                      None)
@@ -239,7 +246,7 @@ def _reduce(rows, ncols=None) -> list:
                 holders[j].discard(i)
         for t in [t for t in holders[c] if t != i]:
             target = rows[t]
-            if ncols is None:
+            if ncols is None and t in pool:
                 by_size[len(target)].discard(t)
             f = target.pop(c)
             holders[c].discard(t)
@@ -268,12 +275,13 @@ def _reduce(rows, ncols=None) -> list:
                 m, d = m * g, d * p
                 h = math.gcd(m, d)
                 scales[t] = m // h, d // h
-                if ncols is None:
+                if ncols is None and t in pool:
                     by_size.setdefault(len(target), set()).add(t)
     # a pivot row's true row is 1 at its pivot
     for i, c, _ in pivots:
         scales[i] = (1, rows[i][c])
-    for i, (m, d) in enumerate(scales):
+    for i in range(len(rows)) if diagonal is None else live:
+        m, d = scales[i]
         rows[i] = {j: Fraction(x * m, d) for j, x in rows[i].items()}
     return pivots
 

@@ -12,6 +12,7 @@ document is streamed by ``write_lambda`` from the runs of names of
 import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .combinat import format_element
 from .grassmann import ExteriorVector
@@ -20,7 +21,7 @@ from .network import CactusNetwork, boundary_name
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -158,9 +159,34 @@ def exterior_to_doc(vec: ExteriorVector) -> dict:
 
 
 def dump_document(doc, compact: bool = False) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, or with ``compact`` of
+    ``json.dumps(doc, separators=(",", ":"))``.  Before CPython 3.13 an
+    indent selects json's pure-Python encoder, so the indented text is
+    joined here, each string quoted by the C ``encode_basestring_ascii``."""
     if compact:
         return json.dumps(doc, separators=(",", ":"))
-    return json.dumps(doc, indent=2)
+    return _indented(doc, "\n")
+
+
+def _indented(doc, pad: str) -> str:
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it after ``pad``, the
+    newline and spaces that lead its line."""
+    if type(doc) is str:
+        return _quote(doc)
+    inner = pad + "  "
+    if isinstance(doc, dict) and doc:
+        # json writes a key that is not a string as its JSON text, quoted
+        return "{" + inner + ("," + inner).join(
+            [_quote(k if type(k) is str else json.dumps(k)) + ": "
+             + (_quote(v) if type(v) is str else _indented(v, inner))
+             for k, v in doc.items()]) + pad + "}"
+    if isinstance(doc, (list, tuple)) and doc:
+        try:  # a list of strings, such as a matrix row, quoted in one pass
+            body = ("," + inner).join(map(_quote, doc))
+        except TypeError:  # _quote takes only strings
+            body = ("," + inner).join([_indented(v, inner) for v in doc])
+        return "[" + inner + body + pad + "]"
+    return repr(doc) if type(doc) is int else json.dumps(doc)
 
 
 # entries per write of write_lambda

@@ -333,6 +333,11 @@ def _dart_key(d):
 # ---------------------------------------------------------------------------
 
 def validate(net: CactusNetwork) -> ValidationReport:
+    """Every check on ``net``.  The report is cached on the network, which
+    is immutable by convention, so a second call on the same object checks
+    nothing again; a rewrite returns a new network, checked afresh."""
+    if hasattr(net, "_report"):
+        return net._report
     rep = ValidationReport()
     part_ok = is_partition(net.n, net.shape)
     rep.add("shape-partition", part_ok,
@@ -372,6 +377,7 @@ def validate(net: CactusNetwork) -> ValidationReport:
         except (ValueError, AssertionError) as exc:
             planar_msg = str(exc)
     rep.add("planar-embedding", planar_ok, planar_msg)
+    net._report = rep
     return rep
 
 

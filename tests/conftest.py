@@ -18,7 +18,8 @@ from cactusnet.combinat import (
     concordant_index_pairs,
 )
 from cactusnet.grassmann import ExteriorVector, d_matrix, positions_of
-from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions
+from cactusnet.electrical import laplacian
+from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions, solve_many
 from cactusnet.network import (
     CactusNetwork,
     CombMap,
@@ -383,13 +384,13 @@ def recursive_groves(net):
 
 def grove_partition(net, edge_ids):
     """The boundary partition induced by a grove, through the roots of
-    ``_joined`` and the classes of ``groves._partition``."""
+    ``_joined`` and the classes of ``groves._partitions``."""
     qg = groves._as_quotient(net)
     ends = _quotient_ends(qg)
     root = list(range(len(qg.vertices)))
     for eid in edge_ids:
         root = _joined(root, *ends[eid])
-    return groves._partition(qg, root[:len(qg.boundary)])
+    return next(groves._partitions(qg, [root[:len(qg.boundary)]]))
 
 
 def grown_noncrossing_blocks(n):
@@ -782,6 +783,25 @@ def dense_response_matrix(net):
         raise ValueError("an internal vertex is isolated from the boundary")
     x = RationalMatrix(sol.particulars).transpose()
     return -(bb - dense_matmul(bi, x))
+
+
+def solve_many_response(net):
+    """Oracle for the Kron-reduced response matrix: the sparse internal
+    block solved by ``solve_many`` for every column of IB at once, then
+    L = -(BB - BI X) summed entry by entry."""
+    require_valid(net)
+    qg = quotient_graph(net)
+    lap = laplacian(qg)
+    nb, ni = len(qg.boundary), len(qg.internal)
+    bi, ii = ([{j - nb: x for j, x in row.items() if j >= nb} for row in rows]
+              for rows in (lap[:nb], lap[nb:]))
+    sol = solve_many(ii, bi, ncols=ni)
+    if isinstance(sol, Inconsistent) or sol.nullspace:
+        raise ValueError("an internal vertex is isolated from the boundary")
+    zero = Fraction(0)
+    return RationalMatrix(
+        [[sum((x * sol.particulars[b][k] for k, x in bi[a].items()), zero)
+          - lap[a].get(b, zero) for b in range(nb)] for a in range(nb)])
 
 
 def two_solve_resistance(net):

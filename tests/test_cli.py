@@ -433,6 +433,28 @@ def command_argvs(y, delta):
     }
 
 
+def test_every_document_prints_as_json_dumps_with_an_indent(paths, capsys,
+                                                           monkeypatch):
+    """The printed document of every command but the streamed ``lambda``,
+    on a star, a glued tree and a delta with fractional conductances, is
+    the text of json.dumps(doc, indent=2)."""
+    docs, dump = [], netfile.dump_document
+    monkeypatch.setattr(netfile, "dump_document", lambda doc, compact=False:
+                        docs.append(doc) or dump(doc, compact))
+    for net in ("y", "glued", "delta"):
+        argvs = command_argvs(paths[net], paths[net])
+        argvs.update(chart=[paths[net], "--from", "resistance"],
+                     extract=[paths[net], "--chart", "connected"],
+                     ydelta=[paths["delta"], "--site", "b1,b2,b3",
+                             "--direction", "dtoy"])
+        codes = {command: run(capsys, command, *argv)[0]
+                 for command, argv in argvs.items() if command != "lambda"}
+        assert set(codes.values()) == {0}, net
+    assert len(docs) == 3 * 15
+    for doc in docs:
+        assert dump(doc) == json.dumps(doc, indent=2)
+
+
 def parsed(capsys, parse, argv):
     """(argument dict, or ("exit", code)), stdout and stderr of one parse."""
     try:

@@ -25,6 +25,7 @@ from conftest import (
     make_two_hubs,
     make_y,
     random_planar_net,
+    solve_many_response,
     two_solve_resistance,
 )
 from cactusnet.combinat import (
@@ -312,30 +313,40 @@ def test_electrical_entry_points_refuse_invalid_networks():
 
 
 def test_one_solve_per_matrix(monkeypatch):
-    """Each matrix is one ``solve_many`` call on sparse Laplacian rows: the
-    internal block for the response, the Laplacian with block 0 grounded
-    for the resistance, which never calls ``response_matrix``.  Every row
-    holds only its vertex and its neighbours, and no dense matrix is
-    passed."""
-    calls, responses = [], []
-    solve = electrical.solve_many
+    """The response is one forward pass of ``_reduce`` over the sparse
+    Laplacian that pivots only on the internal rows, with no
+    ``solve_many``; the resistance is one ``solve_many`` call on the
+    Laplacian with block 0 grounded, and never calls ``response_matrix``.
+    Every row holds only its vertex and its neighbours, and no dense
+    matrix is passed."""
+    calls, reductions, responses = [], [], []
+    solve, reduce = electrical.solve_many, electrical._reduce
 
     def recording(a, rhs, ncols=None):
         assert all(type(row) is dict for row in a)
         calls.append((len(a), ncols, sum(map(len, a))))
         return solve(a, rhs, ncols=ncols)
 
+    def reducing(rows, ncols=None, diagonal=None):
+        assert all(type(row) is dict for row in rows)
+        reductions.append((len(rows), ncols, list(diagonal), sum(map(len, rows))))
+        return reduce(rows, ncols, diagonal)
+
     monkeypatch.setattr(electrical, "solve_many", recording)
+    monkeypatch.setattr(electrical, "_reduce", reducing)
     net = random_planar_net(random.Random(3), 6, connected=True)
     response_matrix(net)
-    assert calls == [(1, 1, 1)]     # the single internal vertex
-    calls.clear()
+    # six labels and the hub, the only pivot row: 7 diagonals, 10 edges
+    assert reductions == [(7, None, [6], 7 + 2 * 10)]
+    reductions.clear()
     response_matrix(make_grid4())
-    assert calls == [(4, 4, 12)]    # the inner square: 4 diagonals, 8 sides
-    calls.clear()
+    # 8 labels and the inner square: 12 diagonals, 12 edges
+    assert reductions == [(12, None, [8, 9, 10, 11], 12 + 2 * 12)]
+    reductions.clear()
     response_matrix(make_delta(1, 2, 3))
-    assert calls == [(0, 0, 0)]     # no internal vertex, an empty solve
-    calls.clear()
+    assert reductions == [(3, None, [], 3 + 2 * 3)]   # no pivot row
+    assert calls == []
+    reductions.clear()
     response = electrical.response_matrix
     monkeypatch.setattr(electrical, "response_matrix",
                         lambda net: responses.append(net) or response(net))
@@ -345,4 +356,35 @@ def test_one_solve_per_matrix(monkeypatch):
     resistance_matrix(make_grid4())
     # 11 diagonals, and both ends of the 11 edges that avoid the ground b1
     assert calls == [(11, 11, 11 + 2 * 11)]
-    assert responses == []
+    assert responses == [] and reductions == []
+
+
+def response_networks():
+    """The oracle networks, an isolated internal vertex, 200 random wheels
+    with n = 2..7, and grids with 30-bit conductances for k = 4..7."""
+    rng = random.Random(20)
+    nets = oracle_networks() + [make_isolated_vertex()]
+    nets += [random_planar_net(rng, rng.randint(2, 7), connected=rng.random() < 0.5)
+             for _ in range(200)]
+    nets += [make_grid(k, rng, bits=30) for k in range(4, 8)]
+    return nets
+
+
+def test_kron_response_matches_the_solve_many_oracle():
+    """The Kron-reduced response equals the response of one ``solve_many``
+    on the internal block and the dense Schur complement, or fails with
+    the same error as both."""
+    failures = 0
+    for net in response_networks():
+        try:
+            expect = solve_many_response(net)
+        except ValueError as exc:
+            failures += 1
+            for compute in (dense_response_matrix, response_matrix):
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    compute(net)
+        else:
+            got = response_matrix(net)
+            assert got == expect == dense_response_matrix(net)
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+    assert failures == 2   # the floating triangle and the isolated vertex

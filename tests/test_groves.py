@@ -103,9 +103,10 @@ def test_groves_match_brute_force(builder):
     assert listed == sorted(listed)  # deterministic lexicographic order
     assert listed == list(path_halving_groves(qg))
     assert set(listed) == brute_force_groves(qg)
-    for grove, roots in pairs:
+    built = groves._partitions(qg, [roots for _, roots in pairs])
+    for (grove, roots), sigma in zip(pairs, built, strict=True):
         assert grove_partition(qg, grove) == brute_force_partition(qg, grove)
-        assert groves._partition(qg, roots) == brute_force_partition(qg, grove)
+        assert sigma == brute_force_partition(qg, grove)
 
 
 def test_groves_match_brute_force_random(rng):
@@ -119,8 +120,9 @@ def test_groves_match_brute_force_random(rng):
         listed = [grove for grove, _ in pairs]
         assert listed == list(path_halving_groves(qg))
         assert set(listed) == brute_force_groves(qg)
-        for grove, roots in pairs:
-            assert groves._partition(qg, roots) == brute_force_partition(qg, grove)
+        built = groves._partitions(qg, [roots for _, roots in pairs])
+        for (grove, roots), sigma in zip(pairs, built, strict=True):
+            assert sigma == brute_force_partition(qg, grove)
 
 
 def assert_grove_invariants(qg, pairs):
@@ -133,12 +135,12 @@ def assert_grove_invariants(qg, pairs):
         assert len(grove) == len(qg.vertices) - len(set(roots))
         classes.add(roots)
         count += 1
-    for roots in classes:
+    classes = list(classes)
+    for roots, sigma in zip(classes, groves._partitions(qg, classes), strict=True):
         groups = {}
         for root, block in zip(roots, qg.boundary):
             groups.setdefault(root, []).extend(block)
-        assert groves._partition(qg, roots) == NoncrossingPartition.from_blocks(
-            n, groups.values())
+        assert sigma == NoncrossingPartition.from_blocks(n, groups.values())
     return count
 
 
@@ -185,7 +187,7 @@ def test_search_matches_the_recursive_oracle_at_the_cap():
 
 def test_partition_sorts_a_glued_block_joining_a_later_label():
     qg = quotient_graph(make_glued_later())
-    assert groves._partition(qg, (0, 0, 2)).blocks == ((1, 2, 4), (3,))
+    assert next(groves._partitions(qg, [(0, 0, 2)])).blocks == ((1, 2, 4), (3,))
     lam = lambda_vector(make_glued_later())
     assert lam[NoncrossingPartition(4, ((1, 2, 4), (3,)))] == 2
 
@@ -212,19 +214,21 @@ def test_lambda_vector_y():
 def test_lambda_classes_equal_the_proved_partitions(monkeypatch):
     """Every class that lambda_vector measures is the partition that
     NoncrossingPartition.from_blocks proves from the same blocks."""
-    build = groves._partition
+    build = groves._partitions
     proved = []
 
-    def checked(qg, roots):
-        sigma = build(qg, roots)
-        groups = {}
-        for root, block in zip(roots, qg.boundary):
-            groups.setdefault(root, []).extend(block)
-        assert sigma == NoncrossingPartition.from_blocks(sigma.n, groups.values())
-        proved.append(sigma)
-        return sigma
+    def checked(qg, classes):
+        classes = list(classes)
+        built = list(build(qg, classes))
+        for roots, sigma in zip(classes, built, strict=True):
+            groups = {}
+            for root, block in zip(roots, qg.boundary):
+                groups.setdefault(root, []).extend(block)
+            assert sigma == NoncrossingPartition.from_blocks(sigma.n, groups.values())
+        proved.extend(built)
+        return built
 
-    monkeypatch.setattr(groves, "_partition", checked)
+    monkeypatch.setattr(groves, "_partitions", checked)
     rng = random.Random(9)
     nets = [make_glued_tree(), make_shorted(), make_disconnected(), make_grid4(),
             make_grid(3, rng), make_grid(4, rng), make_subdivided_wheel(),

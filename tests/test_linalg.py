@@ -462,3 +462,37 @@ def test_fraction_free_kernel_matches_the_fraction_oracle(system, gauss_jordan,
         patch.setattr(linalg, "_reduce", fraction_reduce)
         oracle = solve_many(a, rhs, ncols=ncols)
     assert solve_many(a, rhs, ncols=ncols) == oracle
+
+
+def test_diagonal_mode_leaves_the_schur_complement():
+    """Pivoting only on the diagonals of the given rows leaves the other
+    rows as the Schur complement of the pivot block (sympy), as Fractions,
+    from sparse, diagonally dominant rows of mixed entries."""
+    rng = random.Random(5)
+    for _ in range(60):
+        n, k = rng.randint(1, 7), rng.randint(0, 4)
+        size = n + k
+        a = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i):
+                if rng.random() < 0.4:
+                    a[i][j] = a[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            a[i][i] = sum(map(abs, a[i])) + Fraction(rng.randint(1, 3),
+                                                     rng.randint(1, 3))
+        rows = [{j: x for j, x in enumerate(r) if x} for r in a]
+        pivots = _reduce(rows, diagonal=range(n, size))
+        assert sorted((i, c) for i, c, _ in pivots) == [(i, i) for i in range(n, size)]
+        m = to_sympy(RationalMatrix(a))
+        schur = m[:n, :n] - m[:n, n:] * m[n:, n:].inv() * m[n:, :n]
+        got = [[row.get(j, Fraction(0)) for j in range(size)] for row in rows[:n]]
+        assert all(type(x) is Fraction for row in rows[:n] for x in row.values())
+        assert all(x == 0 for row in got for x in row[n:])
+        assert to_sympy(RationalMatrix([row[:n] for row in got])) == schur
+
+
+def test_diagonal_mode_skips_a_row_without_its_diagonal():
+    """A row of the pivot set whose diagonal entry is zero takes no pivot,
+    so the pivots fall short of the set."""
+    rows = [{0: Fraction(2), 1: Fraction(-1)}, {0: Fraction(-1)}]
+    assert _reduce(rows, diagonal=[1]) == []
+    assert rows[0] == {0: Fraction(2), 1: Fraction(-1)}

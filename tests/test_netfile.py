@@ -29,6 +29,15 @@ def test_rational_round_trip():
     assert netfile.format_rational(Fraction(5)) == "5"
 
 
+def test_format_rational_of_ints_and_strings():
+    """Values that are not Fractions are converted first, as before."""
+    assert netfile.format_rational(4) == "4"
+    assert netfile.format_rational(-12) == "-12"
+    assert netfile.format_rational("6/4") == "3/2"
+    assert netfile.format_rational("-3") == "-3"
+    assert netfile.format_rational("2/6") == "1/3"
+
+
 def test_network_round_trip(tmp_path, rng):
     for net in (make_y(1, 2, 3), make_glued_tree(),
                 random_planar_net(rng, 4, connected=True)):
@@ -127,6 +136,25 @@ def test_dump_document_modes():
     compact = netfile.dump_document(doc, compact=True)
     assert "\n" in pretty and "\n" not in compact
     assert json.loads(pretty) == json.loads(compact) == doc
+
+
+PRINTER_DOCS = [
+    {"name \u00e9\u2603\U0001F600": "x", 'quote " back \\ slash': "\n\t\x00\x1f\x7f",
+     "empty": {}, "none": [], "nested": [[], [{}], [[1, [2, []]]], {"a": [{}]}],
+     "flags": [True, False, None], "ints": [0, -1, 2 ** 70], "rows": [["1/2", "-3"]]},
+    [], {}, "", "caf\u00e9", 0, True, None, [[["deep"]]],
+    {"keys": {"1": 1, "": "", "\u2603": {"\\": ["\""]}}},
+]
+
+
+@pytest.mark.parametrize("doc", PRINTER_DOCS)
+def test_dump_document_is_json_dumps_with_an_indent(doc):
+    """Byte for byte the text of json.dumps(doc, indent=2): non-ASCII,
+    quotes, backslashes and control characters escaped, empty containers,
+    nested lists, bools, None and ints."""
+    assert netfile.dump_document(doc) == json.dumps(doc, indent=2)
+    assert netfile.dump_document(doc, compact=True) == json.dumps(
+        doc, separators=(",", ":"))
 
 
 def printed_document(doc, compact):

@@ -18,6 +18,7 @@ from conftest import (
     make_y_with_pendant,
     random_planar_net,
 )
+from cactusnet import cli, netfile, network
 from cactusnet.combinat import enumerate_noncrossing
 from cactusnet.electrical import response_matrix
 from cactusnet.groves import equivalence_factor, lambda_vector
@@ -358,3 +359,63 @@ def test_random_networks_validate_and_trace(rng):
         pairing = medial_pairing(net)
         flat = sorted(x for p in pairing.pairs for x in p)
         assert flat == list(range(1, 2 * n + 1))
+
+
+@pytest.fixture
+def comb_maps(monkeypatch):
+    """The networks of every ``CombMap`` that ``validate`` builds."""
+    built = []
+
+    class Counted(CombMap):
+        def __init__(self, net):
+            built.append(net)
+            super().__init__(net)
+
+    monkeypatch.setattr(network, "CombMap", Counted)
+    return built
+
+
+def test_validate_caches_its_report_on_the_network(comb_maps):
+    """A second validate of the same object checks nothing again; the
+    library entry points that call it reuse the report."""
+    net = make_y(1, 2, 3)
+    report = validate(net)
+    assert comb_maps == [net]
+    assert validate(net) is report
+    require_valid(net)
+    response_matrix(net)
+    lambda_vector(net)
+    assert comb_maps == [net]
+
+
+def test_a_rewritten_network_is_validated_afresh(comb_maps):
+    net = make_y(1, 2, 3)
+    validate(net)
+    rotated = net.replace(rotations=dict(net.rotations, v=("e3", "e2", "e1")))
+    assert not validate(rotated).ok
+    assert validate(net).ok
+    delta = ydelta(net, "v", "ytod")
+    assert validate(delta).ok
+    assert comb_maps == [net, rotated, delta]
+
+
+def test_an_invalid_report_is_cached_too(comb_maps):
+    net = make_y(1, 2, 3)
+    bad = net.replace(rotations=dict(net.rotations, v=("e3", "e2", "e1")))
+    report = validate(bad)
+    assert not report.ok
+    assert validate(bad) is report
+    with pytest.raises(ValueError, match="invalid network"):
+        response_matrix(bad)
+    assert comb_maps == [bad]
+
+
+def test_equiv_validates_each_network_once(comb_maps, tmp_path, capsys):
+    paths = []
+    for name, net in (("y", make_y(1, 2, 3)), ("d", make_delta(1, 2, 3))):
+        paths.append(str(tmp_path / f"{name}.json"))
+        netfile.save_network(net, paths[-1])
+    assert cli.main(["equiv", *paths]) == 0
+    assert len(comb_maps) == 2 and comb_maps[0] is not comb_maps[1]
+    assert [net.n for net in comb_maps] == [3, 3]
+    capsys.readouterr()
