@@ -36,9 +36,8 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
     """The boundary response matrix L (negated Schur complement).
 
     Rows and columns follow the canonical order of the shape blocks.
-    Internal vertices must all be connected to the boundary.  The
-    Laplacian's internal vertices are eliminated in place, forward only:
-    an internal vertex cut off from the boundary is left without a pivot.
+    Internal vertices must all be connected to the boundary: one cut off
+    from it is left without a pivot by the Kron reduction.
     """
     require_valid(net)
     qg = quotient_graph(net)

@@ -92,12 +92,11 @@ def _partitions(qg: QuotientGraph, classes):
     not proved again.  A root is the least boundary index in its tree, so
     the groups come in canonical order; each is sorted already unless the
     shape glues labels."""
-    boundary = qg.boundary
-    n = sum(map(len, boundary))
-    glued = n > len(boundary)  # a glued block may precede a smaller label
+    n = sum(map(len, qg.boundary))
+    glued = n > len(qg.boundary)  # a glued block may precede a smaller label
     for roots in classes:
         groups = {}
-        for i, root, block in zip(range(len(boundary)), roots, boundary):
+        for i, root, block in zip(range(len(roots)), roots, qg.boundary):
             groups[root] = block if root == i else groups[root] + block
         blocks = groups.values()
         yield NoncrossingPartition(n, tuple(

@@ -159,10 +159,9 @@ def exterior_to_doc(vec: ExteriorVector) -> dict:
 
 
 def dump_document(doc, compact: bool = False) -> str:
-    """The text of ``json.dumps(doc, indent=2)``, or with ``compact`` of
-    ``json.dumps(doc, separators=(",", ":"))``.  Before CPython 3.13 an
-    indent selects json's pure-Python encoder, so the indented text is
-    joined here, each string quoted by the C ``encode_basestring_ascii``."""
+    """The text of ``json.dumps(doc, indent=2)``, or with ``compact`` of its
+    C-encoded compact form.  Before CPython 3.13 an indent selects json's
+    pure-Python encoder, so the indented text is joined here instead."""
     if compact:
         return json.dumps(doc, separators=(",", ":"))
     return _indented(doc, "\n")
@@ -176,17 +175,22 @@ def _indented(doc, pad: str) -> str:
     inner = pad + "  "
     if isinstance(doc, dict) and doc:
         # json writes a key that is not a string as its JSON text, quoted
-        return "{" + inner + ("," + inner).join(
-            [_quote(k if type(k) is str else json.dumps(k)) + ": "
-             + (_quote(v) if type(v) is str else _indented(v, inner))
-             for k, v in doc.items()]) + pad + "}"
-    if isinstance(doc, (list, tuple)) and doc:
+        items = [_quote(k if type(k) is str else json.dumps(k)) + ": "
+                 + (_quote(v) if type(v) is str else _indented(v, inner))
+                 for k, v in doc.items()]
+        ends = "{}"
+    elif isinstance(doc, (list, tuple)) and doc:
         try:  # a list of strings, such as a matrix row, quoted in one pass
-            body = ("," + inner).join(map(_quote, doc))
+            items = list(map(_quote, doc))
         except TypeError:  # _quote takes only strings
-            body = ("," + inner).join([_indented(v, inner) for v in doc])
-        return "[" + inner + body + pad + "]"
-    return repr(doc) if type(doc) is int else json.dumps(doc)
+            items = [_indented(v, inner) for v in doc]
+        ends = "[]"
+    else:
+        return repr(doc) if type(doc) is int else json.dumps(doc)
+    # brackets go on the end items, so that only join copies the whole text
+    items[0] = ends[0] + inner + items[0]
+    items[-1] += pad + ends[1]
+    return ("," + inner).join(items)
 
 
 # entries per write of write_lambda

@@ -333,9 +333,8 @@ def _dart_key(d):
 # ---------------------------------------------------------------------------
 
 def validate(net: CactusNetwork) -> ValidationReport:
-    """Every check on ``net``.  The report is cached on the network, which
-    is immutable by convention, so a second call on the same object checks
-    nothing again; a rewrite returns a new network, checked afresh."""
+    """Every check on ``net``, cached on the network (immutable by convention:
+    a rewrite returns a new one), so a second call returns the same report."""
     if hasattr(net, "_report"):
         return net._report
     rep = ValidationReport()
