@@ -194,11 +194,10 @@ def _reduce(rows, ncols=None, diagonal=None) -> list:
     scale of t becomes m * g / (d * p), reduced: integer work only, where
     the same update over Fractions builds one per entry.  The zero
     pattern, and so every pivot choice, is that of the same elimination
-    over Fractions.  On return every row holds Fractions: a pivot row
-    scaled to 1 at its pivot, any other row as its true row; with
-    ``diagonal``, only the rows that took no pivot are converted.
-    Returns the pivots as (row, column, value before scaling) in the
-    order taken.
+    over Fractions.  On return every row (with ``diagonal``, every row
+    that took no pivot) holds Fractions: a pivot row scaled to 1 at its
+    pivot, any other row as its true row.  Returns the pivots as (row,
+    column, value before scaling) in the order taken.
     """
     holders = {}                                  # column -> rows holding it
     scales = []                                   # row i is rows[i] * m / d

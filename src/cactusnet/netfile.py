@@ -172,22 +172,23 @@ def _indented(doc, pad: str) -> str:
     newline and spaces that lead its line."""
     if type(doc) is str:
         return _quote(doc)
+    if type(doc) is int:
+        return repr(doc)
     inner = pad + "  "
     if isinstance(doc, dict) and doc:
         # json writes a key that is not a string as its JSON text, quoted
         items = [_quote(k if type(k) is str else json.dumps(k)) + ": "
                  + (_quote(v) if type(v) is str else _indented(v, inner))
                  for k, v in doc.items()]
-        ends = "{}"
     elif isinstance(doc, (list, tuple)) and doc:
         try:  # a list of strings, such as a matrix row, quoted in one pass
             items = list(map(_quote, doc))
         except TypeError:  # _quote takes only strings
             items = [_indented(v, inner) for v in doc]
-        ends = "[]"
     else:
-        return repr(doc) if type(doc) is int else json.dumps(doc)
+        return json.dumps(doc)
     # brackets go on the end items, so that only join copies the whole text
+    ends = "{}" if isinstance(doc, dict) else "[]"
     items[0] = ends[0] + inner + items[0]
     items[-1] += pad + ends[1]
     return ("," + inner).join(items)
