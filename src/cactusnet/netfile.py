@@ -181,10 +181,7 @@ def _indented(doc, pad: str) -> str:
                  + (_quote(v) if type(v) is str else _indented(v, inner))
                  for k, v in doc.items()]
     elif isinstance(doc, (list, tuple)) and doc:
-        try:  # a list of strings, such as a matrix row, quoted in one pass
-            items = list(map(_quote, doc))
-        except TypeError:  # _quote takes only strings
-            items = [_indented(v, inner) for v in doc]
+        items = [_quote(v) if type(v) is str else _indented(v, inner) for v in doc]
     else:
         return json.dumps(doc)
     # brackets go on the end items, so that only join copies the whole text
