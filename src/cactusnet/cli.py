@@ -74,28 +74,29 @@ def cmd_lstar(net, args):
 
 
 def _point(net):
-    """The Grassmannian point of the network: lam_map of its Lambda."""
-    return grassmann.lam_map(groves.lambda_vector(net))
+    """The Grassmannian point of the network, lam_map of its Lambda, in
+    integer form (see ``grassmann.lam_masks``)."""
+    return grassmann.lam_masks(groves.lambda_vector(net))
 
 
-def _kappa_zero(vec) -> bool:
-    return grassmann.kappa(grassmann.omega(vec.n), vec).is_zero()
+def _kappa_zero(n: int, point) -> bool:
+    return not grassmann.kappa_masks(grassmann.omega(n), *point)[1]
 
 
 def cmd_plucker(net, args):
-    vec = _point(net)
-    doc = {"coordinates": netfile.exterior_to_doc(vec)}
+    point = _point(net)
+    doc = {"coordinates": netfile.masks_to_doc(net.n, *point)}
     if args.check_isotropy:
-        doc["kappa_zero"] = _kappa_zero(vec)
+        doc["kappa_zero"] = _kappa_zero(net.n, point)
     return doc
 
 
 def cmd_isotropy(net, args):
-    return {"kappa_zero": _kappa_zero(_point(net))}
+    return {"kappa_zero": _kappa_zero(net.n, _point(net))}
 
 
 def cmd_tnn(net, args):
-    return {"totally_nonnegative": grassmann.is_totally_nonnegative(_point(net))}
+    return {"totally_nonnegative": grassmann.same_sign(_point(net)[1].values())}
 
 
 def _chart(net, source: str):

@@ -102,21 +102,27 @@ def is_partition(n: int, blocks) -> bool:
 
 
 def _crossing(n: int, blocks) -> bool:
-    """True iff two of the blocks cross; the blocks must partition [n].
-
-    One scan of 1..n keeps the open blocks (seen, not yet finished) on a
-    stack.  Blocks are properly nested iff every label belongs to a new
-    block or to the block on top of the stack.
-    """
-    block_of = [0] * (n + 1)
+    """True iff two of the blocks cross; the blocks must partition [n]."""
+    block_of = [0] * n
     for i, b in enumerate(blocks):
         for x in b:
-            block_of[x] = i
-    left = [len(b) for b in blocks]  # labels of each block not yet scanned
+            block_of[x - 1] = i
+    return _crossing_scan(block_of, [len(b) for b in blocks])
+
+
+def _crossing_scan(block_of, left) -> bool:
+    """True iff two blocks of a partition cross.  ``block_of`` lists the
+    block of each element in circle order and ``left[i]`` is the size of
+    block i; ``left`` is used up.
+
+    One scan keeps the open blocks (seen, not yet finished) on a stack.
+    Blocks are properly nested iff every element belongs to a new block
+    or to the block on top of the stack.
+    """
+    sizes = left[:]
     stack = []
-    for x in range(1, n + 1):
-        i = block_of[x]
-        if left[i] == len(blocks[i]):
+    for i in block_of:
+        if left[i] == sizes[i]:
             stack.append(i)
         elif stack[-1] != i:
             return True
@@ -323,12 +329,22 @@ def _kreweras_tilde_blocks(sigma: NoncrossingPartition) -> tuple:
     cycle c = (1 2 ... n): k~ is followed by (prev(k+1))~, where prev is
     the label before k+1 in its block.  Each cycle, entered at its least
     label, is increasing, so one pass over 1..n yields canonical blocks.
+    Two checks guard it: the block counts sum to n + 1, and the union of
+    sigma and the complement does not cross on the circle.
     """
     n = sigma.n
     prev = [0] * (n + 1)
-    for b in sigma.blocks:
-        for i, x in enumerate(b):
-            prev[x] = b[i - 1]
+    # the block of each circle position, label x at 2x - 2 and k~ at
+    # 2k - 1, for the check that the union is noncrossing
+    block_of = [0] * (2 * n)
+    sizes = []
+    for i, b in enumerate(sigma.blocks):
+        p = b[-1]
+        for x in b:
+            prev[x] = p
+            p = x
+            block_of[2 * x - 2] = i
+        sizes.append(len(b))
     seen = [False] * (n + 1)
     tilde = []
     for start in range(1, n + 1):
@@ -339,14 +355,14 @@ def _kreweras_tilde_blocks(sigma: NoncrossingPartition) -> tuple:
         while not seen[k]:
             seen[k] = True
             cycle.append(n + k)
+            block_of[2 * k - 1] = len(sizes)
             k = prev[k % n + 1]
         tilde.append(tuple(cycle))
+        sizes.append(len(cycle))
     tilde = tuple(tilde)
     if len(tilde) != n + 1 - sigma.num_blocks():
         raise AssertionError(f"Kreweras block count wrong for {sigma}")
-    # circle positions shifted to 1..2n, so the union is a partition of [2n]
-    if _crossing(2 * n, [tuple(circle_position(n, x) + 1 for x in b)
-                         for b in sigma.blocks + tilde]):
+    if _crossing_scan(block_of, sizes):
         raise AssertionError(f"Kreweras union crosses for {sigma}")
     return tilde
 

@@ -6,18 +6,19 @@ order 1, 1~, 2, 2~, ..., n, n~ (see combinat).  A network's measurement
 vector maps to such an exterior vector whose coefficients, read in a
 basis of concordant wedges, are the Plucker coordinates of an isotropic
 point of Gr(n+1, 2n).
+
+The point of a network is computed in integer form ``(d, {mask: t})``:
+each coordinate an integer t over one denominator d, keyed by the
+bitmask of its positions (bit p for position p).  ``lam_masks`` and
+``kappa_masks`` are the kernels; ``lam_map``, ``kappa`` and
+``is_totally_nonnegative`` are their views on ``ExteriorVector``s.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from .combinat import (
-    KrewerasPair,
-    NoncrossingPartition,
-    circle_position,
-    kreweras_complement,
-)
+from .combinat import KrewerasPair, _kreweras_tilde_blocks, circle_position
 from .groves import GroveMeasurements
 from .linalg import (
     Inconsistent,
@@ -49,12 +50,24 @@ class ExteriorVector:
                 self.coords[tuple(key)] = val
 
     @classmethod
-    def _built(cls, n: int, degree: int, coords: dict) -> "ExteriorVector":
-        """The vector of ``coords`` as given: nonzero Fractions on keys
-        that this module built valid, so no key is checked again."""
+    def from_masks(cls, n: int, degree: int, denom: int, terms: dict):
+        """The vector of the integer form ``(denom, terms)``: coordinate
+        ``terms[mask] / denom`` on the positions of each bitmask (bit p
+        for position p).  The terms must be nonzero and have ``degree``
+        bits below 2n, so no key is checked."""
         vec = cls.__new__(cls)
-        vec.n, vec.degree, vec.coords = n, degree, coords
+        vec.n, vec.degree = n, degree
+        vec.coords = {tuple(p for p in range(2 * n) if mask >> p & 1):
+                      Fraction(t, denom) for mask, t in terms.items()}
         return vec
+
+    def masks(self) -> tuple:
+        """The integer form ``(d, {mask: t})``: each coordinate as an
+        integer t over d, the lcm of the denominators, keyed by the
+        bitmask of its positions."""
+        denom = math.lcm(*(v.denominator for v in self.coords.values()))
+        return denom, {sum(1 << p for p in key): v.numerator * (denom // v.denominator)
+                       for key, v in self.coords.items()}
 
     def __getitem__(self, key) -> Fraction:
         return self.coords.get(tuple(key), Fraction(0))
@@ -93,43 +106,50 @@ def proportionality_factor(v1: ExteriorVector, v2: ExteriorVector):
     return _sparse_ratio(v1.coords, v2.coords)
 
 
-def positions_of(n: int, labels) -> tuple:
-    """Sorted circle positions of a set of labels (tilde stored as n+k)."""
-    return tuple(sorted(circle_position(n, x) for x in labels))
+def _position_bits(n: int) -> list:
+    """bits[x]: the bitmask of the circle position of label x (0 unused)."""
+    return [0] + [1 << circle_position(n, x) for x in range(1, 2 * n + 1)]
 
 
-def _concordant_keys(pair: KrewerasPair) -> list:
-    """Position tuples of the basis wedges concordant with the pair.
-
-    One label from every block of sigma and of its complement, in the
-    product order of ``concordant_index_pairs``.
-    """
-    n = pair.n
-    placed = [tuple(circle_position(n, x) for x in b) for b in pair.all_blocks()]
-    return [tuple(sorted(c)) for c in itertools.product(*placed)]
+def _concordant_masks(bits, blocks) -> list:
+    """Bitmasks of the wedges concordant with the blocks, one label from
+    every block, in product order; ``bits`` from ``_position_bits``."""
+    base, sums = 0, [0]
+    for b in blocks:
+        if len(b) == 1:
+            base |= bits[b[0]]
+        else:
+            sums = [s | bits[x] for s in sums for x in b]
+    return [base | s for s in sums]
 
 
 def f_sigma(pair: KrewerasPair) -> ExteriorVector:
     """Sum of basis wedges over index pairs concordant with the pair."""
-    return ExteriorVector(
-        pair.n, pair.n + 1, dict.fromkeys(_concordant_keys(pair), Fraction(1)))
+    masks = _concordant_masks(_position_bits(pair.n), pair.all_blocks())
+    return ExteriorVector.from_masks(pair.n, pair.n + 1, 1, dict.fromkeys(masks, 1))
 
 
-def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
-    """Exterior vector of a measurement vector: sum of Lambda_sigma f_sigma.
-
-    The sums are exact integers over the lcm of the Lambda denominators.
-    """
+def lam_masks(measurements: GroveMeasurements) -> tuple:
+    """``lam_map`` in integer form ``(d, {mask: t})``: the coordinates of
+    sum Lambda_sigma f_sigma as integers t over d, the lcm of the Lambda
+    denominators, keyed by the bitmasks of their positions.  Zero
+    coordinates are dropped."""
     values = [(sigma, val) for sigma, val in measurements.values.items() if val]
     denom = math.lcm(*(val.denominator for _, val in values))
+    bits = _position_bits(measurements.n)
     out = {}
     for sigma, val in values:
         weight = val.numerator * (denom // val.denominator)
-        for key in _concordant_keys(KrewerasPair.of(sigma)):
-            out[key] = out.get(key, 0) + weight
+        blocks = sigma.blocks + _kreweras_tilde_blocks(sigma)
+        for mask in _concordant_masks(bits, blocks):
+            out[mask] = out.get(mask, 0) + weight
+    return denom, {mask: t for mask, t in out.items() if t}
+
+
+def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
+    """Exterior vector of a measurement vector: sum of Lambda_sigma f_sigma."""
     n = measurements.n
-    return ExteriorVector._built(n, n + 1, {
-        key: Fraction(total, denom) for key, total in out.items() if total})
+    return ExteriorVector.from_masks(n, n + 1, *lam_masks(measurements))
 
 
 def plucker(m: RationalMatrix) -> ExteriorVector:
@@ -149,20 +169,10 @@ def plucker(m: RationalMatrix) -> ExteriorVector:
 # The bilinear forms
 # ---------------------------------------------------------------------------
 
-def d_matrix(n: int) -> RationalMatrix:
-    """Diagonal sign matrix: both columns of label i carry (-1)^(i-1)."""
-    diag = []
-    for i in range(1, n + 1):
-        diag += [Fraction((-1) ** (i - 1))] * 2
-    return RationalMatrix(
-        [[diag[p] if p == q else Fraction(0) for q in range(2 * n)]
-         for p in range(2 * n)]
-    )
-
-
 def _negate_even_labels(rows, n: int):
-    """Right multiplication by ``d_matrix(n)``, in place: negate both
-    columns of every even label."""
+    """Right multiplication by the diagonal sign matrix, whose two columns
+    of label i carry (-1)^(i-1), in place: negate both columns of every
+    even label."""
     cols = [circle_position(n, lbl) for i in range(2, n + 1, 2)
             for lbl in (i, n + i)]
     for row in rows:
@@ -188,11 +198,6 @@ def omega(n: int) -> RationalMatrix:
     return RationalMatrix(m)
 
 
-def omega_d(n: int) -> RationalMatrix:
-    """The sign-simplified conjugate form: D Omega D."""
-    return d_matrix(n) @ omega(n) @ d_matrix(n)
-
-
 def omega_kernel(n: int):
     """Basis of the radical: alternating sign vectors on each parity."""
     v1 = [Fraction(0)] * (2 * n)
@@ -203,59 +208,54 @@ def omega_kernel(n: int):
     return [v1, v2]
 
 
-def omega_d_kernel(n: int):
-    v1 = [Fraction(0)] * (2 * n)
-    v2 = [Fraction(0)] * (2 * n)
-    for i in range(1, n + 1):
-        v1[circle_position(n, i)] = Fraction(1)
-        v2[circle_position(n, n + i)] = Fraction(1)
-    return [v1, v2]
-
-
 # ---------------------------------------------------------------------------
 # Contraction with the form, isotropy, kernel dimension
 # ---------------------------------------------------------------------------
 
-def _partners(form: RationalMatrix):
-    """(F, partners): the lcm F of the form's denominators and, for each
-    position p, the pairs (q, F * form[p][q]) over q > p with a nonzero
-    entry.  Contraction reads only these upper entries."""
+def _pairs(form: RationalMatrix):
+    """(F, pairs): the lcm F of the form's denominators and, for each
+    nonzero entry form[p][q] with p < q, the triple (bitmask of p and q,
+    bitmask of the positions strictly between them, F * form[p][q]).
+    Contraction reads only these upper entries."""
     rows = form.rows
     denom = math.lcm(*(x.denominator for row in rows for x in row))
-    return denom, [
-        [(q, x.numerator * (denom // x.denominator))
-         for q, x in enumerate(row) if q > p and x]
-        for p, row in enumerate(rows)
-    ]
+    return denom, [((1 << p) | (1 << q), (1 << q) - (2 << p),
+                    x.numerator * (denom // x.denominator))
+                   for p, row in enumerate(rows)
+                   for q, x in enumerate(row) if q > p and x]
 
 
-def _contractions(partners, key):
-    """Terms (key without positions p < q, +-weight) of contracting one
-    basis wedge; the sign is (-1)^(i+j-1) for the indices i < j of p, q."""
-    index = {p: i for i, p in enumerate(key)}
-    for i, p in enumerate(key):
-        for q, w in partners[p]:
-            j = index.get(q)
-            if j is not None:
-                yield key[:i] + key[i + 1:j] + key[j + 1:], w if (i + j) % 2 else -w
+def _contract(pairs, terms: dict) -> dict:
+    """The contraction of the vector ``{mask: t}`` with the form of
+    ``pairs``, as ``{mask: total}``, zero totals kept.  A basis wedge with
+    positions p < q at indices i < j contributes (-1)^(i+j-1) times the
+    form's entry on them: the sign flips with each of its positions
+    between p and q."""
+    out = {}
+    get = out.get
+    for mask, t in terms.items():
+        for pq, between, w in pairs:
+            if mask & pq == pq:
+                rest = mask ^ pq
+                out[rest] = get(rest, 0) + (
+                    -w * t if (mask & between).bit_count() & 1 else w * t)
+    return out
+
+
+def kappa_masks(form: RationalMatrix, denom: int, terms: dict) -> tuple:
+    """``kappa`` in integer form: the contraction of the vector of
+    ``(denom, terms)`` (see ``ExteriorVector.masks``) as ``(F * denom,
+    {mask: t})``, F the lcm of the form's denominators, zero terms
+    dropped."""
+    fdenom, pairs = _pairs(form)
+    out = _contract(pairs, terms)
+    return fdenom * denom, {rest: t for rest, t in out.items() if t}
 
 
 def kappa(form: RationalMatrix, vec: ExteriorVector) -> ExteriorVector:
-    """Contract a degree-(n+1) vector with a skew form, degree drops by 2.
-
-    The terms are exact integers over F * V, the lcm of the form's
-    denominators times the lcm of the vector's.
-    """
-    denom, partners = _partners(form)
-    vdenom = math.lcm(*(val.denominator for val in vec.coords.values()))
-    out = {}
-    for key, val in vec.coords.items():
-        scaled = val.numerator * (vdenom // val.denominator)
-        for rest, w in _contractions(partners, key):
-            out[rest] = out.get(rest, 0) + w * scaled
-    denom *= vdenom
-    return ExteriorVector._built(vec.n, vec.degree - 2, {
-        rest: Fraction(total, denom) for rest, total in out.items() if total})
+    """Contract a degree-(n+1) vector with a skew form, degree drops by 2."""
+    return ExteriorVector.from_masks(
+        vec.n, vec.degree - 2, *kappa_masks(form, *vec.masks()))
 
 
 def is_isotropic(m: RationalMatrix, form: RationalMatrix) -> bool:
@@ -273,54 +273,21 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     # one basis wedge contracts to distinct keys, so a row has no repeated
     # column; scaling the form by its denominator does not change the rank,
     # and the kernel takes the integer rows as they are
-    _, partners = _partners(form)
-    src = list(itertools.combinations(range(2 * n), n + 1))
-    rows = [dict(_contractions(partners, key)) for key in src]
+    _, pairs = _pairs(form)
+    src = [sum(1 << p for p in key)
+           for key in itertools.combinations(range(2 * n), n + 1)]
+    rows = [_contract(pairs, {mask: 1}) for mask in src]
     return len(src) - len(_reduce(rows))
+
+
+def same_sign(values) -> bool:
+    """True iff the nonzero ``values`` are not empty and share one sign."""
+    return len({v > 0 for v in values}) == 1
 
 
 def is_totally_nonnegative(vec: ExteriorVector) -> bool:
     """Nonzero, and all coefficients share one sign (projectively TNN)."""
-    if vec.is_zero():
-        return False
-    signs = {v > 0 for v in vec.coords.values()}
-    return len(signs) == 1
-
-
-# ---------------------------------------------------------------------------
-# Cyclic shift
-# ---------------------------------------------------------------------------
-
-def shift(n: int) -> RationalMatrix:
-    """Row-vector action of the cyclic shift: position p moves to p - 1,
-    position 0 wraps to 2n - 1 with sign (-1)^n."""
-    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    m[0][2 * n - 1] = Fraction((-1) ** n)
-    for p in range(1, 2 * n):
-        m[p][p - 1] = Fraction(1)
-    return RationalMatrix(m)
-
-
-def shift_exterior(vec: ExteriorVector) -> ExteriorVector:
-    """The induced shift on wedge^(n+1); all signs cancel in this degree."""
-    n = vec.n
-    out = {}
-    for key, val in vec.coords.items():
-        new = tuple(sorted((p - 1) % (2 * n) for p in key))
-        # moving position 0 to the back costs (-1)^n which the wrap
-        # coefficient (-1)^n cancels, so the sign is always +1
-        out[new] = out.get(new, Fraction(0)) + val
-    return ExteriorVector(n, n + 1, out)
-
-
-def cyclic_shift(m: RationalMatrix) -> RationalMatrix:
-    """Column action of the shift on a representing matrix."""
-    return m @ shift(m.ncols // 2)
-
-
-def shift_partition(sigma: NoncrossingPartition) -> NoncrossingPartition:
-    """Relabel of the Kreweras complement matching the exterior shift."""
-    return kreweras_complement(sigma)
+    return same_sign(vec.coords.values())
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +381,3 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
          for i in range(n)]
     )
 
-
-def extreme_coordinates(vec: ExteriorVector):
-    """The two families of extreme Plucker coordinates.
-
-    Returns (not_shorted, connected): coefficients on "all plain columns
-    plus one tilde column" and "one plain column plus all tilde".  Each
-    family is constant on isotropic network images.
-    """
-    plain, tilde = _chart_columns(vec.n, plain_pivots=True)
-    not_shorted = [vec[tuple(sorted(plain + [tk]))] for tk in tilde]
-    connected = [vec[tuple(sorted([p] + tilde))] for p in plain]
-    if len(set(not_shorted)) != 1 or len(set(connected)) != 1:
-        raise ValueError("extreme coordinates differ; vector is not an image")
-    return not_shorted[0], connected[0]

@@ -11,10 +11,11 @@ document is streamed by ``write_lambda`` from the runs of names of
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .combinat import format_element
+from .combinat import circle_position, format_element
 from .grassmann import ExteriorVector
 from .linalg import RationalMatrix
 from .network import CactusNetwork, boundary_name
@@ -142,20 +143,33 @@ def matrix_to_doc(m: RationalMatrix):
     return [[format_rational(x) for x in row] for row in m.rows]
 
 
-def index_set_string(n: int, positions) -> str:
-    """Render a tuple of circle positions, e.g. (0, 1, 2) -> "1,1~,2"."""
-    labels = []
-    for p in sorted(positions):
-        i = p // 2 + 1
-        labels.append(format_element(n, i if p % 2 == 0 else n + i))
-    return ",".join(labels)
+def masks_to_doc(n: int, denom: int, terms: dict) -> dict:
+    """``exterior_to_doc`` of the vector of the integer form ``(denom,
+    terms)`` (see ``ExteriorVector.masks``).  Each half of the circle,
+    positions 0 .. n - 1 and n .. 2n - 1, is read from a table of its 2^n
+    bitmasks: the names of its positions, and the bitmask reversed, whose
+    descending order over a whole key is the order of the sorted keys."""
+    label_at = {circle_position(n, x): x for x in range(1, 2 * n + 1)}
+    low, high, rev = [""], [""], [0]
+    for h in range(1, 1 << n):
+        top = h.bit_length() - 1
+        rest = h ^ (1 << top)
+        low.append(low[rest] + format_element(n, label_at[top]) + ",")
+        high.append(high[rest] + format_element(n, label_at[n + top]) + ",")
+        rev.append(rev[rest] | 1 << (n - 1 - top))
+    half = (1 << n) - 1
+    doc = {}
+    for mask in sorted(terms, key=lambda m: rev[m & half] << n | rev[m >> n],
+                       reverse=True):
+        t = terms[mask]
+        g = math.gcd(t, denom)
+        doc[(low[mask & half] + high[mask >> n])[:-1]] = (
+            str(t // g) if g == denom else f"{t // g}/{denom // g}")
+    return doc
 
 
 def exterior_to_doc(vec: ExteriorVector) -> dict:
-    return {
-        index_set_string(vec.n, key): format_rational(val)
-        for key, val in sorted(vec.coords.items())
-    }
+    return masks_to_doc(vec.n, *vec.masks())
 
 
 def dump_document(doc, compact: bool = False) -> str:

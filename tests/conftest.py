@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -11,13 +12,16 @@ import pytest
 
 from cactusnet import cli, groves, netfile
 from cactusnet.combinat import (
+    KrewerasPair,
     NoncrossingPartition,
     _crossing,
     canonical_blocks,
     circle_position,
     concordant_index_pairs,
+    format_element,
+    kreweras_complement,
 )
-from cactusnet.grassmann import ExteriorVector, d_matrix, positions_of
+from cactusnet.grassmann import ExteriorVector, _chart_columns, omega
 from cactusnet.electrical import laplacian
 from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions, solve_many
 from cactusnet.network import (
@@ -294,6 +298,20 @@ def random_planar_net(rng, n, connected=False):
         n, [(i,) for i in range(1, n + 1)], internal, edges, rotations)
 
 
+def oracle_networks():
+    """Test networks, grids with small and 30-bit conductances, and
+    random wheels, connected or not."""
+    rng = random.Random(41)
+    nets = [make_glued_tree(), make_shorted(), make_disconnected(),
+            make_y(1, 2, 3), make_grid4(), make_subdivided_wheel(),
+            make_two_hubs(), make_floating_triangle(), make_delta(1, 2, 3),
+            make_edgeless(3), make_single_edge()]
+    nets += [make_grid(k, rng, bits) for k in (3, 5, 6) for bits in (2, 30)]
+    nets += [random_planar_net(rng, rng.randint(2, 7), connected=rng.random() < 0.5)
+             for _ in range(40)]
+    return nets
+
+
 def _find_halving(parent, x):
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -525,6 +543,162 @@ def concordant_keys_oracle(pair):
     concordant index pair."""
     return [positions_of(pair.n, idx + tidx)
             for idx, tidx in concordant_index_pairs(pair)]
+
+
+# ---------------------------------------------------------------------------
+# Grassmannian helpers that only tests use, and the tuple-keyed Plucker
+# route that the integer bitmask kernels replaced (the oracles of
+# lam_masks, kappa_masks and masks_to_doc)
+# ---------------------------------------------------------------------------
+
+def positions_of(n: int, labels) -> tuple:
+    """Sorted circle positions of a set of labels (tilde stored as n+k)."""
+    return tuple(sorted(circle_position(n, x) for x in labels))
+
+
+def d_matrix(n: int) -> RationalMatrix:
+    """Diagonal sign matrix: both columns of label i carry (-1)^(i-1)."""
+    diag = []
+    for i in range(1, n + 1):
+        diag += [Fraction((-1) ** (i - 1))] * 2
+    return RationalMatrix(
+        [[diag[p] if p == q else Fraction(0) for q in range(2 * n)]
+         for p in range(2 * n)]
+    )
+
+
+def omega_d(n: int) -> RationalMatrix:
+    """The sign-simplified conjugate form: D Omega D."""
+    return d_matrix(n) @ omega(n) @ d_matrix(n)
+
+
+def omega_d_kernel(n: int):
+    v1 = [Fraction(0)] * (2 * n)
+    v2 = [Fraction(0)] * (2 * n)
+    for i in range(1, n + 1):
+        v1[circle_position(n, i)] = Fraction(1)
+        v2[circle_position(n, n + i)] = Fraction(1)
+    return [v1, v2]
+
+
+def shift(n: int) -> RationalMatrix:
+    """Row-vector action of the cyclic shift: position p moves to p - 1,
+    position 0 wraps to 2n - 1 with sign (-1)^n."""
+    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    m[0][2 * n - 1] = Fraction((-1) ** n)
+    for p in range(1, 2 * n):
+        m[p][p - 1] = Fraction(1)
+    return RationalMatrix(m)
+
+
+def shift_exterior(vec: ExteriorVector) -> ExteriorVector:
+    """The induced shift on wedge^(n+1); all signs cancel in this degree."""
+    n = vec.n
+    out = {}
+    for key, val in vec.coords.items():
+        new = tuple(sorted((p - 1) % (2 * n) for p in key))
+        # moving position 0 to the back costs (-1)^n which the wrap
+        # coefficient (-1)^n cancels, so the sign is always +1
+        out[new] = out.get(new, Fraction(0)) + val
+    return ExteriorVector(n, n + 1, out)
+
+
+def cyclic_shift(m: RationalMatrix) -> RationalMatrix:
+    """Column action of the shift on a representing matrix."""
+    return m @ shift(m.ncols // 2)
+
+
+def shift_partition(sigma: NoncrossingPartition) -> NoncrossingPartition:
+    """Relabel of the Kreweras complement matching the exterior shift."""
+    return kreweras_complement(sigma)
+
+
+def extreme_coordinates(vec: ExteriorVector):
+    """The two families of extreme Plucker coordinates.
+
+    Returns (not_shorted, connected): coefficients on "all plain columns
+    plus one tilde column" and "one plain column plus all tilde".  Each
+    family is constant on isotropic network images.
+    """
+    plain, tilde = _chart_columns(vec.n, plain_pivots=True)
+    not_shorted = [vec[tuple(sorted(plain + [tk]))] for tk in tilde]
+    connected = [vec[tuple(sorted([p] + tilde))] for p in plain]
+    if len(set(not_shorted)) != 1 or len(set(connected)) != 1:
+        raise ValueError("extreme coordinates differ; vector is not an image")
+    return not_shorted[0], connected[0]
+
+
+def tuple_concordant_keys(pair) -> list:
+    """Position tuples of the basis wedges concordant with the pair, one
+    label from every block, in product order."""
+    n = pair.n
+    placed = [tuple(circle_position(n, x) for x in b) for b in pair.all_blocks()]
+    return [tuple(sorted(c)) for c in itertools.product(*placed)]
+
+
+def tuple_lam_map(measurements) -> ExteriorVector:
+    """Oracle for lam_map: the sums over tuple keys, exact integers over
+    the lcm of the Lambda denominators."""
+    values = [(sigma, val) for sigma, val in measurements.values.items() if val]
+    denom = math.lcm(*(val.denominator for _, val in values))
+    out = {}
+    for sigma, val in values:
+        weight = val.numerator * (denom // val.denominator)
+        for key in tuple_concordant_keys(KrewerasPair.of(sigma)):
+            out[key] = out.get(key, 0) + weight
+    n = measurements.n
+    return ExteriorVector(n, n + 1, {
+        key: Fraction(total, denom) for key, total in out.items() if total})
+
+
+def tuple_kappa(form, vec) -> ExteriorVector:
+    """Oracle for kappa: each key's positions p < q at indices i < j
+    looked up in per-position partner lists, sign (-1)^(i+j-1), integer
+    sums over the lcm of the form's and the vector's denominators."""
+    rows = form.rows
+    fdenom = math.lcm(*(x.denominator for row in rows for x in row))
+    partners = [[(q, x.numerator * (fdenom // x.denominator))
+                 for q, x in enumerate(row) if q > p and x]
+                for p, row in enumerate(rows)]
+    vdenom = math.lcm(*(val.denominator for val in vec.coords.values()))
+    out = {}
+    for key, val in vec.coords.items():
+        scaled = val.numerator * (vdenom // val.denominator)
+        index = {p: i for i, p in enumerate(key)}
+        for i, p in enumerate(key):
+            for q, w in partners[p]:
+                j = index.get(q)
+                if j is not None:
+                    rest = key[:i] + key[i + 1:j] + key[j + 1:]
+                    out[rest] = out.get(rest, 0) + (w if (i + j) % 2 else -w) * scaled
+    denom = fdenom * vdenom
+    return ExteriorVector(vec.n, vec.degree - 2, {
+        rest: Fraction(total, denom) for rest, total in out.items() if total})
+
+
+def tuple_exterior_to_doc(vec) -> dict:
+    """Oracle for exterior_to_doc: the coordinates in sorted key order,
+    each key named position by position."""
+    def name(key):
+        return ",".join(format_element(vec.n, p // 2 + 1 if p % 2 == 0 else
+                                       vec.n + p // 2 + 1) for p in key)
+    return {name(key): netfile.format_rational(val)
+            for key, val in sorted(vec.coords.items())}
+
+
+def tuple_route_document(argv, vec):
+    """The document of a ``plucker``, ``tnn`` or ``isotropy`` command line
+    by the tuple-keyed route, from ``vec = tuple_lam_map(Lambda)``."""
+    if argv[0] == "tnn":
+        signs = {v > 0 for v in vec.coords.values()}
+        return {"totally_nonnegative": len(signs) == 1}
+    kappa_zero = not tuple_kappa(omega(vec.n), vec).coords
+    if argv[0] == "isotropy":
+        return {"kappa_zero": kappa_zero}
+    doc = {"coordinates": tuple_exterior_to_doc(vec)}
+    if "--check-isotropy" in argv:
+        doc["kappa_zero"] = kappa_zero
+    return doc
 
 
 def dense_matmul(a, b):

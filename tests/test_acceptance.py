@@ -8,12 +8,17 @@ import random
 from fractions import Fraction
 
 from conftest import (
+    cyclic_shift,
+    d_matrix,
+    extreme_coordinates,
     make_delta,
     make_disconnected,
     make_glued_tree,
     make_shorted,
     make_single_edge,
     make_y,
+    omega_d,
+    positions_of,
     random_planar_net,
 )
 from cactusnet.combinat import (
@@ -32,10 +37,7 @@ from cactusnet.electrical import (
 from cactusnet.grassmann import (
     chart_from_lstar,
     chart_from_response,
-    cyclic_shift,
-    d_matrix,
     extract_symmetric,
-    extreme_coordinates,
     f_sigma,
     is_isotropic,
     is_totally_nonnegative,
@@ -43,9 +45,7 @@ from cactusnet.grassmann import (
     kernel_dimension_of_kappa,
     lam_map,
     omega,
-    omega_d,
     plucker,
-    positions_of,
     proportionality_factor,
 )
 from cactusnet.groves import (

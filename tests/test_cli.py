@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     RecordingStream,
     build_parser,
+    extreme_coordinates,
     grown_noncrossing_blocks,
     make_delta,
     make_disconnected,
@@ -28,7 +29,7 @@ from conftest import (
 from cactusnet import cli, electrical, groves, netfile
 from cactusnet.cli import main
 from cactusnet.combinat import NoncrossingPartition, catalan
-from cactusnet.grassmann import extreme_coordinates, lam_map
+from cactusnet.grassmann import lam_map
 from cactusnet.groves import GROVE_EDGE_CAP, lambda_vector
 from cactusnet.network import CactusNetwork, validate
 from fractions import Fraction

@@ -196,7 +196,7 @@ def test_kreweras_checks_raise(monkeypatch):
     with pytest.raises(AssertionError, match="block count"):
         _kreweras_tilde_blocks(crossing)
     # the union scan is a guard against a wrong complement: force it
-    monkeypatch.setattr(combinat, "_crossing", lambda n, blocks: True)
+    monkeypatch.setattr(combinat, "_crossing_scan", lambda block_of, left: True)
     with pytest.raises(AssertionError, match="crosses"):
         _kreweras_tilde_blocks(NoncrossingPartition.singletons(3))
 

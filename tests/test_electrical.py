@@ -14,16 +14,15 @@ from conftest import (
     make_delta,
     make_disconnected,
     make_edgeless,
-    make_floating_triangle,
     make_glued_tree,
     make_grid,
     make_grid4,
     make_isolated_vertex,
     make_shorted,
     make_single_edge,
-    make_subdivided_wheel,
     make_two_hubs,
     make_y,
+    oracle_networks,
     random_planar_net,
     solve_many_response,
     two_solve_resistance,
@@ -243,20 +242,6 @@ def test_grounded_resistance_matches_per_pair_oracle(rng):
         else:
             assert resistance_matrix(net) == expect
     assert disconnected >= 2
-
-
-def oracle_networks():
-    """Test networks, grids with small and 30-bit conductances, and
-    random wheels, connected or not."""
-    rng = random.Random(41)
-    nets = [make_glued_tree(), make_shorted(), make_disconnected(),
-            make_y(1, 2, 3), make_grid4(), make_subdivided_wheel(),
-            make_two_hubs(), make_floating_triangle(), make_delta(1, 2, 3),
-            make_edgeless(3), make_single_edge()]
-    nets += [make_grid(k, rng, bits) for k in (3, 5, 6) for bits in (2, 30)]
-    nets += [random_planar_net(rng, rng.randint(2, 7), connected=rng.random() < 0.5)
-             for _ in range(40)]
-    return nets
 
 
 def test_response_matches_the_dense_oracle():

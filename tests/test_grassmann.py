@@ -12,18 +12,31 @@ from conftest import (
     chart_from_lstar_via_d,
     chart_from_response_via_d,
     concordant_keys_oracle,
+    cyclic_shift,
+    d_matrix,
     dense_kappa_kernel_dimension,
     extract_symmetric_via_d,
+    extreme_coordinates,
     make_delta,
     make_disconnected,
     make_glued_tree,
     make_shorted,
     make_single_edge,
     make_y,
+    omega_d,
+    omega_d_kernel,
+    oracle_networks,
     pair_loop_kappa,
     random_planar_net,
+    shift,
+    shift_exterior,
+    shift_partition,
+    tuple_kappa,
+    tuple_lam_map,
+    tuple_route_document,
 )
-from cactusnet import grassmann
+from cactusnet import grassmann, netfile
+from cactusnet.cli import main
 from cactusnet.combinat import (
     KrewerasPair,
     NoncrossingPartition,
@@ -40,10 +53,7 @@ from cactusnet.grassmann import (
     ExteriorVector,
     chart_from_lstar,
     chart_from_response,
-    cyclic_shift,
-    d_matrix,
     extract_symmetric,
-    extreme_coordinates,
     f_sigma,
     is_isotropic,
     is_totally_nonnegative,
@@ -51,14 +61,9 @@ from cactusnet.grassmann import (
     kernel_dimension_of_kappa,
     lam_map,
     omega,
-    omega_d,
-    omega_d_kernel,
     omega_kernel,
     plucker,
     proportionality_factor,
-    shift,
-    shift_exterior,
-    shift_partition,
 )
 from cactusnet.groves import lambda_vector
 from cactusnet.linalg import RationalMatrix
@@ -214,11 +219,16 @@ def test_kappa_matches_the_pair_loop_oracle(rng):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_concordant_keys_match_the_oracle(n):
+    """The bitmasks that f_sigma and lam_masks sum, against the concordant
+    index pairs: no mask twice, and the same keys."""
+    bits = grassmann._position_bits(n)
     for sigma in enumerate_noncrossing(n):
         pair = KrewerasPair.of(sigma)
-        got = grassmann._concordant_keys(pair)
+        got = grassmann._concordant_masks(bits, pair.all_blocks())
         assert len(set(got)) == len(got)
-        assert set(got) == set(concordant_keys_oracle(pair))
+        keys = f_sigma(pair).coords
+        assert len(keys) == len(got)
+        assert set(keys) == set(concordant_keys_oracle(pair))
 
 
 def test_f_sigma_spans_kernel_of_kappa():
@@ -262,6 +272,103 @@ def test_lam_map_is_the_sum_of_scaled_f_sigma(rng):
         for sigma in enumerate_noncrossing(net.n):
             expect = expect + f_sigma(KrewerasPair.of(sigma)).scale(lam[sigma])
         assert lam_map(lam) == expect
+
+
+def plucker_networks():
+    """The oracle networks (glued, shorted, disconnected and over-cap ones
+    included) and random networks with n = 2 .. 7."""
+    rng = random.Random(21)
+    return oracle_networks() + [random_planar_net(rng, n, connected=connected)
+                                for n in range(2, 8) for connected in (True, False)]
+
+
+def test_plucker_family_documents_match_the_tuple_route(tmp_path, capsys):
+    """The CLI's plucker (with and without --check-isotropy), tnn and
+    isotropy output, computed on integer bitmask coordinates, against
+    the documents of the tuple-keyed route, byte for byte; a network the
+    grove search refuses exits 2 on every command."""
+    commands = (["plucker"], ["plucker", "--check-isotropy"], ["tnn"],
+                ["isotropy"])
+    compared = 0
+    for k, net in enumerate(plucker_networks()):
+        path = str(tmp_path / f"net{k}.json")
+        netfile.save_network(net, path)
+        try:
+            vec = tuple_lam_map(lambda_vector(net))
+        except ValueError:
+            vec = None
+        for argv in commands:
+            code = main([argv[0], path] + argv[1:])
+            out = capsys.readouterr().out
+            if vec is None:
+                assert (code, out) == (2, "")
+                continue
+            assert code == 0
+            assert out == netfile.dump_document(tuple_route_document(argv, vec)) + "\n"
+            compared += 1
+    assert compared >= 4 * 60
+
+
+def test_plucker_kernels_match_the_oracles():
+    """On the same networks: lam_masks (through lam_map) against the sum
+    of Lambda(sigma) f_sigma and the tuple-keyed sums, and kappa_masks
+    (through kappa with omega) against the pair loop and the partner
+    lists."""
+    for net in plucker_networks():
+        try:
+            lam = lambda_vector(net)
+        except ValueError:
+            continue
+        n = net.n
+        total = {}
+        for sigma, val in lam.values.items():
+            for key, one in f_sigma(KrewerasPair.of(sigma)).coords.items():
+                total[key] = total.get(key, 0) + one * val
+        vec = lam_map(lam)
+        assert vec == ExteriorVector(n, n + 1, total) == tuple_lam_map(lam)
+        assert ExteriorVector.from_masks(n, n + 1, *grassmann.lam_masks(lam)) == vec
+        contracted = kappa(omega(n), vec)
+        assert contracted == pair_loop_kappa(omega(n), vec) == tuple_kappa(omega(n), vec)
+        assert contracted.is_zero()
+
+
+def test_kappa_masks_off_the_image(rng):
+    """Random vectors that are not isotropic: kappa_masks gives nonzero
+    integer terms whose vector is the oracles' contraction."""
+    nonzero = tried = 0
+    for n in range(2, 7):
+        keys = list(itertools.combinations(range(2 * n), n + 1))
+        for _ in range(6):
+            vec = ExteriorVector(n, n + 1, {
+                key: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for key in rng.sample(keys, min(len(keys), 10))})
+            assert ExteriorVector.from_masks(n, n + 1, *vec.masks()) == vec
+            for form in (omega(n), omega_d(n), random_skew_form(rng, n)):
+                denom, terms = grassmann.kappa_masks(form, *vec.masks())
+                assert all(terms.values())
+                got = ExteriorVector.from_masks(n, n - 1, denom, terms)
+                assert got == pair_loop_kappa(form, vec) == tuple_kappa(form, vec)
+                tried += 1
+                nonzero += bool(terms)
+    assert nonzero >= tried - 3
+
+
+def test_totally_nonnegative_on_mixed_signs_and_zero():
+    """Signs read from Fractions and from the integers of the kernel's
+    form: one sign is nonnegative, mixed signs and zero vectors are not."""
+    pos = ExteriorVector(2, 3, {(0, 1, 2): 1, (0, 1, 3): Fraction(1, 2)})
+    mixed = ExteriorVector(2, 3, {(0, 1, 2): 1, (1, 2, 3): Fraction(-1, 3)})
+    zero = ExteriorVector(2, 3, {(0, 1, 2): 0})
+    assert is_totally_nonnegative(pos)
+    assert is_totally_nonnegative(pos.scale(-2))
+    assert not is_totally_nonnegative(mixed)
+    assert not is_totally_nonnegative(zero)
+    assert not is_totally_nonnegative(ExteriorVector(2, 3))
+    assert not is_totally_nonnegative(pos + pos.scale(-1))
+    for vec, expect in ((pos, True), (mixed, False), (zero, False)):
+        assert grassmann.same_sign(vec.masks()[1].values()) is expect
+    assert grassmann.same_sign([-3, -5]) and not grassmann.same_sign([3, -5])
+    assert not grassmann.same_sign([])
 
 
 def test_chart_round_trips_random_symmetric(rng):
@@ -337,7 +444,9 @@ def test_charts_do_not_multiply_by_the_sign_matrix(monkeypatch):
     def refuse(n):
         raise AssertionError("d_matrix called")
 
-    monkeypatch.setattr(grassmann, "d_matrix", refuse)
+    # the sign matrix lives in the tests; one bound in the module again
+    # would still be caught
+    monkeypatch.setattr(grassmann, "d_matrix", refuse, raising=False)
     resp = response_matrix(make_y(1, 2, 3))
     assert extract_symmetric(chart_from_response(resp), "dual") == \
         lstar_from_resistance(resistance_matrix(make_y(1, 2, 3)))
