@@ -445,11 +445,18 @@ def test_charts_do_not_multiply_by_the_sign_matrix(monkeypatch):
         raise AssertionError("d_matrix called")
 
     # the sign matrix lives in the tests; one bound in the module again
-    # would still be caught
+    # would still be caught, and so is any product beyond extraction's one
     monkeypatch.setattr(grassmann, "d_matrix", refuse, raising=False)
+    products = []
+    matmul = RationalMatrix.__matmul__
+    monkeypatch.setattr(RationalMatrix, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
     resp = response_matrix(make_y(1, 2, 3))
-    assert extract_symmetric(chart_from_response(resp), "dual") == \
+    chart = chart_from_response(resp)
+    assert products == []
+    assert extract_symmetric(chart, "dual") == \
         lstar_from_resistance(resistance_matrix(make_y(1, 2, 3)))
+    assert products == [1]
 
 
 def test_chart_isotropy_random_symmetric(rng):
