@@ -10,14 +10,15 @@ conductance products over groves inducing it.  It is stored sparsely:
 induces, and every other partition measures 0.
 
 The search walks the forests depth first on one explicit stack.  Each
-forest is a quick-find root list over the vertices of the quotient
-graph, boundary blocks first: every vertex holds the smallest index in
-its tree.  So a tree holds a boundary block iff its root index is
-< nboundary, a forest is a grove iff no root is >= nboundary, and the
-first nboundary roots are a canonical key of the induced partition.
-``enumerate_groves`` yields that key with each grove, and
-``lambda_vector`` sums the grove weights under it into one integer per
-class: the class fixes its number of trees, hence its grove size.
+forest is a quick-find root string over the vertices of the quotient
+graph, boundary blocks first: character k is ``chr`` of the smallest
+index in the tree of vertex k, so a join is one ``str.replace``.  A tree
+holds a boundary block iff its root index is < nboundary, a forest is a
+grove iff no root is >= nboundary, and the first nboundary characters
+key the induced partition.  ``enumerate_groves`` yields that key and the
+weight product each forest carries, and ``lambda_vector`` sums the
+products under the key into one integer per class: the class fixes its
+number of trees, hence its grove size.
 """
 
 import math
@@ -45,17 +46,19 @@ def _as_quotient(net) -> QuotientGraph:
     return quotient_graph(net)
 
 
-def enumerate_groves(net):
-    """Yield ``(grove, roots)`` pairs, the groves in lexicographic order.
+def enumerate_groves(net, weight):
+    """Yield ``(grove, roots, product)``, the groves in lexicographic order.
 
     ``grove`` is the sorted tuple of the grove's edge ids.  ``roots`` is
-    the tuple of the first nboundary quick-find roots: boundary blocks
-    with equal roots share a tree, so it keys the induced partition
-    (see ``_partitions``).  Accepts a valid network or its quotient
-    graph.  Loop edges of the quotient never appear in a grove.
+    the string of the first nboundary quick-find roots: boundary blocks
+    with equal roots share a tree, so it keys the induced partition (see
+    ``_partitions``).  ``product`` is the integer 1 times ``weight[e]``
+    for each grove edge e; ``weight`` maps every quotient edge id.  Accepts
+    a valid network or its quotient graph.  Loop edges of the quotient
+    never appear in a grove.
 
-    A stacked forest is ``(next edge, roots, loose trees, chosen ids)``;
-    its children are pushed last edge first, so they pop in order.
+    A stacked forest is ``(next edge, roots, loose trees, chosen ids,
+    product)``; its children are pushed last edge first, so they pop in order.
     """
     qg = _as_quotient(net)
     if len(qg.edges) > GROVE_EDGE_CAP:
@@ -64,28 +67,32 @@ def enumerate_groves(net):
         )
     index = {v: i for i, v in enumerate(qg.vertices)}  # boundary block b has index b
     edges = sorted((eid, index[u], index[v]) for eid, u, v, _ in qg.edges)
-    # (index of the next edge, edge) from the last edge back
-    backward = [(k + 1, *edge) for k, edge in enumerate(edges)][::-1]
+    # (index of the next edge, edge, weight) from the last edge back; a
+    # forest whose next edge is k may still add the first E - k of them
+    backward = [(k + 1, eid, u, v, weight[eid])
+                for k, (eid, u, v) in enumerate(edges)][::-1]
+    tails = [backward[:len(edges) - k] for k in range(len(edges) + 1)]
     nboundary, nvertices = len(qg.boundary), len(qg.vertices)
+    internal = chr(nboundary)  # the least root of a tree without a block
     # loose counts the trees without a boundary block
-    stack = [(0, list(range(nvertices)), nvertices - nboundary, ())]
+    stack = [(0, "".join(map(chr, range(nvertices))), nvertices - nboundary, (), 1)]
     while stack:
-        start, root, loose, chosen = stack.pop()
+        start, root, loose, chosen, product = stack.pop()
         if not loose:
-            yield chosen, tuple(root[:nboundary])
-        for after, eid, u, v in backward[:len(edges) - start]:
+            yield chosen, root[:nboundary], product
+        for after, eid, u, v, w in tails[start]:
             ru, rv = root[u], root[v]
             if ru == rv:
                 continue  # would close a cycle
             if ru > rv:
                 ru, rv = rv, ru  # the larger root gives way to the smaller
-            stack.append((after, [ru if r == rv else r for r in root],
-                          loose - (rv >= nboundary), chosen + (eid,)))
+            stack.append((after, root.replace(rv, ru), loose - (rv >= internal),
+                          chosen + (eid,), product * w))
 
 
 def _partitions(qg: QuotientGraph, classes):
     """Yield, for each class of roots in order, the partition of [n] whose
-    blocks join the boundary blocks sharing a root.
+    blocks join the boundary blocks sharing a root (a root string, read with ``ord``).
 
     The boundary blocks of a valid network partition [n], and a grove of
     a planar network induces a noncrossing partition, so the blocks are
@@ -96,7 +103,7 @@ def _partitions(qg: QuotientGraph, classes):
     glued = n > len(qg.boundary)  # a glued block may precede a smaller label
     for roots in classes:
         groups = {}
-        for i, root, block in zip(range(len(roots)), roots, qg.boundary):
+        for i, root, block in zip(range(len(roots)), map(ord, roots), qg.boundary):
             groups[root] = block if root == i else groups[root] + block
         blocks = groups.values()
         yield NoncrossingPartition(n, tuple(
@@ -123,8 +130,8 @@ class GroveMeasurements(Record):
 def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     """The grove measurements of a valid network, nonzero values only.
 
-    Each grove's integer weight is added under the roots it is yielded
-    with, one integer per class; each class then becomes one Fraction.
+    Each grove's integer weight, carried by the search, is added under its
+    roots, one integer per class; each class then becomes one Fraction.
 
     Raises ``ValueError`` when no grove exists, that is when some internal
     vertex has no path to the boundary, so the vector is never zero.
@@ -136,9 +143,8 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     d = math.lcm(*(c.denominator for *_, c in qg.edges))
     weight = {eid: c.numerator * (d // c.denominator) for eid, _, _, c in qg.edges}
     classes = {}  # boundary roots -> sum of integer weights
-    for grove, roots in enumerate_groves(qg):
-        classes[roots] = classes.get(roots, 0) + math.prod(
-            map(weight.__getitem__, grove))
+    for _, roots, product in enumerate_groves(qg, weight):
+        classes[roots] = classes.get(roots, 0) + product
     if not classes:
         # only a component without a boundary block rules out every grove
         raise ValueError("an internal vertex is isolated from the boundary")
@@ -164,7 +170,3 @@ def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):
 def equivalence_factor(net1: CactusNetwork, net2: CactusNetwork):
     """The positive rational q with Lambda(net1) = q * Lambda(net2), or None."""
     return proportionality_factor(lambda_vector(net2), lambda_vector(net1))
-
-
-def electrically_equivalent(net1: CactusNetwork, net2: CactusNetwork) -> bool:
-    return equivalence_factor(net1, net2) is not None

@@ -90,12 +90,6 @@ class CactusNetwork(Record):
                 return e
         raise KeyError(eid)
 
-    def conductance_product(self) -> Fraction:
-        prod = Fraction(1)
-        for e in self.edges:
-            prod *= e.conductance
-        return prod
-
     def replace(self, **kw) -> "CactusNetwork":
         data = dict(
             n=self.n, shape=self.shape,

@@ -408,7 +408,21 @@ def grove_partition(net, edge_ids):
     root = list(range(len(qg.vertices)))
     for eid in edge_ids:
         root = _joined(root, *ends[eid])
-    return next(groves._partitions(qg, [root[:len(qg.boundary)]]))
+    return next(groves._partitions(
+        qg, ["".join(map(chr, root[:len(qg.boundary)]))]))
+
+
+def electrically_equivalent(net1, net2) -> bool:
+    """Whether the two networks' grove measurements are proportional."""
+    return groves.equivalence_factor(net1, net2) is not None
+
+
+def conductance_product(net) -> Fraction:
+    """The product of every edge conductance of the network."""
+    prod = Fraction(1)
+    for e in net.edges:
+        prod *= e.conductance
+    return prod
 
 
 def grown_noncrossing_blocks(n):

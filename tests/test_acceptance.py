@@ -8,8 +8,10 @@ import random
 from fractions import Fraction
 
 from conftest import (
+    conductance_product,
     cyclic_shift,
     d_matrix,
+    electrically_equivalent,
     extreme_coordinates,
     make_delta,
     make_disconnected,
@@ -48,11 +50,7 @@ from cactusnet.grassmann import (
     plucker,
     proportionality_factor,
 )
-from cactusnet.groves import (
-    electrically_equivalent,
-    equivalence_factor,
-    lambda_vector,
-)
+from cactusnet.groves import equivalence_factor, lambda_vector
 from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
 from cactusnet.network import dual, is_minimal, medial_pairing, validate, ydelta
 
@@ -215,7 +213,7 @@ def test_criterion_08_duality():
     for net in nets:
         lam = lambda_vector(net)
         lam_d = lambda_vector(dual(net))
-        prod = net.conductance_product()
+        prod = conductance_product(net)
         for sigma in enumerate_noncrossing(net.n):
             assert lam_d[kreweras_complement(sigma)] == lam[sigma] / prod
         if lam[NoncrossingPartition.singletons(net.n)] == 0:

@@ -1,6 +1,7 @@
 """Grove enumeration against a brute-force subset oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import networkx as nx
 import pytest
 
 from conftest import (
+    electrically_equivalent,
     grove_partition,
     make_delta,
     make_disconnected,
@@ -31,7 +33,6 @@ from cactusnet.combinat import NoncrossingPartition, enumerate_noncrossing
 from cactusnet.groves import (
     GROVE_EDGE_CAP,
     GroveMeasurements,
-    electrically_equivalent,
     enumerate_groves,
     equivalence_factor,
     lambda_vector,
@@ -39,12 +40,35 @@ from cactusnet.groves import (
 )
 from cactusnet.network import CactusNetwork, Edge, quotient_graph
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+          67, 71)
+
 
 class KeepAll(random.Random):
     """Makes random_planar_net keep every chord and spoke."""
 
     def random(self):
         return 0.0
+
+
+def weighed_groves(qg):
+    """The search's triples with a distinct prime weight on each edge, so
+    a product names its grove; every product is checked against
+    ``math.prod`` of its grove's weights."""
+    weight = dict(zip(sorted(eid for eid, *_ in qg.edges), PRIMES))
+    for grove, roots, product in enumerate_groves(qg, weight):
+        assert product == math.prod(weight[e] for e in grove)
+        yield grove, roots, product
+
+
+def searched_pairs(qg):
+    """``(grove, roots)`` pairs in the form ``recursive_groves`` yields:
+    the root string read back as a tuple of indices."""
+    return ((g, tuple(map(ord, r))) for g, r, _ in weighed_groves(qg))
+
+
+def root_string(roots):
+    return "".join(map(chr, roots))
 
 
 def brute_force_groves(qg):
@@ -98,13 +122,13 @@ def brute_force_partition(qg, chosen):
 ])
 def test_groves_match_brute_force(builder):
     qg = quotient_graph(builder())
-    pairs = list(enumerate_groves(qg))
-    listed = [grove for grove, _ in pairs]
+    triples = list(weighed_groves(qg))
+    listed = [grove for grove, *_ in triples]
     assert listed == sorted(listed)  # deterministic lexicographic order
     assert listed == list(path_halving_groves(qg))
     assert set(listed) == brute_force_groves(qg)
-    built = groves._partitions(qg, [roots for _, roots in pairs])
-    for (grove, roots), sigma in zip(pairs, built, strict=True):
+    built = groves._partitions(qg, [roots for _, roots, _ in triples])
+    for (grove, *_), sigma in zip(triples, built, strict=True):
         assert grove_partition(qg, grove) == brute_force_partition(qg, grove)
         assert sigma == brute_force_partition(qg, grove)
 
@@ -116,12 +140,12 @@ def test_groves_match_brute_force_random(rng):
         qg = quotient_graph(net)
         if len(qg.edges) > 12:
             continue
-        pairs = list(enumerate_groves(qg))
-        listed = [grove for grove, _ in pairs]
+        triples = list(weighed_groves(qg))
+        listed = [grove for grove, *_ in triples]
         assert listed == list(path_halving_groves(qg))
         assert set(listed) == brute_force_groves(qg)
-        built = groves._partitions(qg, [roots for _, roots in pairs])
-        for (grove, roots), sigma in zip(pairs, built, strict=True):
+        built = groves._partitions(qg, [roots for _, roots, _ in triples])
+        for (grove, *_), sigma in zip(triples, built, strict=True):
             assert sigma == brute_force_partition(qg, grove)
 
 
@@ -136,7 +160,8 @@ def assert_grove_invariants(qg, pairs):
         classes.add(roots)
         count += 1
     classes = list(classes)
-    for roots, sigma in zip(classes, groves._partitions(qg, classes), strict=True):
+    built = groves._partitions(qg, map(root_string, classes))
+    for roots, sigma in zip(classes, built, strict=True):
         groups = {}
         for root, block in zip(roots, qg.boundary):
             groups.setdefault(root, []).extend(block)
@@ -156,7 +181,7 @@ def assert_grove_invariants(qg, pairs):
 ])
 def test_search_matches_the_recursive_oracle(builder):
     qg = quotient_graph(builder())
-    pairs = list(enumerate_groves(qg))
+    pairs = list(searched_pairs(qg))
     assert pairs == list(recursive_groves(qg))
     assert_grove_invariants(qg, pairs)
 
@@ -164,7 +189,7 @@ def test_search_matches_the_recursive_oracle(builder):
 def test_search_matches_the_recursive_oracle_random(rng):
     for _ in range(40):
         qg = quotient_graph(random_planar_net(rng, rng.randint(2, 8)))
-        pairs = list(enumerate_groves(qg))
+        pairs = list(searched_pairs(qg))
         assert pairs == list(recursive_groves(qg))
         assert_grove_invariants(qg, pairs)
 
@@ -177,7 +202,7 @@ def test_search_matches_the_recursive_oracle_at_the_cap():
     assert len(qg.edges) == GROVE_EDGE_CAP
 
     def matched():
-        for new, old in itertools.zip_longest(enumerate_groves(qg),
+        for new, old in itertools.zip_longest(searched_pairs(qg),
                                               recursive_groves(qg)):
             assert new == old
             yield new
@@ -187,7 +212,7 @@ def test_search_matches_the_recursive_oracle_at_the_cap():
 
 def test_partition_sorts_a_glued_block_joining_a_later_label():
     qg = quotient_graph(make_glued_later())
-    assert next(groves._partitions(qg, [(0, 0, 2)])).blocks == ((1, 2, 4), (3,))
+    assert next(groves._partitions(qg, [root_string((0, 0, 2))])).blocks == ((1, 2, 4), (3,))
     lam = lambda_vector(make_glued_later())
     assert lam[NoncrossingPartition(4, ((1, 2, 4), (3,)))] == 2
 
@@ -196,7 +221,7 @@ def test_grove_partitions_are_noncrossing(rng):
     for _ in range(10):
         net = random_planar_net(rng, 4)
         qg = quotient_graph(net)
-        for grove, _ in enumerate_groves(qg):
+        for grove, *_ in weighed_groves(qg):
             sigma = grove_partition(qg, grove)
             assert sigma in enumerate_noncrossing(4)
 
@@ -250,7 +275,7 @@ def test_lambda_vector_loops_never_contribute():
         {"b1": ["e1", "loop"], "b2": ["e2"], "b3": ["loop"],
          "v": ["e1", "e2"]},
     )
-    for grove, _ in enumerate_groves(net):
+    for grove, *_ in enumerate_groves(net, {e.id: e.conductance for e in net.edges}):
         assert "loop" not in grove
 
 
@@ -262,7 +287,7 @@ def test_edge_cap_enforced():
         loop_ids=(),
     )
     with pytest.raises(ValueError):
-        list(enumerate_groves(big))
+        list(enumerate_groves(big, {}))
 
 
 def test_measurements_scale_with_conductance():
@@ -312,11 +337,10 @@ def grove_loop_measurements(net):
 
 def with_distinct_denominators(net):
     """The same network with conductance (k+1)/p on edge k, p the k-th prime."""
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
-    assert len(net.edges) <= len(primes)
+    assert len(net.edges) <= len(PRIMES)
     return net.replace(edges=[
         Edge(e.id, e.ends, Fraction(k + 1, p))
-        for k, (e, p) in enumerate(zip(net.edges, primes))])
+        for k, (e, p) in enumerate(zip(net.edges, PRIMES))])
 
 
 @pytest.mark.parametrize("builder", [
@@ -350,6 +374,25 @@ def test_lambda_vector_matches_the_grove_loop_random(rng):
         assert all(lam.values.values())
 
 
+def test_lambda_vector_past_256_vertices():
+    """n = 300 with a star at b1..b3 and a path b299 - w - b300: the root
+    strings hold indices past 255, which no bytes key could."""
+    net = CactusNetwork.build(
+        300, [(i,) for i in range(1, 301)], ["v", "w"],
+        [("e1", ("b1", "v"), 1), ("e2", ("b2", "v"), 2), ("e3", ("b3", "v"), 3),
+         ("f1", ("b299", "w"), Fraction(1, 2)), ("f2", ("w", "b300"), 5)],
+        {"b1": ["e1"], "b2": ["e2"], "b3": ["e3"], "v": ["e1", "e2", "e3"],
+         "b299": ["f1"], "b300": ["f2"], "w": ["f2", "f1"]},
+    )
+    qg = quotient_graph(net)
+    assert len(qg.vertices) == 302
+    assert {ord(r[299]) for _, r, _ in weighed_groves(qg)} == {298, 299}
+    lam = lambda_vector(net)
+    assert lam.values == grove_loop_measurements(net)
+    assert len(lam.values) == 5 * 2
+    assert equivalence_factor(net, net) == 1
+
+
 def test_lambda_vector_consumes_one_grove_search(monkeypatch):
     """lambda_vector takes every grove from one call of the public
     enumerate_groves, so a count of its yields counts the groves."""
@@ -359,9 +402,9 @@ def test_lambda_vector_consumes_one_grove_search(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        for grove, roots in search(*args):
+        for grove, roots, product in search(*args):
             seen.append(grove)
-            yield grove, roots
+            yield grove, roots, product
         finished.append(True)
 
     monkeypatch.setattr(groves, "enumerate_groves", counting)
@@ -378,7 +421,7 @@ def test_grove_functions_refuse_invalid_networks():
         [("e1", ("b1", "b2"), Fraction(1)), ("e2", ("b2", "w"), Fraction(1))],
         {"b1": ["e1"], "b2": ["e1", "e2"]},
     )
-    for call in (lambda: list(enumerate_groves(net)),
+    for call in (lambda: list(enumerate_groves(net, {"e1": 1, "e2": 1})),
                  lambda: grove_partition(net, ("e1",)),
                  lambda: lambda_vector(net)):
         with pytest.raises(ValueError, match="invalid network"):

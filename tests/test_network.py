@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     component_euler_ok,
+    conductance_product,
     lobe_list_comb_map,
     make_delta,
     make_disconnected,
@@ -346,7 +347,7 @@ def test_dual_measurement_reciprocity(glued_tree):
     for net in (make_y(1, 2, 3), glued_tree):
         lam = lambda_vector(net)
         lam_d = lambda_vector(dual(net))
-        prod = net.conductance_product()
+        prod = conductance_product(net)
         for sigma in enumerate_noncrossing(net.n):
             assert lam_d[kreweras_complement(sigma)] == lam[sigma] / prod
 
