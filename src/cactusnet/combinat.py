@@ -171,10 +171,6 @@ class NoncrossingPartition(FrozenRecord):
     def singletons(cls, n: int) -> "NoncrossingPartition":
         return cls(n, tuple((i,) for i in range(1, n + 1)))
 
-    @classmethod
-    def one_block(cls, n: int) -> "NoncrossingPartition":
-        return cls(n, (tuple(range(1, n + 1)),))
-
     def block_of(self, label: int) -> tuple:
         for b in self.blocks:
             if label in b:
@@ -374,12 +370,6 @@ def kreweras_complement(sigma: NoncrossingPartition) -> NoncrossingPartition:
     return NoncrossingPartition.from_blocks(
         n, [tuple(x - n for x in b) for b in tilde]
     )
-
-
-def is_concordant(index_set, blocks) -> bool:
-    """True iff every block contains exactly one element of the index set."""
-    s = set(index_set)
-    return all(len(s.intersection(b)) == 1 for b in blocks)
 
 
 def concordant_index_pairs(pair: KrewerasPair) -> list:

@@ -10,26 +10,42 @@ internal vertices, each on its own diagonal, leaves the Schur complement
 -L in the boundary rows (one forward pass of ``linalg._reduce``).
 Resistances are not computed from L, though: one solve on the quotient
 Laplacian with boundary block 0 grounded gives them all.
+
+Where integers end: ``laplacian`` builds integer rows, each over its own
+positive scale, and the kernel takes them as they are and hands back
+Fractions.  The response gives the kernel its boundary rows negated over
+their scales, so the Fractions it hands back are L itself.  R and L*
+bring theirs back to one common denominator, sum in integers and build
+one Fraction per output entry.
 """
 
+import math
 from fractions import Fraction
 
-from .linalg import Inconsistent, RationalMatrix, _reduce, solve_many
+from .linalg import (Inconsistent, RationalMatrix, _common_denominator, _reduce,
+                     solve_many)
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 
-def laplacian(qg: QuotientGraph) -> list:
-    """Weighted graph Laplacian as sparse rows, in ``qg.vertices`` order:
-    row k maps k and each neighbour of vertex k to its entry.  The
-    quotient keeps no loops, so no entry is zero."""
+def laplacian(qg: QuotientGraph) -> tuple:
+    """The weighted graph Laplacian as ``(rows, scales)``, in
+    ``qg.vertices`` order.  Row k maps k and each neighbour of vertex k to
+    an integer; the true row is that row over ``scales[k]``, the lcm of
+    the denominators of the conductances at vertex k.  The quotient keeps
+    no loops and conductances are positive, so no entry is zero."""
     order = {v: k for k, v in enumerate(qg.vertices)}
+    ends = [(order[u], order[v], c) for _, u, v, c in qg.edges]
+    scales = [1] * len(order)
+    for u, v, c in ends:
+        scales[u] = math.lcm(scales[u], c.denominator)
+        scales[v] = math.lcm(scales[v], c.denominator)
     rows = [{} for _ in order]
-    zero = Fraction(0)
-    for _, u, v, c in qg.edges:
-        for i, j in ((order[u], order[v]), (order[v], order[u])):
-            rows[i][i] = rows[i].get(i, zero) + c
-            rows[i][j] = rows[i].get(j, zero) - c
-    return rows
+    for u, v, c in ends:
+        for i, j in ((u, v), (v, u)):
+            x = c.numerator * (scales[i] // c.denominator)
+            rows[i][i] = rows[i].get(i, 0) + x
+            rows[i][j] = rows[i].get(j, 0) - x
+    return rows, scales
 
 
 def response_matrix(net: CactusNetwork) -> RationalMatrix:
@@ -41,14 +57,17 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
     """
     require_valid(net)
     qg = quotient_graph(net)
-    lap = laplacian(qg)
+    lap, scales = laplacian(qg)
     nb = len(qg.boundary)
+    # scaling the internal rows leaves the Schur complement as it is; the
+    # boundary rows, negated over their scales, end as the rows of L
+    for a in range(nb):
+        lap[a] = {j: Fraction(-x, scales[a]) for j, x in lap[a].items()}
     internal = range(nb, len(lap))
     if len(_reduce(lap, diagonal=internal)) < len(internal):
         raise ValueError("an internal vertex is isolated from the boundary")
     zero = Fraction(0)
-    return RationalMatrix([[-row.get(b, zero) for b in range(nb)]
-                           for row in lap[:nb]])
+    return RationalMatrix([[row.get(b, zero) for b in range(nb)] for row in lap[:nb]])
 
 
 def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
@@ -56,17 +75,19 @@ def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
 
     Block 0 of the quotient Laplacian is grounded and one elimination
     solves for a unit current into every other boundary block; with G
-    that solution (G = 0 on the ground), R(u, v) = G_uu + G_vv - 2 G_uv.
-    Labels glued by the shape are at distance zero.  Every boundary
-    block must connect to block 0 (otherwise some resistance is
-    infinite) and every internal vertex to the boundary.
+    that solution (G = 0 on the ground), R(u, v) = G_uu + G_vv - 2 G_uv,
+    summed in integers over the common denominator of G.  Labels glued
+    by the shape are at distance zero.  Every boundary block must
+    connect to block 0 (otherwise some resistance is infinite) and every
+    internal vertex to the boundary.
     """
     require_valid(net)
     qg = quotient_graph(net)
     nb, size = len(qg.boundary), len(qg.vertices)
-    grounded = [{j - 1: x for j, x in row.items() if j}
-                for row in laplacian(qg)[1:]]
-    units = [{k: 1} for k in range(nb - 1)]
+    lap, scales = laplacian(qg)
+    grounded = [{j - 1: x for j, x in row.items() if j} for row in lap[1:]]
+    # each unit current is scaled with its row, which keeps the solution
+    units = [{k: scales[k + 1]} for k in range(nb - 1)]
     sol = solve_many(grounded, units, ncols=size - 1)
     if isinstance(sol, Inconsistent):
         raise ValueError(
@@ -74,12 +95,13 @@ def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
         )
     if sol.nullspace:
         raise ValueError("an internal vertex is isolated from the boundary")
-    g = [[Fraction(0)] * nb] + [[Fraction(0)] + x[:nb - 1] for x in sol.particulars]
+    denom, g = _common_denominator([x[:nb - 1] for x in sol.particulars])
+    g = [[0] * nb] + [[0] + x for x in g]
+    r = [[Fraction(g[u][u] + g[v][v] - 2 * g[u][v], denom) for v in range(nb)]
+         for u in range(nb)]
     block_of = {i: k for k, b in enumerate(qg.boundary) for i in b}
     ks = [block_of[i] for i in range(1, net.n + 1)]
-    return RationalMatrix(
-        [[g[u][u] + g[v][v] - 2 * g[u][v] for v in ks] for u in ks]
-    )
+    return RationalMatrix([[r[u][v] for v in ks] for u in ks])
 
 
 def lstar_from_resistance(r: RationalMatrix) -> RationalMatrix:
@@ -87,22 +109,13 @@ def lstar_from_resistance(r: RationalMatrix) -> RationalMatrix:
 
     Off-diagonal entries are half the alternating sum of R over the four
     cyclically shifted index pairs; diagonals make the rows sum to zero.
+    The sums are taken in integers over the common denominator of R.
     """
     n = r.nrows
-
-    def rr(i, j):  # 1-based, cyclic
-        i = (i - 1) % n + 1
-        j = (j - 1) % n + 1
-        return r[(i - 1, j - 1)]
-
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            m[i - 1][j - 1] = (
-                rr(i, j) + rr(i + 1, j + 1) - rr(i + 1, j) - rr(i, j + 1)
-            ) / 2
-    for i in range(n):
-        m[i][i] = -sum(m[i][j] for j in range(n) if j != i)
-    return RationalMatrix(m)
+    denom, ri = _common_denominator(r.rows)
+    nxt = [*range(1, n), 0]                       # cyclic successor
+    m = [[ri[i][j] + ri[nxt[i]][nxt[j]] - ri[nxt[i]][j] - ri[i][nxt[j]]
+          if i != j else 0 for j in range(n)] for i in range(n)]
+    for i, row in enumerate(m):
+        row[i] = -sum(row)
+    return RationalMatrix([[Fraction(x, 2 * denom) for x in row] for row in m])

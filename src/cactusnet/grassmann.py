@@ -16,6 +16,7 @@ bitmask of its positions (bit p for position p).  ``lam_masks`` and
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .combinat import KrewerasPair, _kreweras_tilde_blocks, circle_position
@@ -23,6 +24,7 @@ from .groves import GroveMeasurements
 from .linalg import (
     Inconsistent,
     RationalMatrix,
+    _common_denominator,
     _exact,
     _reduce,
     _sparse_ratio,
@@ -301,23 +303,28 @@ def _chart_columns(n: int, plain_pivots: bool):
     return (plain, tilde) if plain_pivots else (tilde, plain)
 
 
-def _chart(sums, plain_pivots: bool) -> RationalMatrix:
-    """Representing matrix of a chart from its cumulative sums.
+def _chart(denom: int, sums, plain_pivots: bool) -> RationalMatrix:
+    """Representing matrix of a chart from its cumulative sums, integers
+    over ``denom``.
 
     Row pattern: a top row of ones on the non-pivot columns, then one row
     per label j with a 1 in the pivot column of j and ``sums[j][i]`` in
     the other column of label i, everything multiplied by the sign matrix.
+    The pattern is built over ``denom`` and signed in integers; each
+    entry then becomes one Fraction.
     """
     n = len(sums)
     pivot_cols, other_cols = _chart_columns(n, plain_pivots)
-    rows = [[Fraction(0)] * (2 * n) for _ in range(n + 1)]
+    rows = [[0] * (2 * n) for _ in range(n + 1)]
     for c in other_cols:
-        rows[0][c] = Fraction(1)
+        rows[0][c] = denom
     for row, pc, sums_j in zip(rows[1:], pivot_cols, sums):
-        row[pc] = Fraction(1)
+        row[pc] = denom
         for c, s in zip(other_cols, sums_j):
             row[c] = s
-    return RationalMatrix(_negate_even_labels(rows, n))
+    units = {0: Fraction(0), denom: Fraction(1), -denom: Fraction(-1)}
+    return RationalMatrix([[units[x] if x in units else Fraction(x, denom) for x in row]
+                           for row in _negate_even_labels(rows, n)])
 
 
 def chart_from_response(resp: RationalMatrix) -> RationalMatrix:
@@ -326,9 +333,11 @@ def chart_from_response(resp: RationalMatrix) -> RationalMatrix:
     Pivots on the plain columns; the tilde entries of row j are the
     cumulative sums S(j, i) = L(i+1, j) + ... + L(n, j), so S(j, n) = 0.
     """
+    denom, rows = _common_denominator(resp.rows)
     return _chart(
-        [list(itertools.accumulate(reversed(col[1:]), initial=Fraction(0)))[::-1]
-         for col in resp.transpose().rows],
+        denom,
+        [list(itertools.accumulate(reversed(col[1:]), initial=0))[::-1]
+         for col in zip(*rows)],
         plain_pivots=True,
     )
 
@@ -340,9 +349,10 @@ def chart_from_lstar(lstar: RationalMatrix) -> RationalMatrix:
     cumulative sums T(j, i) = L*(1, j) + ... + L*(i-1, j), so T(j, 1) = 0
     and T(j, i+1) - T(j, i) = L*(i, j).
     """
+    denom, rows = _common_denominator(lstar.rows)
     return _chart(
-        [list(itertools.accumulate(col[:-1], initial=Fraction(0)))
-         for col in lstar.transpose().rows],
+        denom,
+        [list(itertools.accumulate(col[:-1], initial=0)) for col in zip(*rows)],
         plain_pivots=False,
     )
 
@@ -359,17 +369,20 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
         raise ValueError("matrix must be (n+1) x 2n")
     if mode not in ("response", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
-    md = RationalMatrix(_negate_even_labels([r[:] for r in m.rows], n))
+    # m over its common denominator, which cancels in the products below
+    md = _negate_even_labels(_common_denominator(m.rows)[1], n)
     pivot_cols, other_cols = _chart_columns(n, mode == "response")
     # one solve of piv^T x = e_j for every label j; its nullspace is the
     # left kernel of the pivot block, the residual top row direction
-    rows = range(n + 1)
-    sol = solve_many(md.submatrix(rows, pivot_cols).transpose(),
-                     RationalMatrix.identity(n).rows)
+    sol = solve_many([[row[c] for row in md] for c in pivot_cols],
+                     [{j: 1} for j in range(n)], n + 1)
     if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
         raise ValueError("plane is not in this chart")
-    top, *entries = (RationalMatrix(sol.nullspace + sol.particulars)
-                     @ md.submatrix(rows, other_cols)).rows
+    # each left row over its own denominator times the integer block
+    block = [[row[c] for row in md] for c in other_cols]
+    lefts = (_common_denominator([x]) for x in sol.nullspace + sol.particulars)
+    (_, top), *entries = [(d, [sum(map(operator.mul, x, col)) for col in block])
+                          for d, (x,) in lefts]
     if len(set(top)) != 1 or top[0] == 0:
         raise ValueError("plane is not in this chart")
     # entries[j] is the chart row of label j plus a multiple of the
@@ -377,7 +390,6 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
     # of its entries are invariants of the plane
     step = -1 if mode == "response" else 1
     return RationalMatrix(
-        [[row[(i + step) % n] - row[i] for row in entries]
+        [[Fraction(row[(i + step) % n] - row[i], d) for d, row in entries]
          for i in range(n)]
     )
-

@@ -1,9 +1,12 @@
 """Exact-rational matrices and one sparse, fraction-free elimination kernel.
 
 Integer rows inside the kernel, Fractions at its edges; no floating
-point enters this module.  A matrix entry that is already a
-``Fraction`` is kept as it is, any other is converted, and a ``float``
-is refused.  Matrices are stored dense, but what the package eliminates
+point enters this module.  The kernel takes rows of ints as they are
+(the scaled Laplacian, the integer pivot block of an extraction) and
+hands back Fractions; ``_common_denominator`` brings rows of Fractions
+back to integers over one denominator, for callers that go on in
+integers.  A matrix entry that is already a ``Fraction`` is kept as it
+is, any other is converted, and a ``float`` is refused.  Matrices are stored dense, but what the package eliminates
 is sparse (a Laplacian row holds a vertex and its neighbours, a
 contraction row at most n entries).  So one elimination over rows held
 as dicts of their nonzero entries, each pivot on the shortest candidate
@@ -27,6 +30,15 @@ def _exact(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"float entry {x!r}; use an int, a Fraction or a string")
     return Fraction(x)
+
+
+def _common_denominator(rows) -> tuple:
+    """``(d, integer rows)``: rows of Fractions (or ints) brought to d, the
+    lcm of their denominators, so that each true entry is its integer
+    over d."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*{q for row in ratios for _, q in row})
+    return d, [[p * (d // q) for p, q in row] for row in ratios]
 
 
 class RationalMatrix:
@@ -107,29 +119,9 @@ class RationalMatrix:
             out.append(acc)
         return RationalMatrix(out)
 
-    def matvec(self, v):
-        """The product with the column vector v, whose float entries are refused."""
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        terms = [(k, x) for k, x in enumerate(map(_exact, v)) if x]
-        zero = Fraction(0)
-        return [sum((row[k] * x for k, x in terms), zero) for row in self.rows]
-
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
         return RationalMatrix(
             [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        )
-
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows) for j in range(i)
-        )
-
-    def is_skew_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == -self.rows[j][i]
-            for i in range(self.nrows) for j in range(i + 1)
         )
 
     def is_zero(self) -> bool:

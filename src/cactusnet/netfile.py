@@ -43,16 +43,6 @@ def _rational(s):
     return Fraction(p, q) if q > 0 else None
 
 
-def parse_rational(s: str) -> Fraction:
-    """The rational written ``"p"`` or ``"p/q"`` (q > 0); anything else,
-    a JSON number, a decimal, an exponent or surrounding spaces, raises
-    ValueError."""
-    x = _rational(s)
-    if x is None:
-        raise ValueError(f'not a "p" or "p/q" string: {s!r}')
-    return x
-
-
 def load_network(path: str) -> CactusNetwork:
     with open(path) as fh:
         doc = json.load(fh)

@@ -21,9 +21,14 @@ from cactusnet.combinat import (
     format_element,
     kreweras_complement,
 )
-from cactusnet.grassmann import ExteriorVector, _chart_columns, omega
+from cactusnet.grassmann import (
+    ExteriorVector,
+    _chart_columns,
+    _negate_even_labels,
+    omega,
+)
 from cactusnet.electrical import laplacian
-from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions, solve_many
+from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions, _exact, solve_many
 from cactusnet.network import (
     CactusNetwork,
     CombMap,
@@ -425,6 +430,52 @@ def conductance_product(net) -> Fraction:
     return prod
 
 
+# ---------------------------------------------------------------------------
+# Library surface that only tests use: matrix, partition and parsing
+# helpers with no caller in the library
+# ---------------------------------------------------------------------------
+
+def matvec(m, v):
+    """The product of m with the column vector v, whose float entries are
+    refused."""
+    if len(v) != m.ncols:
+        raise ValueError("dimension mismatch")
+    terms = [(k, x) for k, x in enumerate(map(_exact, v)) if x]
+    zero = Fraction(0)
+    return [sum((row[k] * x for k, x in terms), zero) for row in m.rows]
+
+
+def is_symmetric(m) -> bool:
+    return m.nrows == m.ncols and all(
+        m.rows[i][j] == m.rows[j][i] for i in range(m.nrows) for j in range(i))
+
+
+def is_skew_symmetric(m) -> bool:
+    return m.nrows == m.ncols and all(
+        m.rows[i][j] == -m.rows[j][i] for i in range(m.nrows) for j in range(i + 1))
+
+
+def is_concordant(index_set, blocks) -> bool:
+    """True iff every block contains exactly one element of the index set."""
+    s = set(index_set)
+    return all(len(s.intersection(b)) == 1 for b in blocks)
+
+
+def one_block(n: int) -> NoncrossingPartition:
+    """The partition of [n] with a single block."""
+    return NoncrossingPartition(n, (tuple(range(1, n + 1)),))
+
+
+def parse_rational(s: str) -> Fraction:
+    """The rational written ``"p"`` or ``"p/q"`` (q > 0); anything else,
+    a JSON number, a decimal, an exponent or surrounding spaces, raises
+    ValueError."""
+    x = netfile._rational(s)
+    if x is None:
+        raise ValueError(f'not a "p" or "p/q" string: {s!r}')
+    return x
+
+
 def grown_noncrossing_blocks(n):
     """Canonical blocks of every noncrossing partition of [n], sorted.
 
@@ -715,6 +766,14 @@ def tuple_route_document(argv, vec):
     return doc
 
 
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or (ValueError, its message)."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
 def dense_matmul(a, b):
     """Oracle for the product: the dot product of every row of a with
     every column of b, zeros included."""
@@ -725,8 +784,8 @@ def dense_matmul(a, b):
                            for row in a.rows])
 
 
-def _chart_via_d(sums, plain_pivots):
-    """Oracle for the chart builder: the row pattern times d_matrix(n)."""
+def _chart_pattern(sums, plain_pivots):
+    """The chart's row pattern over Fractions, before the sign matrix."""
     n = len(sums)
     plain = [circle_position(n, i) for i in range(1, n + 1)]
     tilde = [circle_position(n, n + i) for i in range(1, n + 1)]
@@ -738,22 +797,66 @@ def _chart_via_d(sums, plain_pivots):
         row[pc] = Fraction(1)
         for c, s in zip(other_cols, sums_j):
             row[c] = s
-    return dense_matmul(RationalMatrix(rows), d_matrix(n))
+    return rows
+
+
+def response_sums(resp):
+    """The cumulative sums S(j, i) of ``chart_from_response``, over Fractions."""
+    return [list(itertools.accumulate(reversed(col[1:]), initial=Fraction(0)))[::-1]
+            for col in resp.transpose().rows]
+
+
+def lstar_sums(lstar):
+    """The cumulative sums T(j, i) of ``chart_from_lstar``, over Fractions."""
+    return [list(itertools.accumulate(col[:-1], initial=Fraction(0)))
+            for col in lstar.transpose().rows]
 
 
 def chart_from_response_via_d(resp):
-    return _chart_via_d(
-        [list(itertools.accumulate(reversed(col[1:]), initial=Fraction(0)))[::-1]
-         for col in resp.transpose().rows],
-        plain_pivots=True,
-    )
+    """Oracle for the chart builder: the row pattern times d_matrix(n)."""
+    return dense_matmul(RationalMatrix(_chart_pattern(response_sums(resp), True)),
+                        d_matrix(resp.nrows))
 
 
 def chart_from_lstar_via_d(lstar):
-    return _chart_via_d(
-        [list(itertools.accumulate(col[:-1], initial=Fraction(0)))
-         for col in lstar.transpose().rows],
-        plain_pivots=False,
+    return dense_matmul(RationalMatrix(_chart_pattern(lstar_sums(lstar), False)),
+                        d_matrix(lstar.nrows))
+
+
+def fraction_chart_from_response(resp):
+    """Oracle for the integer chart: Fraction sums, the pattern's signs
+    flipped entry by entry."""
+    return RationalMatrix(_negate_even_labels(
+        _chart_pattern(response_sums(resp), True), resp.nrows))
+
+
+def fraction_chart_from_lstar(lstar):
+    return RationalMatrix(_negate_even_labels(
+        _chart_pattern(lstar_sums(lstar), False), lstar.nrows))
+
+
+def fraction_extract_symmetric(m, mode):
+    """Oracle for the integer extraction: the signed matrix over
+    Fractions, one ``solve_many`` on the pivot block and the product by
+    ``RationalMatrix.__matmul__``."""
+    n = m.ncols // 2
+    if m.nrows != n + 1 or m.ncols != 2 * n:
+        raise ValueError("matrix must be (n+1) x 2n")
+    md = RationalMatrix(_negate_even_labels([r[:] for r in m.rows], n))
+    pivot_cols, other_cols = _chart_columns(n, mode == "response")
+    rows = range(n + 1)
+    sol = solve_many(md.submatrix(rows, pivot_cols).transpose(),
+                     RationalMatrix.identity(n).rows)
+    if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
+        raise ValueError("plane is not in this chart")
+    top, *entries = (RationalMatrix(sol.nullspace + sol.particulars)
+                     @ md.submatrix(rows, other_cols)).rows
+    if len(set(top)) != 1 or top[0] == 0:
+        raise ValueError("plane is not in this chart")
+    step = -1 if mode == "response" else 1
+    return RationalMatrix(
+        [[row[(i + step) % n] - row[i] for row in entries]
+         for i in range(n)]
     )
 
 
@@ -976,20 +1079,23 @@ def dense_response_matrix(net):
 def solve_many_response(net):
     """Oracle for the Kron-reduced response matrix: the sparse internal
     block solved by ``solve_many`` for every column of IB at once, then
-    L = -(BB - BI X) summed entry by entry."""
+    L = -(BB - BI X) summed entry by entry.  The integer Laplacian's rows
+    carry their scales: IB is read from the internal rows, so X is
+    unchanged by them, and each boundary row is divided by its own."""
     require_valid(net)
     qg = quotient_graph(net)
-    lap = laplacian(qg)
+    lap, scales = laplacian(qg)
     nb, ni = len(qg.boundary), len(qg.internal)
     bi, ii = ([{j - nb: x for j, x in row.items() if j >= nb} for row in rows]
               for rows in (lap[:nb], lap[nb:]))
-    sol = solve_many(ii, bi, ncols=ni)
+    ib = [{k: row[b] for k, row in enumerate(lap[nb:]) if b in row} for b in range(nb)]
+    sol = solve_many(ii, ib, ncols=ni)
     if isinstance(sol, Inconsistent) or sol.nullspace:
         raise ValueError("an internal vertex is isolated from the boundary")
     zero = Fraction(0)
     return RationalMatrix(
-        [[sum((x * sol.particulars[b][k] for k, x in bi[a].items()), zero)
-          - lap[a].get(b, zero) for b in range(nb)] for a in range(nb)])
+        [[(sum((x * sol.particulars[b][k] for k, x in bi[a].items()), zero)
+           - lap[a].get(b, 0)) / scales[a] for b in range(nb)] for a in range(nb)])
 
 
 def two_solve_resistance(net):
@@ -1011,6 +1117,59 @@ def two_solve_resistance(net):
     return RationalMatrix(
         [[g[u][u] + g[v][v] - 2 * g[u][v] for v in ks] for u in ks]
     )
+
+
+def fraction_resistance(net):
+    """Oracle for the integer resistance: the grounded dense Laplacian
+    over Fractions with a unit current into every boundary block but 0,
+    Gauss-Jordan by ``fraction_reduce``, and R = G_uu + G_vv - 2 G_uv
+    summed over Fractions.  A right-hand side left in a row without a
+    pivot means disconnection, a column without a pivot an isolated
+    internal vertex, in that order."""
+    require_valid(net)
+    qg = quotient_graph(net)
+    nb, size = len(qg.boundary), len(qg.vertices) - 1
+    rows = [{j - 1: x for j, x in enumerate(row) if j and x}
+            for row in dense_laplacian(qg).rows[1:]]
+    for k in range(nb - 1):
+        rows[k][size + k] = Fraction(1)
+    pivots = fraction_reduce(rows, size)
+    if any(rows[i] for i in set(range(size)).difference(i for i, _, _ in pivots)):
+        raise ValueError(
+            "boundary components are disconnected; resistance is infinite"
+        )
+    if len(pivots) < size:
+        raise ValueError("an internal vertex is isolated from the boundary")
+    g = [[Fraction(0)] * nb for _ in range(nb)]
+    for i, c, _ in pivots:
+        if c < nb - 1:
+            for k in range(nb - 1):
+                g[k + 1][c + 1] = rows[i].get(size + k, Fraction(0))
+    block_of = {i: k for k, b in enumerate(qg.boundary) for i in b}
+    ks = [block_of[i] for i in range(1, net.n + 1)]
+    return RationalMatrix(
+        [[g[u][u] + g[v][v] - 2 * g[u][v] for v in ks] for u in ks]
+    )
+
+
+def fraction_lstar_from_resistance(r):
+    """Oracle for the integer L*: every second difference and every
+    diagonal sum taken over Fractions."""
+    n = r.nrows
+
+    def rr(i, j):  # 1-based, cyclic
+        return r[((i - 1) % n, (j - 1) % n)]
+
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                m[i - 1][j - 1] = (
+                    rr(i, j) + rr(i + 1, j + 1) - rr(i + 1, j) - rr(i, j + 1)
+                ) / 2
+    for i in range(n):
+        m[i][i] = -sum(m[i][j] for j in range(n) if j != i)
+    return RationalMatrix(m)
 
 
 def dense_kappa_kernel_dimension(n, form):

@@ -13,6 +13,7 @@ from conftest import (
     d_matrix,
     electrically_equivalent,
     extreme_coordinates,
+    is_concordant,
     make_delta,
     make_disconnected,
     make_glued_tree,
@@ -20,6 +21,7 @@ from conftest import (
     make_single_edge,
     make_y,
     omega_d,
+    one_block,
     positions_of,
     random_planar_net,
 )
@@ -28,7 +30,6 @@ from cactusnet.combinat import (
     NoncrossingPartition,
     catalan,
     enumerate_noncrossing,
-    is_concordant,
     kreweras_complement,
 )
 from cactusnet.electrical import (
@@ -253,7 +254,7 @@ def test_criterion_10_cross_formula_identities():
         R = resistance_matrix(net)
         part = net.shape_partition()
         sing = lam[NoncrossingPartition.singletons(n)]
-        top = lam[NoncrossingPartition.one_block(n)]
+        top = lam[one_block(n)]
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 bi = part.blocks.index(part.block_of(i))
@@ -298,7 +299,7 @@ def test_criterion_11_extreme_coordinate_behavior():
         lam = lambda_vector(net)
         ns, co = extreme_coordinates(lam_map(lam))  # asserts constancy
         assert ns == lam[NoncrossingPartition.singletons(net.n)]
-        assert co == lam[NoncrossingPartition.one_block(net.n)]
+        assert co == lam[one_block(net.n)]
     ns, co = extreme_coordinates(lam_map(lambda_vector(make_shorted())))
     assert ns == 0 and co != 0
     ns, co = extreme_coordinates(lam_map(lambda_vector(make_disconnected())))

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import (
     blocks_cross,
     grown_noncrossing_blocks,
+    is_concordant,
     is_noncrossing_on_circle,
     matching_partner,
+    one_block,
     pairwise_kreweras_tilde_blocks,
     partition_name,
 )
@@ -29,7 +31,6 @@ from cactusnet.combinat import (
     concordant_index_pairs,
     enumerate_noncrossing,
     format_element,
-    is_concordant,
     is_noncrossing,
     is_partition,
     kreweras_complement,
@@ -218,7 +219,7 @@ def test_kreweras_block_count():
 def test_complement_extremes():
     n = 4
     sing = NoncrossingPartition.singletons(n)
-    top = NoncrossingPartition.one_block(n)
+    top = one_block(n)
     assert kreweras_complement(sing) == top
     assert kreweras_complement(top) == sing
 

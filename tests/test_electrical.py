@@ -1,5 +1,6 @@
 """Response, resistance, and dual response, with a floating-point oracle."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -10,6 +11,13 @@ import pytest
 from conftest import (
     dense_laplacian,
     dense_response_matrix,
+    fraction_chart_from_lstar,
+    fraction_chart_from_response,
+    fraction_extract_symmetric,
+    fraction_lstar_from_resistance,
+    fraction_resistance,
+    is_concordant,
+    is_symmetric,
     make_both_faults,
     make_delta,
     make_disconnected,
@@ -22,7 +30,9 @@ from conftest import (
     make_single_edge,
     make_two_hubs,
     make_y,
+    one_block,
     oracle_networks,
+    outcome,
     random_planar_net,
     solve_many_response,
     two_solve_resistance,
@@ -30,7 +40,6 @@ from conftest import (
 from cactusnet.combinat import (
     NoncrossingPartition,
     enumerate_noncrossing,
-    is_concordant,
 )
 from cactusnet.electrical import (
     laplacian,
@@ -39,6 +48,7 @@ from cactusnet.electrical import (
     response_matrix,
 )
 from cactusnet import electrical
+from cactusnet.grassmann import chart_from_lstar, chart_from_response, extract_symmetric
 from cactusnet.groves import lambda_vector
 from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
 from cactusnet.network import CactusNetwork, dual, quotient_graph
@@ -47,9 +57,10 @@ from cactusnet.network import CactusNetwork, dual, quotient_graph
 def float_response(qg):
     """Schur complement onto the boundary, in floating point."""
     lap = np.zeros((len(qg.vertices),) * 2)
-    for i, row in enumerate(laplacian(qg)):
+    rows, scales = laplacian(qg)
+    for i, (row, scale) in enumerate(zip(rows, scales)):
         for j, x in row.items():
-            lap[i, j] = float(x)
+            lap[i, j] = x / scale
     nb = len(qg.boundary)
     if lap.shape[0] == nb:
         return -lap
@@ -60,17 +71,19 @@ def float_response(qg):
 
 
 def test_laplacian_structure():
-    """Sparse rows with no zero entry, equal to the dense oracle: symmetric
-    with zero row sums, on glued, shorted and disconnected shapes too."""
+    """Sparse integer rows with no zero entry, each over a positive
+    scale, equal to the dense oracle: symmetric with zero row sums, on
+    glued, shorted and disconnected shapes too."""
     for net in (make_y(1, 2, 3), make_glued_tree(), make_grid4(), make_shorted(),
                 make_disconnected(), make_two_hubs()):
         qg = quotient_graph(net)
-        rows = laplacian(qg)
+        rows, scales = laplacian(qg)
         dense = dense_laplacian(qg)
-        assert all(x and type(x) is Fraction for row in rows for x in row.values())
-        assert RationalMatrix([[row.get(j, 0) for j in range(len(rows))]
-                               for row in rows]) == dense
-        assert dense.is_symmetric()
+        assert all(x and type(x) is int for row in rows for x in row.values())
+        assert all(type(s) is int and s > 0 for s in scales)
+        assert RationalMatrix([[Fraction(row.get(j, 0), s) for j in range(len(rows))]
+                               for row, s in zip(rows, scales)]) == dense
+        assert is_symmetric(dense)
         assert all(sum(row.values()) == 0 for row in rows)
 
 
@@ -107,7 +120,7 @@ def test_response_properties(rng):
         n = rng.choice([2, 3, 4, 5])
         net = random_planar_net(rng, n)
         L = response_matrix(net)
-        assert L.is_symmetric()
+        assert is_symmetric(L)
         for i in range(L.nrows):
             assert sum(L[(i, j)] for j in range(L.ncols)) == 0
             for j in range(L.ncols):
@@ -159,7 +172,7 @@ def test_lstar_properties(rng):
         n = rng.choice([3, 4])
         net = random_planar_net(rng, n, connected=True)
         Ls = lstar_from_resistance(resistance_matrix(net))
-        assert Ls.is_symmetric()
+        assert is_symmetric(Ls)
         for i in range(n):
             assert sum(Ls[(i, j)] for j in range(n)) == 0
 
@@ -196,7 +209,7 @@ def test_resistance_from_concordant_sums(rng):
         net = random_planar_net(rng, n, connected=True)
         lam = lambda_vector(net)
         R = resistance_matrix(net)
-        top = lam[NoncrossingPartition.one_block(n)]
+        top = lam[one_block(n)]
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 tot = sum(
@@ -373,3 +386,61 @@ def test_kron_response_matches_the_solve_many_oracle():
             assert got == expect == dense_response_matrix(net)
             assert all(type(x) is Fraction for row in got.rows for x in row)
     assert failures == 2   # the floating triangle and the isolated vertex
+
+
+def test_integer_electrical_layer_matches_the_fraction_oracles():
+    """The integer Laplacian equals the dense one row by row, each row over
+    the lcm of the denominators of its conductances.  R equals the
+    ``fraction_reduce`` solve summed over Fractions and the two-solve
+    oracle, or fails with the same error as the first; L* equals its
+    second differences over Fractions, and the charts and extractions of
+    L and L* equal their Fraction oracles."""
+    outcomes = {"resistance": 0, "response": 0}
+    for net in response_networks():
+        qg = quotient_graph(net)
+        rows, scales = laplacian(qg)
+        dense = dense_laplacian(qg).rows
+        for k, v in enumerate(qg.vertices):
+            assert scales[k] == math.lcm(*(c.denominator for _, a, b, c in qg.edges
+                                           if v in (a, b)))
+            assert [Fraction(rows[k].get(j, 0), scales[k])
+                    for j in range(len(rows))] == dense[k]
+        try:
+            expect = fraction_resistance(net)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                resistance_matrix(net)
+        else:
+            outcomes["resistance"] += 1
+            r = resistance_matrix(net)
+            assert r == expect == two_solve_resistance(net)
+            lstar = lstar_from_resistance(r)
+            assert lstar == fraction_lstar_from_resistance(r)
+            chart = chart_from_lstar(lstar)
+            assert chart == fraction_chart_from_lstar(lstar)
+            assert extract_symmetric(chart, "dual") == lstar
+            for mode in ("dual", "response"):
+                assert outcome(extract_symmetric, chart, mode) == \
+                    outcome(fraction_extract_symmetric, chart, mode)
+        try:
+            resp = dense_response_matrix(net)
+        except ValueError:
+            continue
+        outcomes["response"] += 1
+        chart = chart_from_response(response_matrix(net))
+        assert chart == fraction_chart_from_response(resp)
+        assert extract_symmetric(chart, "response") == resp
+        for mode in ("dual", "response"):
+            assert outcome(extract_symmetric, chart, mode) == \
+                outcome(fraction_extract_symmetric, chart, mode)
+    assert outcomes["resistance"] > 100 and outcomes["response"] > 200
+
+
+def test_lstar_matches_the_fraction_oracle_on_any_square_matrix(rng):
+    """Second differences in integers over one denominator equal them over
+    Fractions, for matrices that are no resistance matrix too."""
+    for n in range(0, 8):
+        for _ in range(10):
+            r = RationalMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                                 for _ in range(n)] for _ in range(n)])
+            assert lstar_from_resistance(r) == fraction_lstar_from_resistance(r)

@@ -17,15 +17,22 @@ from conftest import (
     dense_kappa_kernel_dimension,
     extract_symmetric_via_d,
     extreme_coordinates,
+    fraction_chart_from_lstar,
+    fraction_chart_from_response,
+    fraction_extract_symmetric,
+    is_skew_symmetric,
     make_delta,
     make_disconnected,
     make_glued_tree,
     make_shorted,
     make_single_edge,
     make_y,
+    matvec,
     omega_d,
     omega_d_kernel,
+    one_block,
     oracle_networks,
+    outcome,
     pair_loop_kappa,
     random_planar_net,
     shift,
@@ -151,16 +158,16 @@ def test_omega_structure():
         om = omega(n)
         omd = omega_d(n)
         dd = d_matrix(n)
-        assert om.is_skew_symmetric()
-        assert omd.is_skew_symmetric()
+        assert is_skew_symmetric(om)
+        assert is_skew_symmetric(omd)
         assert om.rank() == 2 * n - 2
         assert omd.rank() == 2 * n - 2
         assert omd == dd @ om @ dd
         assert dd @ dd == RationalMatrix.identity(2 * n)
         for v in omega_kernel(n):
-            assert all(x == 0 for x in om.matvec(v))
+            assert all(x == 0 for x in matvec(om, v))
         for v in omega_d_kernel(n):
-            assert all(x == 0 for x in omd.matvec(v))
+            assert all(x == 0 for x in matvec(omd, v))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -397,13 +404,6 @@ def random_symmetric(rng, n, zero_row_sums):
     return RationalMatrix(m)
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return ValueError, str(exc)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_charts_and_extract_match_the_sign_matrix_oracle(rng, n):
     """Sign flips give exactly the charts and extractions of the products
@@ -416,8 +416,39 @@ def test_charts_and_extract_match_the_sign_matrix_oracle(rng, n):
         charts.append(random_rational_matrix(rng, n + 1, 2 * n))
         for m in charts:
             for mode in ("response", "dual"):
-                assert _outcome(extract_symmetric, m, mode) == \
-                    _outcome(extract_symmetric_via_d, m, mode)
+                assert outcome(extract_symmetric, m, mode) == \
+                    outcome(extract_symmetric_via_d, m, mode)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_integer_charts_and_extract_match_the_fraction_oracles(rng, n):
+    """The integer charts equal the Fraction sums signed entry by entry,
+    and the integer extraction equals the one by
+    ``RationalMatrix.__matmul__``: on symmetric and on any square
+    matrices, on other representatives of a chart's plane, and on points
+    outside the chart, which raise the same ValueError."""
+    outside = 0
+    for _ in range(8):
+        sym = random_symmetric(rng, n, zero_row_sums=rng.random() < 0.5)
+        for m in (sym, random_rational_matrix(rng, n, n)):
+            assert chart_from_response(m) == fraction_chart_from_response(m)
+            assert chart_from_lstar(m) == fraction_chart_from_lstar(m)
+        charts = [chart_from_response(sym), chart_from_lstar(sym)]
+        a = random_rational_matrix(rng, n + 1, n + 1)
+        charts += [a @ chart for chart in charts]
+        # a random point, and one whose pivot column of label 1 is zero
+        charts.append(random_rational_matrix(rng, n + 1, 2 * n))
+        for c in (0, 1):
+            singular = random_rational_matrix(rng, n + 1, 2 * n)
+            for row in singular.rows:
+                row[c] = Fraction(0)
+            charts.append(singular)
+        for m in charts:
+            for mode in ("response", "dual"):
+                got = outcome(extract_symmetric, m, mode)
+                assert got == outcome(fraction_extract_symmetric, m, mode)
+                outside += got == (ValueError, "plane is not in this chart")
+    assert outside >= 8 * 3
 
 
 def test_extract_depends_on_the_plane_not_the_representative(rng):
@@ -445,7 +476,8 @@ def test_charts_do_not_multiply_by_the_sign_matrix(monkeypatch):
         raise AssertionError("d_matrix called")
 
     # the sign matrix lives in the tests; one bound in the module again
-    # would still be caught, and so is any product beyond extraction's one
+    # would still be caught, and so is any matrix product: extraction
+    # multiplies integer rows
     monkeypatch.setattr(grassmann, "d_matrix", refuse, raising=False)
     products = []
     matmul = RationalMatrix.__matmul__
@@ -456,7 +488,7 @@ def test_charts_do_not_multiply_by_the_sign_matrix(monkeypatch):
     assert products == []
     assert extract_symmetric(chart, "dual") == \
         lstar_from_resistance(resistance_matrix(make_y(1, 2, 3)))
-    assert products == [1]
+    assert products == []
 
 
 def test_chart_isotropy_random_symmetric(rng):
@@ -532,7 +564,7 @@ def test_extreme_coordinates_match_measurements():
         lam = lambda_vector(net)
         ns, co = extreme_coordinates(lam_map(lam))
         assert ns == lam[NoncrossingPartition.singletons(net.n)]
-        assert co == lam[NoncrossingPartition.one_block(net.n)]
+        assert co == lam[one_block(net.n)]
 
 
 def test_extreme_coordinates_rejects_nonconstant():
@@ -555,7 +587,8 @@ def test_extract_solves_once(monkeypatch):
     calls = []
     solve = grassmann.solve_many
     monkeypatch.setattr(grassmann, "solve_many",
-                        lambda a, rhs: calls.append(len(rhs)) or solve(a, rhs))
+                        lambda a, rhs, ncols=None: calls.append(len(rhs))
+                        or solve(a, rhs, ncols))
     resp = response_matrix(make_y(1, 2, 3))
     assert extract_symmetric(chart_from_response(resp), "response") == resp
     assert calls == [3]

@@ -23,6 +23,7 @@ from conftest import (
     make_subdivided_wheel,
     make_two_hubs,
     make_y,
+    one_block,
     path_halving_groves,
     path_halving_partition,
     random_planar_net,
@@ -296,8 +297,7 @@ def test_measurements_scale_with_conductance():
     # doubling every conductance scales each grove monomial by 2^|F|,
     # which is not a global scalar; but tripling a single edge scales
     # nothing uniformly either, so compare via explicit recomputation
-    assert lam2[NoncrossingPartition.one_block(3)] == 8 * lam1[
-        NoncrossingPartition.one_block(3)]
+    assert lam2[one_block(3)] == 8 * lam1[one_block(3)]
 
 
 def test_equivalence_y_delta():

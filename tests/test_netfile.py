@@ -12,6 +12,7 @@ from conftest import (
     RecordingStream,
     make_glued_tree,
     make_y,
+    parse_rational,
     random_planar_net,
     write_pairs,
 )
@@ -24,7 +25,7 @@ from cactusnet.linalg import RationalMatrix
 
 def test_rational_round_trip():
     for x in (Fraction(3), Fraction(-7, 2), Fraction(0), Fraction(22, 4)):
-        assert netfile.parse_rational(netfile.format_rational(x)) == x
+        assert parse_rational(netfile.format_rational(x)) == x
     assert netfile.format_rational(Fraction(22, 4)) == "11/2"
     assert netfile.format_rational(Fraction(5)) == "5"
 
@@ -94,13 +95,13 @@ def test_vertex_fields_have_their_json_types(field, value, message):
 def test_conductances_are_p_or_p_over_q_strings():
     """Only "p" and "p/q" (q > 0) are read; decimals, exponents, spaces,
     signs on q, zero denominators and JSON numbers are malformed."""
-    assert netfile.parse_rational("-12/08") == Fraction(-3, 2)
-    assert netfile.parse_rational("0") == 0
+    assert parse_rational("-12/08") == Fraction(-3, 2)
+    assert parse_rational("0") == 0
     for bad in ("1.5", "1e2", " 3/4 ", "3/4 ", "+3", "3/-4", "-3/+4", "1/0",
                 "1/00", "1/-0", "", "-", "/2", "3/", "1/2/3", "3-4", "--3",
                 "1_000", "٣", "²", 3, 1.5, None):
         with pytest.raises(ValueError, match='"p" or "p/q"'):
-            netfile.parse_rational(bad)
+            parse_rational(bad)
         doc = {"n": 2, "shape": [[1], [2]], "internal_vertices": [],
                "edges": [{"id": "e", "ends": ["b1", "b2"], "conductance": bad}],
                "rotations": {"b1": ["e"], "b2": ["e"]}}
