@@ -74,29 +74,28 @@ def cmd_lstar(net, args):
 
 
 def _point(net):
-    """The Grassmannian point of the network, lam_map of its Lambda, in
-    integer form (see ``grassmann.lam_masks``)."""
-    return grassmann.lam_masks(groves.lambda_vector(net))
+    """The Grassmannian point of the network, lam_map of its Lambda."""
+    return grassmann.lam_map(groves.lambda_vector(net))
 
 
-def _kappa_zero(n: int, point) -> bool:
-    return not grassmann.kappa_masks(grassmann.omega(n), *point)[1]
+def _kappa_zero(vec) -> bool:
+    return grassmann.kappa(grassmann.omega(vec.n), vec).is_zero()
 
 
 def cmd_plucker(net, args):
-    point = _point(net)
-    doc = {"coordinates": netfile.masks_to_doc(net.n, *point)}
+    vec = _point(net)
+    doc = {"coordinates": netfile.exterior_to_doc(vec)}
     if args.check_isotropy:
-        doc["kappa_zero"] = _kappa_zero(net.n, point)
+        doc["kappa_zero"] = _kappa_zero(vec)
     return doc
 
 
 def cmd_isotropy(net, args):
-    return {"kappa_zero": _kappa_zero(net.n, _point(net))}
+    return {"kappa_zero": _kappa_zero(_point(net))}
 
 
 def cmd_tnn(net, args):
-    return {"totally_nonnegative": grassmann.same_sign(_point(net)[1].values())}
+    return {"totally_nonnegative": grassmann.is_totally_nonnegative(_point(net))}
 
 
 def _chart(net, source: str):

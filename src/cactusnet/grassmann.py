@@ -1,17 +1,15 @@
 """Exterior algebra, the isotropic Grassmannian, and network charts.
 
-Vectors in the (n+1)-st exterior power of R^{2n} are stored sparsely,
-keyed by sorted tuples of column positions 0..2n-1 in the interleaved
-order 1, 1~, 2, 2~, ..., n, n~ (see combinat).  A network's measurement
-vector maps to such an exterior vector whose coefficients, read in a
-basis of concordant wedges, are the Plucker coordinates of an isotropic
-point of Gr(n+1, 2n).
+Vectors in the (n+1)-st exterior power of R^{2n} are stored sparsely
+over column positions 0..2n-1 in the interleaved order 1, 1~, 2, 2~,
+..., n, n~ (see combinat).  A network's measurement vector maps to such
+an exterior vector whose coefficients, read in a basis of concordant
+wedges, are the Plucker coordinates of an isotropic point of Gr(n+1, 2n).
 
-The point of a network is computed in integer form ``(d, {mask: t})``:
-each coordinate an integer t over one denominator d, keyed by the
-bitmask of its positions (bit p for position p).  ``lam_masks`` and
-``kappa_masks`` are the kernels; ``lam_map``, ``kappa`` and
-``is_totally_nonnegative`` are their views on ``ExteriorVector``s.
+An ``ExteriorVector`` is held in integer form: each coordinate an
+integer over one denominator, keyed by the bitmask of its positions (bit
+p for position p).  ``lam_map``, ``kappa`` and ``is_totally_nonnegative``
+work on that form; ``coords`` reads it as Fractions keyed by tuples.
 """
 
 import itertools
@@ -33,14 +31,14 @@ from .linalg import (
 
 
 class ExteriorVector:
-    """Sparse element of wedge^k R^{2n}, keyed by tuples of k strictly
-    increasing positions in 0 .. 2n - 1."""
+    """Sparse element of wedge^k R^{2n}: coordinate ``terms[mask] /
+    denom`` on the k positions in 0 .. 2n - 1 of each bitmask, every term
+    a nonzero int and ``denom`` a positive int.  ``coords`` is keyed by
+    tuples of k strictly increasing positions."""
 
     def __init__(self, n: int, degree: int, coords=None):
-        self.n = n
-        self.degree = degree
-        self.coords = {}
         top = 2 * n
+        values = {}
         for key, val in (coords or {}).items():
             # degree positions, strictly increasing, in 0 .. 2n - 1
             if len(key) != degree or list(key) != sorted(set(key)) or \
@@ -49,45 +47,48 @@ class ExteriorVector:
             if type(val) is not Fraction:
                 val = _exact(val)
             if val:
-                self.coords[tuple(key)] = val
+                values[sum(1 << p for p in key)] = val
+        denom = math.lcm(*(v.denominator for v in values.values()))
+        self.n, self.degree, self.denom = n, degree, denom
+        self.terms = {mask: v.numerator * (denom // v.denominator)
+                      for mask, v in values.items()}
 
     @classmethod
-    def from_masks(cls, n: int, degree: int, denom: int, terms: dict):
-        """The vector of the integer form ``(denom, terms)``: coordinate
-        ``terms[mask] / denom`` on the positions of each bitmask (bit p
-        for position p).  The terms must be nonzero and have ``degree``
-        bits below 2n, so no key is checked."""
+    def _of(cls, n: int, degree: int, denom: int, terms: dict):
+        """The vector of ``(denom, terms)``, taken as they are: the terms
+        must be nonzero and their masks have ``degree`` bits below 2n."""
         vec = cls.__new__(cls)
-        vec.n, vec.degree = n, degree
-        vec.coords = {tuple(p for p in range(2 * n) if mask >> p & 1):
-                      Fraction(t, denom) for mask, t in terms.items()}
+        vec.n, vec.degree, vec.denom, vec.terms = n, degree, denom, terms
         return vec
 
-    def masks(self) -> tuple:
-        """The integer form ``(d, {mask: t})``: each coordinate as an
-        integer t over d, the lcm of the denominators, keyed by the
-        bitmask of its positions."""
-        denom = math.lcm(*(v.denominator for v in self.coords.values()))
-        return denom, {sum(1 << p for p in key): v.numerator * (denom // v.denominator)
-                       for key, v in self.coords.items()}
+    @property
+    def coords(self) -> dict:
+        """The coordinates as Fractions, keyed by sorted position tuples."""
+        positions = range(2 * self.n)
+        return {tuple(p for p in positions if mask >> p & 1): Fraction(t, self.denom)
+                for mask, t in self.terms.items()}
 
     def __getitem__(self, key) -> Fraction:
-        return self.coords.get(tuple(key), Fraction(0))
+        return Fraction(self.terms.get(sum(1 << p for p in key), 0), self.denom)
 
     def __add__(self, other) -> "ExteriorVector":
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ExteriorVector(self.n, self.degree, out)
+        if (self.n, self.degree) != (other.n, other.degree):
+            raise ValueError("cannot add vectors of different n or degree")
+        denom = math.lcm(self.denom, other.denom)
+        a, b = denom // self.denom, denom // other.denom
+        out = {mask: a * t for mask, t in self.terms.items()}
+        for mask, t in other.terms.items():
+            out[mask] = out.get(mask, 0) + b * t
+        return ExteriorVector._of(self.n, self.degree, denom,
+                                  {mask: t for mask, t in out.items() if t})
 
     def scale(self, c) -> "ExteriorVector":
         c = _exact(c)
-        return ExteriorVector(
-            self.n, self.degree, {k: c * v for k, v in self.coords.items()}
-        )
+        terms = {mask: c.numerator * t for mask, t in self.terms.items()} if c else {}
+        return ExteriorVector._of(self.n, self.degree, self.denom * c.denominator, terms)
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,14 +129,12 @@ def _concordant_masks(bits, blocks) -> list:
 def f_sigma(pair: KrewerasPair) -> ExteriorVector:
     """Sum of basis wedges over index pairs concordant with the pair."""
     masks = _concordant_masks(_position_bits(pair.n), pair.all_blocks())
-    return ExteriorVector.from_masks(pair.n, pair.n + 1, 1, dict.fromkeys(masks, 1))
+    return ExteriorVector._of(pair.n, pair.n + 1, 1, dict.fromkeys(masks, 1))
 
 
-def lam_masks(measurements: GroveMeasurements) -> tuple:
-    """``lam_map`` in integer form ``(d, {mask: t})``: the coordinates of
-    sum Lambda_sigma f_sigma as integers t over d, the lcm of the Lambda
-    denominators, keyed by the bitmasks of their positions.  Zero
-    coordinates are dropped."""
+def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
+    """Exterior vector of a measurement vector: sum of Lambda_sigma
+    f_sigma, over the lcm of the Lambda denominators."""
     values = [(sigma, val) for sigma, val in measurements.values.items() if val]
     denom = math.lcm(*(val.denominator for _, val in values))
     bits = _position_bits(measurements.n)
@@ -145,13 +144,8 @@ def lam_masks(measurements: GroveMeasurements) -> tuple:
         blocks = sigma.blocks + _kreweras_tilde_blocks(sigma)
         for mask in _concordant_masks(bits, blocks):
             out[mask] = out.get(mask, 0) + weight
-    return denom, {mask: t for mask, t in out.items() if t}
-
-
-def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
-    """Exterior vector of a measurement vector: sum of Lambda_sigma f_sigma."""
     n = measurements.n
-    return ExteriorVector.from_masks(n, n + 1, *lam_masks(measurements))
+    return ExteriorVector._of(n, n + 1, denom, {mask: t for mask, t in out.items() if t})
 
 
 def plucker(m: RationalMatrix) -> ExteriorVector:
@@ -244,20 +238,15 @@ def _contract(pairs, terms: dict) -> dict:
     return out
 
 
-def kappa_masks(form: RationalMatrix, denom: int, terms: dict) -> tuple:
-    """``kappa`` in integer form: the contraction of the vector of
-    ``(denom, terms)`` (see ``ExteriorVector.masks``) as ``(F * denom,
-    {mask: t})``, F the lcm of the form's denominators, zero terms
-    dropped."""
-    fdenom, pairs = _pairs(form)
-    out = _contract(pairs, terms)
-    return fdenom * denom, {rest: t for rest, t in out.items() if t}
-
-
 def kappa(form: RationalMatrix, vec: ExteriorVector) -> ExteriorVector:
-    """Contract a degree-(n+1) vector with a skew form, degree drops by 2."""
-    return ExteriorVector.from_masks(
-        vec.n, vec.degree - 2, *kappa_masks(form, *vec.masks()))
+    """Contract a vector of wedge^k R^{2n} with a 2n x 2n skew form: degree
+    k - 2 over ``F * vec.denom``, F the lcm of the form's denominators."""
+    if (form.nrows, form.ncols) != (2 * vec.n,) * 2:
+        raise ValueError(f"form must be {2 * vec.n} x {2 * vec.n}")
+    fdenom, pairs = _pairs(form)
+    out = _contract(pairs, vec.terms)
+    return ExteriorVector._of(vec.n, vec.degree - 2, fdenom * vec.denom,
+                              {rest: t for rest, t in out.items() if t})
 
 
 def is_isotropic(m: RationalMatrix, form: RationalMatrix) -> bool:
@@ -282,14 +271,9 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     return len(src) - len(_reduce(rows))
 
 
-def same_sign(values) -> bool:
-    """True iff the nonzero ``values`` are not empty and share one sign."""
-    return len({v > 0 for v in values}) == 1
-
-
 def is_totally_nonnegative(vec: ExteriorVector) -> bool:
     """Nonzero, and all coefficients share one sign (projectively TNN)."""
-    return same_sign(vec.coords.values())
+    return len({t > 0 for t in vec.terms.values()}) == 1
 
 
 # ---------------------------------------------------------------------------

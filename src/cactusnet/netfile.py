@@ -3,10 +3,11 @@
 Network files are JSON with keys n, shape, internal_vertices, edges,
 rotations; boundary vertices are named "b1".."bn" and rationals are
 serialized as "p" or "p/q" in lowest terms.  Output documents reuse the
-same rational encoding; exterior vector keys are index-set strings like
-"1,1~,2" listing ground elements in circle order.  The dense Lambda
-document is streamed by ``write_lambda`` from the runs of names of
-``combinat.noncrossing_runs``, never held whole in memory.
+same rational encoding; ``exterior_to_doc`` keys each coordinate of an
+``ExteriorVector`` by the index-set string of its bitmask, like "1,1~,2"
+(ground elements in circle order).  ``write_lambda`` streams the dense
+Lambda document from the runs of names of ``combinat.noncrossing_runs``,
+never holding it whole in memory.
 """
 
 import itertools
@@ -133,12 +134,13 @@ def matrix_to_doc(m: RationalMatrix):
     return [[format_rational(x) for x in row] for row in m.rows]
 
 
-def masks_to_doc(n: int, denom: int, terms: dict) -> dict:
-    """``exterior_to_doc`` of the vector of the integer form ``(denom,
-    terms)`` (see ``ExteriorVector.masks``).  Each half of the circle,
-    positions 0 .. n - 1 and n .. 2n - 1, is read from a table of its 2^n
-    bitmasks: the names of its positions, and the bitmask reversed, whose
-    descending order over a whole key is the order of the sorted keys."""
+def exterior_to_doc(vec: ExteriorVector) -> dict:
+    """The coordinates of ``vec`` in sorted key order, each named by its
+    index-set string.  Each half of the circle, positions 0 .. n - 1 and
+    n .. 2n - 1, is read from a table of its 2^n bitmasks: the names of
+    its positions, and the bitmask reversed, whose descending order over a
+    whole key is the order of the sorted keys."""
+    n, denom, terms = vec.n, vec.denom, vec.terms
     label_at = {circle_position(n, x): x for x in range(1, 2 * n + 1)}
     low, high, rev = [""], [""], [0]
     for h in range(1, 1 << n):
@@ -156,10 +158,6 @@ def masks_to_doc(n: int, denom: int, terms: dict) -> dict:
         doc[(low[mask & half] + high[mask >> n])[:-1]] = (
             str(t // g) if g == denom else f"{t // g}/{denom // g}")
     return doc
-
-
-def exterior_to_doc(vec: ExteriorVector) -> dict:
-    return masks_to_doc(vec.n, *vec.masks())
 
 
 def dump_document(doc, compact: bool = False) -> str:

@@ -613,7 +613,7 @@ def concordant_keys_oracle(pair):
 # ---------------------------------------------------------------------------
 # Grassmannian helpers that only tests use, and the tuple-keyed Plucker
 # route that the integer bitmask kernels replaced (the oracles of
-# lam_masks, kappa_masks and masks_to_doc)
+# lam_map, kappa and exterior_to_doc)
 # ---------------------------------------------------------------------------
 
 def positions_of(n: int, labels) -> tuple:

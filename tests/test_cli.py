@@ -26,7 +26,7 @@ from conftest import (
     partition_name,
     random_planar_net,
 )
-from cactusnet import cli, electrical, groves, netfile
+from cactusnet import cli, electrical, grassmann, groves, netfile
 from cactusnet.cli import main
 from cactusnet.combinat import NoncrossingPartition, catalan
 from cactusnet.grassmann import lam_map
@@ -178,6 +178,29 @@ def test_plucker_and_flags(paths, capsys):
     assert code == 0 and json.loads(out) == {"kappa_zero": True}
     code, out, _ = run(capsys, "tnn", paths["glued"], "--compact")
     assert code == 0 and json.loads(out) == {"totally_nonnegative": True}
+
+
+def test_plucker_family_calls_the_grassmann_kernels(paths, capsys, monkeypatch):
+    """Each of plucker, tnn and isotropy makes one lam_map call, a kappa
+    call when isotropy is asked, an is_totally_nonnegative call for tnn
+    and an exterior_to_doc call when coordinates are printed, through the
+    module attributes that a tracer wraps."""
+    calls = []
+    for mod, name in ((grassmann, "lam_map"), (grassmann, "kappa"),
+                      (grassmann, "is_totally_nonnegative"),
+                      (netfile, "exterior_to_doc")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    for argv, expect in (
+            (["plucker"], ["lam_map", "exterior_to_doc"]),
+            (["plucker", "--check-isotropy"], ["lam_map", "exterior_to_doc", "kappa"]),
+            (["isotropy"], ["lam_map", "kappa"]),
+            (["tnn"], ["lam_map", "is_totally_nonnegative"])):
+        calls.clear()
+        code, _, _ = run(capsys, argv[0], paths["glued"], *argv[1:])
+        assert code == 0 and calls == expect
 
 
 def test_chart_and_extract_consistency(paths, capsys):

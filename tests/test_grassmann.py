@@ -115,7 +115,7 @@ def test_exterior_vector_refuses_floats():
     with pytest.raises(TypeError):
         ExteriorVector(2, 3, {(0, 1, 2): Fraction(1)}).scale(0.5)
     third = Fraction(1, 3)
-    assert ExteriorVector(2, 3, {(0, 1, 2): third}).coords[(0, 1, 2)] is third
+    assert ExteriorVector(2, 3, {(0, 1, 2): third}).coords[(0, 1, 2)] == third
     assert ExteriorVector(2, 3, {(0, 1, 2): "1/3"})[(0, 1, 2)] == third
 
 
@@ -132,6 +132,62 @@ def test_exterior_vector_keys_are_checked():
     assert ExteriorVector(1, 0, {(): 5})[()] == 5
     with pytest.raises(ValueError, match="bad key"):
         ExteriorVector(1, 0, {(0,): 5})
+
+
+def test_exterior_vector_arithmetic_against_fraction_dicts():
+    """__getitem__, __add__, scale and __eq__ on the integer form against
+    the same operations on dicts of Fractions: distinct denominators, sums
+    that cancel in part or to zero, scale(0) and negative scales."""
+    rng = random.Random(25)
+    for trial in range(240):
+        n = rng.randint(1, 4)
+        keys = list(itertools.combinations(range(2 * n), n + 1))
+
+        def fractions(picked):
+            return {key: Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+                    for key in picked}
+
+        a = fractions(rng.sample(keys, rng.randint(0, len(keys))))
+        b = fractions(rng.sample(keys, rng.randint(0, len(keys))))
+        if trial % 3 == 1:  # cancel a on some of its keys
+            b.update({k: -v for k, v in a.items() if rng.random() < 0.5})
+        elif trial % 3 == 2:  # cancel to zero
+            b = {k: -v for k, v in a.items()}
+        c = (0, -1, Fraction(rng.randint(-7, -1), rng.randint(2, 5)),
+             Fraction(rng.randint(1, 7), rng.randint(1, 5)))[trial % 4]
+        va, vb = ExteriorVector(n, n + 1, a), ExteriorVector(n, n + 1, b)
+        total = {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
+        cases = ((va, a), (vb, b), (va + vb, total), (vb + va, total),
+                 (va.scale(c), {k: c * v for k, v in a.items()}),
+                 ((va + vb).scale(c), {k: c * v for k, v in total.items()}))
+        plain_a = {k: v for k, v in a.items() if v}
+        for vec, oracle in cases:
+            nonzero = {k: v for k, v in oracle.items() if v}
+            assert vec.coords == nonzero
+            assert vec.is_zero() is not nonzero
+            assert all(vec[k] == oracle.get(k, 0) for k in keys)
+            assert type(vec.denom) is int and vec.denom > 0
+            assert all(type(t) is int and t for t in vec.terms.values())
+            assert vec == ExteriorVector(n, n + 1, nonzero)
+            assert (vec == va) is (nonzero == plain_a)
+        # one value over two denominators compares equal
+        halved = va.scale(2).scale(Fraction(1, 2))
+        assert halved == va and halved.denom == 2 * va.denom
+
+
+def test_mismatched_operands_are_refused():
+    """A sum of vectors of different n or degree, and a contraction with a
+    form that is not 2n x 2n, raise instead of returning a vector."""
+    v2 = ExteriorVector(2, 3, {(0, 1, 2): 1})
+    v3 = ExteriorVector(3, 3, {(0, 1, 2): 1})
+    low = ExteriorVector(2, 2, {(0, 1): 1})
+    for a, b in ((v2, v3), (v3, v2), (v2, low), (low, v2)):
+        with pytest.raises(ValueError, match="different n or degree"):
+            a + b
+    for form in (omega(3), omega(1), RationalMatrix([[0] * 4] * 3)):
+        with pytest.raises(ValueError, match="form must be 4 x 4"):
+            kappa(form, v2)
+    assert kappa(omega(2), v2) == pair_loop_kappa(omega(2), v2)
 
 
 def test_lam_map_and_kappa_build_valid_keys(rng):
@@ -226,7 +282,7 @@ def test_kappa_matches_the_pair_loop_oracle(rng):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_concordant_keys_match_the_oracle(n):
-    """The bitmasks that f_sigma and lam_masks sum, against the concordant
+    """The bitmasks that f_sigma and lam_map sum, against the concordant
     index pairs: no mask twice, and the same keys."""
     bits = grassmann._position_bits(n)
     for sigma in enumerate_noncrossing(n):
@@ -317,10 +373,10 @@ def test_plucker_family_documents_match_the_tuple_route(tmp_path, capsys):
 
 
 def test_plucker_kernels_match_the_oracles():
-    """On the same networks: lam_masks (through lam_map) against the sum
-    of Lambda(sigma) f_sigma and the tuple-keyed sums, and kappa_masks
-    (through kappa with omega) against the pair loop and the partner
-    lists."""
+    """On the same networks: lam_map against the sum of Lambda(sigma)
+    f_sigma and the tuple-keyed sums, its integer form against the vector
+    rebuilt from its Fractions, and kappa with omega against the pair
+    loop and the partner lists."""
     for net in plucker_networks():
         try:
             lam = lambda_vector(net)
@@ -333,15 +389,15 @@ def test_plucker_kernels_match_the_oracles():
                 total[key] = total.get(key, 0) + one * val
         vec = lam_map(lam)
         assert vec == ExteriorVector(n, n + 1, total) == tuple_lam_map(lam)
-        assert ExteriorVector.from_masks(n, n + 1, *grassmann.lam_masks(lam)) == vec
+        assert ExteriorVector(n, n + 1, vec.coords) == vec
         contracted = kappa(omega(n), vec)
         assert contracted == pair_loop_kappa(omega(n), vec) == tuple_kappa(omega(n), vec)
         assert contracted.is_zero()
 
 
-def test_kappa_masks_off_the_image(rng):
-    """Random vectors that are not isotropic: kappa_masks gives nonzero
-    integer terms whose vector is the oracles' contraction."""
+def test_kappa_off_the_image(rng):
+    """Random vectors that are not isotropic: kappa gives nonzero integer
+    terms whose vector is the oracles' contraction."""
     nonzero = tried = 0
     for n in range(2, 7):
         keys = list(itertools.combinations(range(2 * n), n + 1))
@@ -349,33 +405,35 @@ def test_kappa_masks_off_the_image(rng):
             vec = ExteriorVector(n, n + 1, {
                 key: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
                 for key in rng.sample(keys, min(len(keys), 10))})
-            assert ExteriorVector.from_masks(n, n + 1, *vec.masks()) == vec
+            assert ExteriorVector(n, n + 1, vec.coords) == vec
             for form in (omega(n), omega_d(n), random_skew_form(rng, n)):
-                denom, terms = grassmann.kappa_masks(form, *vec.masks())
-                assert all(terms.values())
-                got = ExteriorVector.from_masks(n, n - 1, denom, terms)
+                got = kappa(form, vec)
+                assert all(got.terms.values()) and got.denom > 0
+                assert ExteriorVector(n, n - 1, got.coords) == got
                 assert got == pair_loop_kappa(form, vec) == tuple_kappa(form, vec)
                 tried += 1
-                nonzero += bool(terms)
+                nonzero += not got.is_zero()
     assert nonzero >= tried - 3
 
 
 def test_totally_nonnegative_on_mixed_signs_and_zero():
-    """Signs read from Fractions and from the integers of the kernel's
-    form: one sign is nonnegative, mixed signs and zero vectors are not."""
+    """Signs read from the integer terms over a positive denominator: one
+    sign, either one, is nonnegative; mixed signs and zero vectors are
+    not."""
     pos = ExteriorVector(2, 3, {(0, 1, 2): 1, (0, 1, 3): Fraction(1, 2)})
+    neg = ExteriorVector(2, 3, {(0, 1, 2): -3, (1, 2, 3): Fraction(-5, 7)})
     mixed = ExteriorVector(2, 3, {(0, 1, 2): 1, (1, 2, 3): Fraction(-1, 3)})
     zero = ExteriorVector(2, 3, {(0, 1, 2): 0})
     assert is_totally_nonnegative(pos)
     assert is_totally_nonnegative(pos.scale(-2))
+    assert is_totally_nonnegative(neg)
+    assert is_totally_nonnegative(neg.scale(Fraction(-1, 4)))
     assert not is_totally_nonnegative(mixed)
+    assert not is_totally_nonnegative(mixed.scale(-1))
     assert not is_totally_nonnegative(zero)
     assert not is_totally_nonnegative(ExteriorVector(2, 3))
     assert not is_totally_nonnegative(pos + pos.scale(-1))
-    for vec, expect in ((pos, True), (mixed, False), (zero, False)):
-        assert grassmann.same_sign(vec.masks()[1].values()) is expect
-    assert grassmann.same_sign([-3, -5]) and not grassmann.same_sign([3, -5])
-    assert not grassmann.same_sign([])
+    assert not is_totally_nonnegative(pos.scale(0))
 
 
 def test_chart_round_trips_random_symmetric(rng):
