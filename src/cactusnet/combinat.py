@@ -10,11 +10,12 @@ where label i sits at circle position 2*(i-1) and label k~ at position
 2*(k-1) + 1 (positions run 0..2n-1).  This is the single place where
 that convention is defined; every other module imports it from here.
 
-The noncrossing partitions of [n] are enumerated by one walk, in runs:
-one for each block of 1, holding the partitions that start with it.
-``enumerate_noncrossing`` (partitions), ``noncrossing_names`` (their
-names) and ``noncrossing_runs`` (the names run by run, for the Lambda
-writer) are views of that walk.
+The noncrossing partitions of [n] are enumerated by one walk over the
+blocks of each interval's least label, which builds their names, not
+their blocks, in runs: one for each block of 1, holding the names that
+start with it.  ``noncrossing_runs`` (the runs, for the Lambda writer),
+``noncrossing_names`` (the names) and ``enumerate_noncrossing`` (the
+partitions, read back from the names) are views of that walk.
 """
 
 import itertools
@@ -193,79 +194,67 @@ def _block_name(block) -> str:
     return "{" + ",".join(map(str, block)) + "}"
 
 
-def _noncrossing_runs(n: int, unit, empty):
-    """Every noncrossing partition of [n], sorted, built from ``unit``.
+# the mids of a block with no inner gap: one empty rest, no product
+_NO_GAP = ("",)
 
-    ``unit(block)`` stands for a one-block partition and ``empty`` for
-    the partition of nothing; partitions are joined with ``+``, so
-    ``unit=lambda b: (b,)`` gives canonical block tuples and a string
-    unit gives names.  Yields one triple ``(head, mids, lasts)`` for each
-    block of 1, in lexicographic order: ``head`` is ``unit(block)`` and
-    the partitions with that block are ``head + m + r``, m in ``mids``
-    (slower) and r in ``lasts``.
 
-    The gaps between the elements of the block of 1 (and after its last
-    one) are partitioned on their own, since a block meeting two gaps
-    would cross it; their partitions follow in product order with the
-    first gap slowest.  That is the lexicographic order of the canonical
-    block tuples.  ``mids`` holds the partitions of all nonempty gaps but
-    the last one, ``lasts`` those of that one.  The partitions of each gap
-    interval are built once per call and kept, so ``lasts`` may be shared
-    between triples and must not be mutated.
+def _noncrossing_walk(n: int):
+    """The generator behind ``noncrossing_runs``.
+
+    ``blocks(a, b)`` walks the blocks of a among a..b in lexicographic
+    order, in preorder on an explicit stack: each block, then its
+    extensions by each larger label x, x ascending.  With a block go its
+    name without the closing "}", grown by "," + str(x) per extension,
+    its last element, and its mids: the names of the partitions of its
+    inner gaps (the nonempty intervals between its elements), in product
+    order with the first gap slowest.  A block meeting two gaps would
+    cross the block, so the gaps are partitioned on their own; that is
+    the lexicographic order of the canonical block tuples.  A stacked
+    block holds its parent's mids and the bounds of its newest gap, and
+    its own mids are built when it is popped, which keeps the peak memory
+    down.  ``interval(a, b)`` lists the names of the partitions of a..b,
+    each starting with ","; it is built once per call and kept, so the
+    lists handed out may be shared.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     memo = {}
 
     def interval(a: int, b: int) -> list:
         got = memo.get((a, b))
         if got is None:
-            got = memo[a, b] = _flat(runs(a, b))
+            got = memo[a, b] = []
+            for name, last, mids in blocks(a, b):
+                head = "," + name + "}"
+                if last == b:
+                    got.extend([head + m for m in mids])
+                elif mids is _NO_GAP:
+                    got.extend([head + r for r in interval(last + 1, b)])
+                else:
+                    tail = interval(last + 1, b)
+                    got.extend([p + r for p in [head + m for m in mids]
+                                for r in tail])
         return got
 
-    def runs(a: int, b: int):
-        # The blocks of a in lexicographic order, a walk in preorder: each
-        # block, then its extensions by each larger label x, x ascending.
-        # With a block go the partition lists of its nonempty gaps before
-        # its last element, the newest one as bounds: an interval is built
-        # only once a block that needs it is reached, which keeps the peak
-        # memory down.
-        stack = [((a,), [], None)]
+    def blocks(a: int, b: int):
+        stack = [("{" + str(a), a, _NO_GAP, None)]
         while stack:
-            block, gaps, gap = stack.pop()
+            name, last, mids, gap = stack.pop()
             if gap:
-                gaps = gaps + [interval(*gap)]
-            last = block[-1]
-            parts = gaps + [interval(last + 1, b)] if last < b else gaps
-            mids = (empty,)
-            for got in parts[:-1]:
-                mids = [m + p for m in mids for p in got]
-            yield unit(block), mids, parts[-1] if parts else (empty,)
+                got = interval(*gap)
+                mids = got if mids is _NO_GAP else [
+                    m + p for m in mids for p in got]
+            yield name, last, mids
             for x in range(b, last, -1):
-                stack.append((block + (x,), gaps,
+                stack.append((name + "," + str(x), x, mids,
                               (last + 1, x - 1) if x > last + 1 else None))
 
-    return runs(1, n)
-
-
-def _flat(runs) -> list:
-    """The partitions ``head + m + r`` of the triples of ``_noncrossing_runs``."""
-    return [p + r for head, mids, lasts in runs
-            for p in [head + m for m in mids] for r in lasts]
-
-
-def _noncrossing_blocks(n: int) -> list:
-    """Canonical blocks of every noncrossing partition of [n], sorted."""
-    return _flat(_noncrossing_runs(n, lambda b: (b,), ()))
-
-
-@lru_cache(maxsize=None)
-def enumerate_noncrossing(n: int) -> tuple:
-    """All noncrossing partitions of [n], lexicographic on canonical blocks.
-
-    The length is the Catalan number Cat_n.
-    """
-    return tuple(NoncrossingPartition(n, b) for b in _noncrossing_blocks(n))
+    for name, last, mids in blocks(1, n):
+        if last == n:
+            yield name + "}", mids
+        elif mids is _NO_GAP:
+            yield name + "}", interval(last + 1, n)
+        else:
+            tail = interval(last + 1, n)
+            yield name + "}", [m + r for m in mids for r in tail]
 
 
 def noncrossing_runs(n: int):
@@ -275,16 +264,30 @@ def noncrossing_runs(n: int):
     name of the block of 1 and each r is empty or starts with ``","``.
     The lists of rests may be shared: do not mutate them.  Raises
     ``ValueError`` at once for n < 1."""
-    runs = _noncrossing_runs(n, lambda b: "," + _block_name(b), "")
-    return ((head[1:], lasts if mids == ("",) else
-             [m + r for m in mids for r in lasts])
-            for head, mids, lasts in runs)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _noncrossing_walk(n)
 
 
 def noncrossing_names(n: int):
     """Iterator over the ``str`` of every noncrossing partition of [n], in
     enumeration order.  Raises ``ValueError`` at once for n < 1."""
     return (first + r for first, rests in noncrossing_runs(n) for r in rests)
+
+
+@lru_cache(maxsize=None)
+def enumerate_noncrossing(n: int) -> tuple:
+    """All noncrossing partitions of [n], lexicographic on canonical blocks,
+    read back from their names.
+
+    The length is the Catalan number Cat_n.
+    """
+    block = {}  # "1,3" -> (1, 3), each block read once
+    return tuple(
+        NoncrossingPartition(n, tuple(
+            block.get(b) or block.setdefault(b, tuple(map(int, b.split(","))))
+            for b in name[1:-1].split("},{")))
+        for name in noncrossing_names(n))
 
 
 def catalan(n: int) -> int:

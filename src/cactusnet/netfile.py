@@ -46,7 +46,10 @@ def _rational(s):
 
 def load_network(path: str) -> CactusNetwork:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # arrays or objects nested too deep
+            raise ValueError(f"malformed network file: {exc}") from exc
     return network_from_dict(doc)
 
 

@@ -14,6 +14,7 @@ from cactusnet import cli, groves, netfile
 from cactusnet.combinat import (
     KrewerasPair,
     NoncrossingPartition,
+    _block_name,
     _crossing,
     canonical_blocks,
     circle_position,
@@ -498,6 +499,76 @@ def grown_noncrossing_blocks(n):
     grow(2, ((1,),))
     results.sort()
     return results
+
+
+def unit_noncrossing_runs(n: int, unit, empty):
+    """Every noncrossing partition of [n], sorted, built from ``unit``.
+
+    Oracle for ``combinat.noncrossing_runs``: the walk it replaced, which
+    builds each block as a tuple first.  ``unit(block)`` stands for a
+    one-block partition and ``empty`` for the partition of nothing;
+    partitions are joined with ``+``, so ``unit=lambda b: (b,)`` gives
+    canonical block tuples and a string unit gives names.  Yields one
+    triple ``(head, mids, lasts)`` for each block of 1, in lexicographic
+    order: ``head`` is ``unit(block)`` and the partitions with that block
+    are ``head + m + r``, m in ``mids`` (slower) and r in ``lasts``.
+
+    The gaps between the elements of the block of 1 (and after its last
+    one) are partitioned on their own, since a block meeting two gaps
+    would cross it; their partitions follow in product order with the
+    first gap slowest.  ``mids`` holds the partitions of all nonempty gaps
+    but the last one, ``lasts`` those of that one.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    memo = {}
+
+    def interval(a: int, b: int) -> list:
+        got = memo.get((a, b))
+        if got is None:
+            got = memo[a, b] = flat_runs(runs(a, b))
+        return got
+
+    def runs(a: int, b: int):
+        # the blocks of a in lexicographic order, a walk in preorder
+        stack = [((a,), [], None)]
+        while stack:
+            block, gaps, gap = stack.pop()
+            if gap:
+                gaps = gaps + [interval(*gap)]
+            last = block[-1]
+            parts = gaps + [interval(last + 1, b)] if last < b else gaps
+            mids = (empty,)
+            for got in parts[:-1]:
+                mids = [m + p for m in mids for p in got]
+            yield unit(block), mids, parts[-1] if parts else (empty,)
+            for x in range(b, last, -1):
+                stack.append((block + (x,), gaps,
+                              (last + 1, x - 1) if x > last + 1 else None))
+
+    return runs(1, n)
+
+
+def flat_runs(runs) -> list:
+    """The partitions ``head + m + r`` of the triples of
+    ``unit_noncrossing_runs``."""
+    return [p + r for head, mids, lasts in runs
+            for p in [head + m for m in mids] for r in lasts]
+
+
+def unit_noncrossing_blocks(n: int) -> list:
+    """Canonical blocks of every noncrossing partition of [n], sorted, from
+    the tuple walk."""
+    return flat_runs(unit_noncrossing_runs(n, lambda b: (b,), ()))
+
+
+def unit_name_runs(n: int):
+    """The runs ``(first, rests)`` of ``combinat.noncrossing_runs``, from
+    the tuple walk with a string unit."""
+    runs = unit_noncrossing_runs(n, lambda b: "," + _block_name(b), "")
+    return ((head[1:], lasts if mids == ("",) else
+             [m + r for m in mids for r in lasts])
+            for head, mids, lasts in runs)
 
 
 def partition_name(blocks):

@@ -323,6 +323,18 @@ def test_exit_code_invalid_input(paths, capsys, tmp_path):
     assert run(capsys, "response", str(junk))[0] == 1
 
 
+def test_deeply_nested_file_is_invalid_input(paths, capsys, tmp_path):
+    """A file nested deeper than the JSON reader can recurse is malformed
+    input (exit 1), not an internal error, in either file of equiv."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (["validate", str(deep)], ["lambda", str(deep)],
+                 ["equiv", paths["y"], str(deep)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed network file:")
+
+
 def test_exit_code_precondition(paths, capsys):
     assert run(capsys, "resistance", paths["disc"])[0] == 2
 

@@ -17,6 +17,8 @@ from conftest import (
     one_block,
     pairwise_kreweras_tilde_blocks,
     partition_name,
+    unit_name_runs,
+    unit_noncrossing_blocks,
 )
 from cactusnet import combinat
 from cactusnet.combinat import (
@@ -81,7 +83,7 @@ def test_enumeration_matches_the_grown_and_sorted_oracle(n):
 @pytest.mark.parametrize("n", range(1, 12))
 def test_names_follow_the_enumeration(n):
     blocks = grown_noncrossing_blocks(n)
-    assert combinat._noncrossing_blocks(n) == blocks
+    assert unit_noncrossing_blocks(n) == blocks
     names = list(noncrossing_names(n))
     assert names == [partition_name(b) for b in blocks]
     assert names == [str(s) for s in enumerate_noncrossing(n)]
@@ -101,6 +103,25 @@ def test_runs_hold_the_names_by_block_of_1(n):
                       sorted(c for k in range(n) for c in
                              itertools.combinations(range(2, n + 1), k))]
     assert all(r == "" or r.startswith(",{") for _, rests in runs for r in rests)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_runs_match_the_tuple_walk(n):
+    """Run by run, the name walk gives the first block and the rests of the
+    walk it replaced, which built block tuples and named them."""
+    runs = noncrossing_runs(n)
+    count = 0
+    for (first, rests), (want_first, want_rests) in itertools.zip_longest(
+            runs, unit_name_runs(n), fillvalue=(None, None)):
+        assert first == want_first
+        assert rests == want_rests
+        count += len(rests)
+    assert count == catalan(n)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_enumeration_matches_the_tuple_walk(n):
+    assert [s.blocks for s in enumerate_noncrossing(n)] == unit_noncrossing_blocks(n)
 
 
 def test_name_count_is_catalan():
