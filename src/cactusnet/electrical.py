@@ -8,22 +8,21 @@ positive: solving L V = e_u - e_v gives R(u, v) = V[v] - V[u].
 L is the Kron reduction of the quotient Laplacian: eliminating the
 internal vertices, each on its own diagonal, leaves the Schur complement
 -L in the boundary rows (one forward pass of ``linalg._reduce``).
-Resistances are not computed from L, though: one solve on the quotient
-Laplacian with boundary block 0 grounded gives them all.
+Resistances are not computed from L, though: one Gauss-Jordan pass over
+the quotient Laplacian with boundary block 0 grounded gives them all.
 
 Where integers end: ``laplacian`` builds integer rows, each over its own
-positive scale, and the kernel takes them as they are and hands back
-Fractions.  The response gives the kernel its boundary rows negated over
-their scales, so the Fractions it hands back are L itself.  R and L*
-bring theirs back to one common denominator, sum in integers and build
-one Fraction per output entry.
+positive scale, and the kernel takes them as they are and leaves its rows
+in integers, each over a scale it returns.  The response reads L from the
+boundary rows, one Fraction per entry; R reads its solution from the
+pivot rows over the lcm of their pivot entries, and R and L* sum in
+integers and build one Fraction per output entry.
 """
 
 import math
 from fractions import Fraction
 
-from .linalg import (Inconsistent, RationalMatrix, _common_denominator, _reduce,
-                     solve_many)
+from .linalg import RationalMatrix, _common_denominator, _reduce
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 
@@ -59,15 +58,14 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
     qg = quotient_graph(net)
     lap, scales = laplacian(qg)
     nb = len(qg.boundary)
-    # scaling the internal rows leaves the Schur complement as it is; the
-    # boundary rows, negated over their scales, end as the rows of L
-    for a in range(nb):
-        lap[a] = {j: Fraction(-x, scales[a]) for j, x in lap[a].items()}
     internal = range(nb, len(lap))
-    if len(_reduce(lap, diagonal=internal)) < len(internal):
+    pivots, kept = _reduce(lap, diagonal=internal)
+    if len(pivots) < len(internal):
         raise ValueError("an internal vertex is isolated from the boundary")
-    zero = Fraction(0)
-    return RationalMatrix([[row.get(b, zero) for b in range(nb)] for row in lap[:nb]])
+    # scaling the internal rows leaves the Schur complement as it is, so
+    # boundary row a, over its kept scale m / d, is scales[a] times -L's row a
+    return RationalMatrix([[Fraction(-row.get(b, 0) * m, d * s) for b in range(nb)]
+                           for row, (m, d), s in zip(lap[:nb], kept, scales)])
 
 
 def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
@@ -85,18 +83,26 @@ def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
     qg = quotient_graph(net)
     nb, size = len(qg.boundary), len(qg.vertices)
     lap, scales = laplacian(qg)
-    grounded = [{j - 1: x for j, x in row.items() if j} for row in lap[1:]]
+    nc = size - 1
+    rows = [{j - 1: x for j, x in row.items() if j} for row in lap[1:]]
     # each unit current is scaled with its row, which keeps the solution
-    units = [{k: scales[k + 1]} for k in range(nb - 1)]
-    sol = solve_many(grounded, units, ncols=size - 1)
-    if isinstance(sol, Inconsistent):
+    for k in range(nb - 1):
+        rows[k][nc + k] = scales[k + 1]
+    pivots, _ = _reduce(rows, nc)
+    rest = set(range(nc)).difference(i for i, _, _ in pivots)
+    # a row without a pivot keeps only current keys
+    if any(rows[i] for i in rest):
         raise ValueError(
             "boundary components are disconnected; resistance is infinite"
         )
-    if sol.nullspace:
+    if rest:
         raise ValueError("an internal vertex is isolated from the boundary")
-    denom, g = _common_denominator([x[:nb - 1] for x in sol.particulars])
-    g = [[0] * nb] + [[0] + x for x in g]
+    # G_uv is the pivot row of u at current v over its pivot entry; the
+    # boundary rows are brought to the lcm of their pivot entries
+    by_col = {c: rows[i] for i, c, _ in pivots}
+    denom = math.lcm(*(by_col[u][u] for u in range(nb - 1)))
+    g = [[0] * nb] + [[0] + [by_col[u].get(nc + v, 0) * (denom // by_col[u][u])
+                             for v in range(nb - 1)] for u in range(nb - 1)]
     r = [[Fraction(g[u][u] + g[v][v] - 2 * g[u][v], denom) for v in range(nb)]
          for u in range(nb)]
     block_of = {i: k for k, b in enumerate(qg.boundary) for i in b}

@@ -14,20 +14,11 @@ work on that form; ``coords`` reads it as Fractions keyed by tuples.
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from .combinat import KrewerasPair, _kreweras_tilde_blocks, circle_position
 from .groves import GroveMeasurements
-from .linalg import (
-    Inconsistent,
-    RationalMatrix,
-    _common_denominator,
-    _exact,
-    _reduce,
-    _sparse_ratio,
-    solve_many,
-)
+from .linalg import RationalMatrix, _common_denominator, _exact, _reduce, _sparse_ratio
 
 
 class ExteriorVector:
@@ -261,6 +252,8 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     """
     if form is None:
         form = omega(n)
+    if (form.nrows, form.ncols) != (2 * n,) * 2:
+        raise ValueError(f"form must be {2 * n} x {2 * n}")
     # one basis wedge contracts to distinct keys, so a row has no repeated
     # column; scaling the form by its denominator does not change the rank,
     # and the kernel takes the integer rows as they are
@@ -268,7 +261,7 @@ def kernel_dimension_of_kappa(n: int, form: RationalMatrix = None) -> int:
     src = [sum(1 << p for p in key)
            for key in itertools.combinations(range(2 * n), n + 1)]
     rows = [_contract(pairs, {mask: 1}) for mask in src]
-    return len(src) - len(_reduce(rows))
+    return len(src) - len(_reduce(rows)[0])
 
 
 def is_totally_nonnegative(vec: ExteriorVector) -> bool:
@@ -317,6 +310,8 @@ def chart_from_response(resp: RationalMatrix) -> RationalMatrix:
     Pivots on the plain columns; the tilde entries of row j are the
     cumulative sums S(j, i) = L(i+1, j) + ... + L(n, j), so S(j, n) = 0.
     """
+    if resp.nrows != resp.ncols:
+        raise ValueError("response matrix must be square")
     denom, rows = _common_denominator(resp.rows)
     return _chart(
         denom,
@@ -333,6 +328,8 @@ def chart_from_lstar(lstar: RationalMatrix) -> RationalMatrix:
     cumulative sums T(j, i) = L*(1, j) + ... + L*(i-1, j), so T(j, 1) = 0
     and T(j, i+1) - T(j, i) = L*(i, j).
     """
+    if lstar.nrows != lstar.ncols:
+        raise ValueError("dual response matrix must be square")
     denom, rows = _common_denominator(lstar.rows)
     return _chart(
         denom,
@@ -353,27 +350,24 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
         raise ValueError("matrix must be (n+1) x 2n")
     if mode not in ("response", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
-    # m over its common denominator, which cancels in the products below
+    # m over its common denominator, which cancels in the differences below,
+    # its pivot columns first: one Gauss-Jordan pass clears them
     md = _negate_even_labels(_common_denominator(m.rows)[1], n)
     pivot_cols, other_cols = _chart_columns(n, mode == "response")
-    # one solve of piv^T x = e_j for every label j; its nullspace is the
-    # left kernel of the pivot block, the residual top row direction
-    sol = solve_many([[row[c] for row in md] for c in pivot_cols],
-                     [{j: 1} for j in range(n)], n + 1)
-    if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
+    cols = list(enumerate(pivot_cols + other_cols))
+    rows = [{k: row[c] for k, c in cols if row[c]} for row in md]
+    pivots, _ = _reduce(rows, n)
+    # the one row left without a pivot is the constant top row, up to scale
+    taken = {i for i, _, _ in pivots}
+    top = next(row for i, row in enumerate(rows) if i not in taken)
+    if len(pivots) != n or len(top) != n or len(set(top.values())) != 1:
         raise ValueError("plane is not in this chart")
-    # each left row over its own denominator times the integer block
-    block = [[row[c] for row in md] for c in other_cols]
-    lefts = (_common_denominator([x]) for x in sol.nullspace + sol.particulars)
-    (_, top), *entries = [(d, [sum(map(operator.mul, x, col)) for col in block])
-                          for d, (x,) in lefts]
-    if len(set(top)) != 1 or top[0] == 0:
-        raise ValueError("plane is not in this chart")
-    # entries[j] is the chart row of label j plus a multiple of the
-    # constant top row, whatever representative m is: only differences
-    # of its entries are invariants of the plane
+    # the pivot row of label j, over its pivot entry, is the chart row of j
+    # plus a multiple of the constant top row, whatever representative m
+    # is: only differences of its entries are invariants of the plane
     step = -1 if mode == "response" else 1
+    by_label = sorted((c, rows[i]) for i, c, _ in pivots)
     return RationalMatrix(
-        [[Fraction(row[(i + step) % n] - row[i], d) for d, row in entries]
-         for i in range(n)]
+        [[Fraction(row.get(n + (i + step) % n, 0) - row.get(n + i, 0), row[j])
+          for j, row in by_label] for i in range(n)]
     )

@@ -1,21 +1,21 @@
 """Exact-rational matrices and one sparse, fraction-free elimination kernel.
 
-Integer rows inside the kernel, Fractions at its edges; no floating
-point enters this module.  The kernel takes rows of ints as they are
-(the scaled Laplacian, the integer pivot block of an extraction) and
-hands back Fractions; ``_common_denominator`` brings rows of Fractions
-back to integers over one denominator, for callers that go on in
-integers.  A matrix entry that is already a ``Fraction`` is kept as it
-is, any other is converted, and a ``float`` is refused.  Matrices are stored dense, but what the package eliminates
-is sparse (a Laplacian row holds a vertex and its neighbours, a
-contraction row at most n entries).  So one elimination over rows held
-as dicts of their nonzero entries, each pivot on the shortest candidate
-row, serves rank, determinant (the signed product of its pivots) and
-solving with any number of right-hand sides.  The kernel holds each row
-as a primitive integer row and a rational scale, in the manner of
-Bareiss's integer-preserving elimination, so an update costs integer
-products and one gcd rather than a Fraction per entry.  Products skip
-zero entries of both factors.
+Where integers end: the kernel ``_reduce`` takes rows of ints as they
+are (the scaled Laplacian, the signed rows of a chart) and leaves each a
+primitive integer row over a scale it returns, so its callers read the
+rows directly and build one Fraction per entry they hand out; its
+Fraction edges are ``RationalMatrix`` and ``solve_many``.  A matrix
+entry that is already a ``Fraction`` is kept as it is, any other is
+converted, and a ``float`` is refused.  Matrices are stored dense, but
+what the package eliminates is sparse (a Laplacian row holds a vertex
+and its neighbours, a contraction row at most n entries).  So one
+elimination over rows held as dicts of their nonzero entries, each pivot
+on the shortest candidate row, serves rank, determinant (the signed
+product of its pivots) and solving with any number of right-hand sides.
+Each row is held as a primitive integer row and a rational scale, in the
+manner of Bareiss's integer-preserving elimination, so an update costs
+integer products and one gcd rather than a Fraction per entry.  Products
+skip zero entries of both factors.
 """
 
 import math
@@ -132,7 +132,7 @@ class RationalMatrix:
         takes each pivot row to its pivot column."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        pivots = _reduce(_sparse(self.rows))
+        pivots = _reduce(_sparse(self.rows))[0]
         if len(pivots) < self.nrows:
             return Fraction(0)
         cols = [c for _, c, _ in sorted(pivots)]      # in row order
@@ -140,7 +140,7 @@ class RationalMatrix:
         return (-1) ** swaps * math.prod((p for _, _, p in pivots), start=Fraction(1))
 
     def rank(self) -> int:
-        return len(_reduce(_sparse(self.rows)))
+        return len(_reduce(_sparse(self.rows))[0])
 
 
 def _sparse(rows) -> list:
@@ -160,7 +160,7 @@ def _fits(vectors, sparse, width) -> bool:
                else len(v) == width for v, d in zip(vectors, sparse))
 
 
-def _reduce(rows, ncols=None, diagonal=None) -> list:
+def _reduce(rows, ncols=None, diagonal=None) -> tuple:
     """Sparse elimination in place on rows given as dicts from column to
     nonzero entry (a Fraction or an int); the one elimination kernel of
     the package.
@@ -186,10 +186,11 @@ def _reduce(rows, ncols=None, diagonal=None) -> list:
     scale of t becomes m * g / (d * p), reduced: integer work only, where
     the same update over Fractions builds one per entry.  The zero
     pattern, and so every pivot choice, is that of the same elimination
-    over Fractions.  On return every row (with ``diagonal``, every row
-    that took no pivot) holds Fractions: a pivot row scaled to 1 at its
-    pivot, any other row as its true row.  Returns the pivots as (row,
-    column, value before scaling) in the order taken.
+    over Fractions.  Returns ``(pivots, scales)``: the pivots as (row,
+    column, value before scaling) in the order taken, and per row the
+    scale (m, d) of the primitive integer row it is left holding.  A
+    pivot row's scale is (1, its pivot entry), so its true row is 1 at
+    its pivot; any other row's true row is ``rows[i] * m / d``.
     """
     holders = {}                                  # column -> rows holding it
     scales = []                                   # row i is rows[i] * m / d
@@ -271,10 +272,7 @@ def _reduce(rows, ncols=None, diagonal=None) -> list:
     # a pivot row's true row is 1 at its pivot
     for i, c, _ in pivots:
         scales[i] = (1, rows[i][c])
-    for i in range(len(rows)) if diagonal is None else live:
-        m, d = scales[i]
-        rows[i] = {j: Fraction(x * m, d) for j, x in rows[i].items()}
-    return pivots
+    return pivots, scales
 
 
 class Inconsistent(Record):
@@ -320,7 +318,7 @@ def solve_many(a, rhs_columns, ncols=None):
     for k, b in enumerate(cols):
         for i, x in b.items():
             rows[i][nc + k] = x
-    pivots = _reduce(rows, nc)
+    pivots, scales = _reduce(rows, nc)
     rest = set(range(nr)).difference(i for i, _, _ in pivots)
     # the rows without a pivot keep only right-hand side keys
     bad = min((min(rows[i]) for i in rest if rows[i]), default=None)
@@ -332,15 +330,18 @@ def solve_many(a, rhs_columns, ncols=None):
             row[nc + 1 + i] = 1
         for i, x in cols[bad - nc].items():
             rows[i][nc] = x
-        rest = set(range(nr)).difference(i for i, _, _ in _reduce(rows, nc))
-        cert = rows[min(i for i in rest if nc in rows[i])]
-        return Inconsistent(certificate=[cert.get(nc + 1 + i, zero)
+        pivots, scales = _reduce(rows, nc)
+        rest = set(range(nr)).difference(i for i, _, _ in pivots)
+        r = min(i for i in rest if nc in rows[i])
+        (m, d), cert = scales[r], rows[r]
+        return Inconsistent(certificate=[Fraction(cert.get(nc + 1 + i, 0) * m, d)
                                          for i in range(nr)])
+    # one Fraction per entry returned, each pivot row over its pivot entry
     particulars = []
     for k in range(nc, nc + len(cols)):
         x = [zero] * nc
         for i, c, _ in pivots:
-            x[c] = rows[i].get(k, zero)
+            x[c] = Fraction(rows[i].get(k, 0), scales[i][1])
         particulars.append(x)
     nullspace = []
     free = sorted(set(range(nc)).difference(c for _, c, _ in pivots))
@@ -348,7 +349,7 @@ def solve_many(a, rhs_columns, ncols=None):
         v = [zero] * nc
         v[fc] = Fraction(1)
         for i, c, _ in pivots:
-            v[c] = -rows[i].get(fc, zero)
+            v[c] = Fraction(-rows[i].get(fc, 0), scales[i][1])
         nullspace.append(v)
     return Solutions(particulars=particulars, nullspace=nullspace)
 

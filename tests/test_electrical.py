@@ -312,49 +312,50 @@ def test_electrical_entry_points_refuse_invalid_networks():
 
 def test_one_solve_per_matrix(monkeypatch):
     """The response is one forward pass of ``_reduce`` over the sparse
-    Laplacian that pivots only on the internal rows, with no
-    ``solve_many``; the resistance is one ``solve_many`` call on the
-    Laplacian with block 0 grounded, and never calls ``response_matrix``.
-    Every row holds only its vertex and its neighbours, and no dense
-    matrix is passed."""
-    calls, reductions, responses = [], [], []
-    solve, reduce = electrical.solve_many, electrical._reduce
-
-    def recording(a, rhs, ncols=None):
-        assert all(type(row) is dict for row in a)
-        calls.append((len(a), ncols, sum(map(len, a))))
-        return solve(a, rhs, ncols=ncols)
+    integer Laplacian that pivots only on the internal rows; the
+    resistance is one Gauss-Jordan ``_reduce`` call on the Laplacian with
+    block 0 grounded and a unit current per other boundary block, and
+    never calls ``response_matrix``.  Neither calls ``solve_many``.  Every
+    row holds only integers, at its vertex and its neighbours (and its
+    current), and no dense matrix is passed."""
+    reductions, responses = [], []
+    reduce = electrical._reduce
 
     def reducing(rows, ncols=None, diagonal=None):
         assert all(type(row) is dict for row in rows)
-        reductions.append((len(rows), ncols, list(diagonal), sum(map(len, rows))))
+        assert all(type(x) is int for row in rows for x in row.values())
+        inside = sum(j < (ncols or len(rows)) for row in rows for j in row)
+        pool = None if diagonal is None else list(diagonal)
+        reductions.append((len(rows), ncols, pool, inside,
+                           sum(map(len, rows)) - inside))
         return reduce(rows, ncols, diagonal)
 
-    monkeypatch.setattr(electrical, "solve_many", recording)
+    assert not hasattr(electrical, "solve_many")
     monkeypatch.setattr(electrical, "_reduce", reducing)
     net = random_planar_net(random.Random(3), 6, connected=True)
     response_matrix(net)
     # six labels and the hub, the only pivot row: 7 diagonals, 10 edges
-    assert reductions == [(7, None, [6], 7 + 2 * 10)]
+    assert reductions == [(7, None, [6], 7 + 2 * 10, 0)]
     reductions.clear()
     response_matrix(make_grid4())
     # 8 labels and the inner square: 12 diagonals, 12 edges
-    assert reductions == [(12, None, [8, 9, 10, 11], 12 + 2 * 12)]
+    assert reductions == [(12, None, [8, 9, 10, 11], 12 + 2 * 12, 0)]
     reductions.clear()
     response_matrix(make_delta(1, 2, 3))
-    assert reductions == [(3, None, [], 3 + 2 * 3)]   # no pivot row
-    assert calls == []
+    assert reductions == [(3, None, [], 3 + 2 * 3, 0)]   # no pivot row
     reductions.clear()
     response = electrical.response_matrix
     monkeypatch.setattr(electrical, "response_matrix",
                         lambda net: responses.append(net) or response(net))
     resistance_matrix(net)
-    assert [c[:2] for c in calls] == [(6, 6)]   # block 0 grounded
-    calls.clear()
+    # block 0 grounded, a current into each of the five other labels
+    assert [r[:3] + r[4:] for r in reductions] == [(6, 6, None, 5)]
+    reductions.clear()
     resistance_matrix(make_grid4())
-    # 11 diagonals, and both ends of the 11 edges that avoid the ground b1
-    assert calls == [(11, 11, 11 + 2 * 11)]
-    assert responses == [] and reductions == []
+    # 11 diagonals, both ends of the 11 edges that avoid the ground b1,
+    # and 7 currents
+    assert reductions == [(11, 11, None, 11 + 2 * 11, 7)]
+    assert responses == []
 
 
 def response_networks():

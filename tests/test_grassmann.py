@@ -232,6 +232,13 @@ def test_kappa_kernel_dimension_is_catalan(n):
     assert kernel_dimension_of_kappa(n, omega_d(n)) == catalan(n)
 
 
+def test_kernel_dimension_refuses_a_form_of_another_size():
+    """The form must be 2n x 2n, as ``kappa`` requires of its form."""
+    for n, form in ((3, omega(4)), (4, omega(3)), (2, RationalMatrix([[0] * 4] * 3))):
+        with pytest.raises(ValueError, match=f"form must be {2 * n} x {2 * n}"):
+            kernel_dimension_of_kappa(n, form)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kernel_dimension_matches_the_dense_oracle(n):
     """Sparse rank against one dense matrix of pair-loop contractions,
@@ -452,6 +459,15 @@ def test_chart_round_trips_random_symmetric(rng):
         assert extract_symmetric(chart_from_lstar(sym), "dual") == sym
 
 
+def test_charts_refuse_non_square_matrices():
+    """A chart is built from an n x n matrix only."""
+    for m in (RationalMatrix([[1, 2, 3], [4, 5, 6]]),
+              RationalMatrix([[1, 2], [3, 4], [5, 6]]), RationalMatrix([[]])):
+        for chart in (chart_from_response, chart_from_lstar):
+            with pytest.raises(ValueError, match="must be square"):
+                chart(m)
+
+
 def random_symmetric(rng, n, zero_row_sums):
     m = [[Fraction(0)] * n for _ in range(n)]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
@@ -492,8 +508,23 @@ def test_integer_charts_and_extract_match_the_fraction_oracles(rng, n):
             assert chart_from_response(m) == fraction_chart_from_response(m)
             assert chart_from_lstar(m) == fraction_chart_from_lstar(m)
         charts = [chart_from_response(sym), chart_from_lstar(sym)]
+        # off each chart: a top row that the other rows span, so that the
+        # row left without a pivot is zero, and (n > 1) a top row that is
+        # not constant on one of the other columns
+        off = []
+        for chart, mode in zip(charts, ("response", "dual")):
+            spanned = [[sum(col) for col in zip(*chart.rows[1:])]] + chart.rows[1:]
+            off.append((RationalMatrix(spanned), mode))
+            if n > 1:
+                uneven = [row[:] for row in chart.rows]
+                c = next(c for c, x in enumerate(uneven[0]) if x)
+                uneven[0][c] *= 2
+                off.append((RationalMatrix(uneven), mode))
+        for m, mode in off:
+            assert outcome(extract_symmetric, m, mode) == \
+                (ValueError, "plane is not in this chart")
         a = random_rational_matrix(rng, n + 1, n + 1)
-        charts += [a @ chart for chart in charts]
+        charts += [a @ chart for chart in charts] + [m for m, _ in off]
         # a random point, and one whose pivot column of label 1 is zero
         charts.append(random_rational_matrix(rng, n + 1, 2 * n))
         for c in (0, 1):
@@ -642,11 +673,20 @@ def test_duality_via_cyclic_shift(rng):
 
 
 def test_extract_solves_once(monkeypatch):
+    """Extraction is one Gauss-Jordan ``_reduce`` over the chart's n + 1
+    integer rows, pivot columns first, with no ``solve_many``."""
     calls = []
-    solve = grassmann.solve_many
-    monkeypatch.setattr(grassmann, "solve_many",
-                        lambda a, rhs, ncols=None: calls.append(len(rhs))
-                        or solve(a, rhs, ncols))
+    reduce = grassmann._reduce
+
+    def reducing(rows, ncols=None, diagonal=None):
+        assert all(type(x) is int for row in rows for x in row.values())
+        calls.append((len(rows), ncols, diagonal, sum(map(len, rows))))
+        return reduce(rows, ncols, diagonal)
+
+    assert not hasattr(grassmann, "solve_many")
+    monkeypatch.setattr(grassmann, "_reduce", reducing)
     resp = response_matrix(make_y(1, 2, 3))
     assert extract_symmetric(chart_from_response(resp), "response") == resp
-    assert calls == [3]
+    # the top row of ones and three rows of a pivot and three sums, one
+    # of them zero
+    assert calls == [(4, 3, None, 3 + 3 * 3)]

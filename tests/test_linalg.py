@@ -1,6 +1,7 @@
 """Exact rational matrices, checked against sympy as an oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -111,7 +112,14 @@ def test_float_entries_are_refused():
 
 
 def sparse_rank(rows):
-    return len(_reduce([{c: Fraction(x) for c, x in row.items()} for row in rows]))
+    return len(_reduce([{c: Fraction(x) for c, x in row.items()} for row in rows])[0])
+
+
+def true_rows(rows, scales):
+    """The rows ``_reduce`` leaves, as Fractions: row i is its primitive
+    integer row times m / d for (m, d) = scales[i]."""
+    return [{j: Fraction(x * m, d) for j, x in row.items()}
+            for row, (m, d) in zip(rows, scales)]
 
 
 def test_block_rank_matches_the_dense_rank():
@@ -447,30 +455,36 @@ def copy_rows(rows, integers):
 def test_fraction_free_kernel_matches_the_fraction_oracle(system, gauss_jordan,
                                                           integers):
     """The fraction-free kernel takes the same pivots, with the same
-    values, as the elimination over Fractions, and leaves the same rows
-    (all Fractions), in both modes and from int or Fraction entries; so
-    ``solve_many`` gives the same solutions or the same certificate."""
+    values, as the elimination over Fractions, and leaves the same true
+    rows (primitive integer rows over their scales), in both modes and
+    from int or Fraction entries; so ``solve_many`` gives the same
+    solutions or the same certificate."""
     rows, ncols = system
     ncols = ncols if gauss_jordan else None
     got, expected = copy_rows(rows, integers), copy_rows(rows, False)
-    assert _reduce(got, ncols) == fraction_reduce(expected, ncols)
-    assert got == expected
-    assert all(type(x) is Fraction for row in got for x in row.values())
+    pivots, scales = _reduce(got, ncols)
+    assert pivots == fraction_reduce(expected, ncols)
+    assert true_rows(got, scales) == expected
+    assert all(type(x) is int for row in got for x in row.values())
+    assert all(math.gcd(*row.values()) == 1 for row in got if row)
     if ncols is None:
         return
     a = [{j: x for j, x in row.items() if j < ncols} for row in rows]
     rhs = [{i: row[j] for i, row in enumerate(rows) if j in row}
            for j in range(ncols, ncols + 3)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_reduce", fraction_reduce)
+        # its rows are true rows already, each pivot row 1 at its pivot
+        patch.setattr(linalg, "_reduce", lambda rows, ncols: (
+            fraction_reduce(rows, ncols), [(1, 1)] * len(rows)))
         oracle = solve_many(a, rhs, ncols=ncols)
     assert solve_many(a, rhs, ncols=ncols) == oracle
 
 
 def test_diagonal_mode_leaves_the_schur_complement():
     """Pivoting only on the diagonals of the given rows leaves the other
-    rows as the Schur complement of the pivot block (sympy), as Fractions,
-    from sparse, diagonally dominant rows of mixed entries."""
+    rows as the Schur complement of the pivot block (sympy), as integer
+    rows over their scales, from sparse, diagonally dominant rows of mixed
+    entries."""
     rng = random.Random(5)
     for _ in range(60):
         n, k = rng.randint(1, 7), rng.randint(0, 4)
@@ -483,12 +497,13 @@ def test_diagonal_mode_leaves_the_schur_complement():
             a[i][i] = sum(map(abs, a[i])) + Fraction(rng.randint(1, 3),
                                                      rng.randint(1, 3))
         rows = [{j: x for j, x in enumerate(r) if x} for r in a]
-        pivots = _reduce(rows, diagonal=range(n, size))
+        pivots, scales = _reduce(rows, diagonal=range(n, size))
         assert sorted((i, c) for i, c, _ in pivots) == [(i, i) for i in range(n, size)]
         m = to_sympy(RationalMatrix(a))
         schur = m[:n, :n] - m[:n, n:] * m[n:, n:].inv() * m[n:, :n]
-        got = [[row.get(j, Fraction(0)) for j in range(size)] for row in rows[:n]]
-        assert all(type(x) is Fraction for row in rows[:n] for x in row.values())
+        got = [[row.get(j, Fraction(0)) for j in range(size)]
+               for row in true_rows(rows, scales)[:n]]
+        assert all(type(x) is int for row in rows[:n] for x in row.values())
         assert all(x == 0 for row in got for x in row[n:])
         assert to_sympy(RationalMatrix([row[:n] for row in got])) == schur
 
@@ -497,5 +512,6 @@ def test_diagonal_mode_skips_a_row_without_its_diagonal():
     """A row of the pivot set whose diagonal entry is zero takes no pivot,
     so the pivots fall short of the set."""
     rows = [{0: Fraction(2), 1: Fraction(-1)}, {0: Fraction(-1)}]
-    assert _reduce(rows, diagonal=[1]) == []
-    assert rows[0] == {0: Fraction(2), 1: Fraction(-1)}
+    pivots, scales = _reduce(rows, diagonal=[1])
+    assert pivots == []
+    assert true_rows(rows, scales)[0] == {0: Fraction(2), 1: Fraction(-1)}
