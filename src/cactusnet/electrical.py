@@ -117,6 +117,8 @@ def lstar_from_resistance(r: RationalMatrix) -> RationalMatrix:
     cyclically shifted index pairs; diagonals make the rows sum to zero.
     The sums are taken in integers over the common denominator of R.
     """
+    if r.nrows != r.ncols:
+        raise ValueError("resistance matrix must be square")
     n = r.nrows
     denom, ri = _common_denominator(r.rows)
     nxt = [*range(1, n), 0]                       # cyclic successor

@@ -4,7 +4,7 @@ Where integers end: the kernel ``_reduce`` takes rows of ints as they
 are (the scaled Laplacian, the signed rows of a chart) and leaves each a
 primitive integer row over a scale it returns, so its callers read the
 rows directly and build one Fraction per entry they hand out; its
-Fraction edges are ``RationalMatrix`` and ``solve_many``.  A matrix
+Fraction edge is ``RationalMatrix``.  A matrix
 entry that is already a ``Fraction`` is kept as it is, any other is
 converted, and a ``float`` is refused.  Matrices are stored dense, but
 what the package eliminates is sparse (a Laplacian row holds a vertex
@@ -21,8 +21,6 @@ skip zero entries of both factors.
 import math
 import operator
 from fractions import Fraction
-
-from .combinat import Record
 
 
 def _exact(x) -> Fraction:
@@ -127,6 +125,8 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
 
+    # determinant and rank stay methods, though rank has no library caller:
+    # benchmarks/spans.py wraps both by name through the class __dict__
     def determinant(self) -> Fraction:
         """Determinant: the pivot product, signed by the permutation that
         takes each pivot row to its pivot column."""
@@ -144,20 +144,9 @@ class RationalMatrix:
 
 
 def _sparse(rows) -> list:
-    """Rows as dicts from column index to nonzero Fraction or int, the
-    entries the kernel takes; a row may be a list or already such a dict,
-    and a float entry is refused."""
-    return [{j: x for j, x in ((j, x if type(x) in (Fraction, int) else _exact(x))
-                               for j, x in (r.items() if isinstance(r, dict)
-                                            else enumerate(r))) if x}
-            for r in rows]
-
-
-def _fits(vectors, sparse, width) -> bool:
-    """Every vector is ``width`` long: a list by its length, a dict by its
-    keys (``sparse`` holds the vectors as dicts)."""
-    return all(all(0 <= j < width for j in d) if isinstance(v, dict)
-               else len(v) == width for v, d in zip(vectors, sparse))
+    """Rows of Fractions as dicts from column index to nonzero entry, the
+    form the kernel takes."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
 def _reduce(rows, ncols=None, diagonal=None) -> tuple:
@@ -273,85 +262,6 @@ def _reduce(rows, ncols=None, diagonal=None) -> tuple:
     for i, c, _ in pivots:
         scales[i] = (1, rows[i][c])
     return pivots, scales
-
-
-class Inconsistent(Record):
-    """Certificate y with y^T A = 0 but y^T b != 0."""
-
-    _fields = ("certificate",)
-
-    def __init__(self, certificate: list):
-        self.certificate = certificate
-
-
-class Solutions(Record):
-    """One particular solution per right-hand side, plus a kernel basis."""
-
-    _fields = ("particulars", "nullspace")
-
-    def __init__(self, particulars: list, nullspace: list):
-        self.particulars = particulars
-        self.nullspace = nullspace
-
-
-def solve_many(a, rhs_columns, ncols=None):
-    """Solve A x = b exactly for every b in ``rhs_columns`` at once.
-
-    ``a`` is a RationalMatrix, or a list of rows ``ncols`` columns wide;
-    a row, like a right-hand side b, is a list or a sparse dict from index
-    to entry.  One elimination of ``[A | b_1 ... b_k]`` gives
-    :class:`Solutions`: per column the particular solution whose free
-    variables are zero, and a nullspace basis of A.  If some b_k is not
-    in the column space, returns an :class:`Inconsistent` certificate for
-    the first such column.
-    """
-    if isinstance(a, RationalMatrix):
-        a, ncols = a.rows, a.ncols
-    elif ncols is None:
-        raise TypeError("sparse rows need ncols")
-    rows, cols = _sparse(a), _sparse(rhs_columns)
-    nr, nc = len(rows), ncols
-    if not _fits(a, rows, nc):
-        raise ValueError("row width mismatch")
-    if not _fits(rhs_columns, cols, nr):
-        raise ValueError("rhs length mismatch")
-    for k, b in enumerate(cols):
-        for i, x in b.items():
-            rows[i][nc + k] = x
-    pivots, scales = _reduce(rows, nc)
-    rest = set(range(nr)).difference(i for i, _, _ in pivots)
-    # the rows without a pivot keep only right-hand side keys
-    bad = min((min(rows[i]) for i in rest if rows[i]), default=None)
-    zero = Fraction(0)
-    if bad is not None:
-        # redo the same row operations on an identity block to record them
-        rows = _sparse(a)
-        for i, row in enumerate(rows):
-            row[nc + 1 + i] = 1
-        for i, x in cols[bad - nc].items():
-            rows[i][nc] = x
-        pivots, scales = _reduce(rows, nc)
-        rest = set(range(nr)).difference(i for i, _, _ in pivots)
-        r = min(i for i in rest if nc in rows[i])
-        (m, d), cert = scales[r], rows[r]
-        return Inconsistent(certificate=[Fraction(cert.get(nc + 1 + i, 0) * m, d)
-                                         for i in range(nr)])
-    # one Fraction per entry returned, each pivot row over its pivot entry
-    particulars = []
-    for k in range(nc, nc + len(cols)):
-        x = [zero] * nc
-        for i, c, _ in pivots:
-            x[c] = Fraction(rows[i].get(k, 0), scales[i][1])
-        particulars.append(x)
-    nullspace = []
-    free = sorted(set(range(nc)).difference(c for _, c, _ in pivots))
-    for fc in free:
-        v = [zero] * nc
-        v[fc] = Fraction(1)
-        for i, c, _ in pivots:
-            v[c] = Fraction(-rows[i].get(fc, 0), scales[i][1])
-        nullspace.append(v)
-    return Solutions(particulars=particulars, nullspace=nullspace)
 
 
 def _sparse_ratio(u: dict, v: dict):

@@ -29,7 +29,7 @@ from cactusnet.grassmann import (
     omega,
 )
 from cactusnet.electrical import laplacian
-from cactusnet.linalg import Inconsistent, RationalMatrix, Solutions, _exact, solve_many
+from cactusnet.linalg import RationalMatrix, _exact
 from cactusnet.network import (
     CactusNetwork,
     CombMap,
@@ -908,19 +908,20 @@ def fraction_chart_from_lstar(lstar):
 
 def fraction_extract_symmetric(m, mode):
     """Oracle for the integer extraction: the signed matrix over
-    Fractions, one ``solve_many`` on the pivot block and the product by
-    ``RationalMatrix.__matmul__``."""
+    Fractions, one ``dense_solve_many`` on the pivot block and the product
+    by ``RationalMatrix.__matmul__``."""
     n = m.ncols // 2
     if m.nrows != n + 1 or m.ncols != 2 * n:
         raise ValueError("matrix must be (n+1) x 2n")
     md = RationalMatrix(_negate_even_labels([r[:] for r in m.rows], n))
     pivot_cols, other_cols = _chart_columns(n, mode == "response")
     rows = range(n + 1)
-    sol = solve_many(md.submatrix(rows, pivot_cols).transpose(),
-                     RationalMatrix.identity(n).rows)
-    if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
+    sol = dense_solve_many(md.submatrix(rows, pivot_cols).transpose(),
+                           RationalMatrix.identity(n).rows)
+    if sol is None or len(sol[1]) != 1:
         raise ValueError("plane is not in this chart")
-    top, *entries = (RationalMatrix(sol.nullspace + sol.particulars)
+    particulars, nullspace = sol
+    top, *entries = (RationalMatrix(nullspace + particulars)
                      @ md.submatrix(rows, other_cols)).rows
     if len(set(top)) != 1 or top[0] == 0:
         raise ValueError("plane is not in this chart")
@@ -942,9 +943,10 @@ def extract_symmetric_via_d(m, mode):
     rows = range(n + 1)
     sol = dense_solve_many(md.submatrix(rows, pivot_cols).transpose(),
                            RationalMatrix.identity(n).rows)
-    if isinstance(sol, Inconsistent) or len(sol.nullspace) != 1:
+    if sol is None or len(sol[1]) != 1:
         raise ValueError("plane is not in this chart")
-    top, *entries = dense_matmul(RationalMatrix(sol.nullspace + sol.particulars),
+    particulars, nullspace = sol
+    top, *entries = dense_matmul(RationalMatrix(nullspace + particulars),
                                  md.submatrix(rows, other_cols)).rows
     if len(set(top)) != 1 or top[0] == 0:
         raise ValueError("plane is not in this chart")
@@ -994,21 +996,17 @@ def dense_determinant(m):
 
 
 def dense_solve_many(a, rhs_columns):
-    """Oracle for ``solve_many``: one dense elimination of [A | b_1 ...
-    b_k]; an inconsistent column is certified by redoing the elimination
-    on [A | b | I] and reading the identity block of a zero row of A."""
-    nr, nc = a.nrows, a.ncols
+    """Solve A x = b exactly for every b in ``rhs_columns`` by one dense
+    elimination of [A | b_1 ... b_k].  Returns ``(particulars,
+    nullspace)``: per column the solution whose free variables are zero,
+    and a nullspace basis of A; or None if some b is not in the column
+    space."""
+    nc = a.ncols
     cols = [[Fraction(x) for x in b] for b in rhs_columns]
     m = [row + [b[i] for b in cols] for i, row in enumerate(a.rows)]
     pivots = dense_eliminate(m, nc)[0]
-    rank = len(pivots)
-    bad = next((k for k in range(len(cols))
-                if any(m[i][nc + k] for i in range(rank, nr))), None)
-    if bad is not None:
-        m = [row + [cols[bad][i]] + [Fraction(int(i == j)) for j in range(nr)]
-             for i, row in enumerate(a.rows)]
-        dense_eliminate(m, nc)
-        return Inconsistent(next(row[nc + 1:] for row in m[rank:] if row[nc]))
+    if any(x for row in m[len(pivots):] for x in row[nc:]):
+        return None
     particulars = []
     for k in range(len(cols)):
         x = [Fraction(0)] * nc
@@ -1022,7 +1020,7 @@ def dense_solve_many(a, rhs_columns):
         for row, c in zip(m, pivots):
             v[c] = -row[fc]
         nullspace.append(v)
-    return Solutions(particulars, nullspace)
+    return particulars, nullspace
 
 
 def block_rank(rows):
@@ -1141,31 +1139,32 @@ def dense_response_matrix(net):
     bi = lap.submatrix(range(nb), range(nb, nb + ni))
     ii = lap.submatrix(range(nb, nb + ni), range(nb, nb + ni))
     sol = dense_solve_many(ii, bi.rows)
-    if isinstance(sol, Inconsistent) or sol.nullspace:
+    if sol is None or sol[1]:
         raise ValueError("an internal vertex is isolated from the boundary")
-    x = RationalMatrix(sol.particulars).transpose()
+    x = RationalMatrix(sol[0]).transpose()
     return -(bb - dense_matmul(bi, x))
 
 
 def solve_many_response(net):
-    """Oracle for the Kron-reduced response matrix: the sparse internal
-    block solved by ``solve_many`` for every column of IB at once, then
-    L = -(BB - BI X) summed entry by entry.  The integer Laplacian's rows
-    carry their scales: IB is read from the internal rows, so X is
-    unchanged by them, and each boundary row is divided by its own."""
+    """Oracle for the Kron-reduced response matrix: the internal block of
+    the integer Laplacian solved by ``dense_solve_many`` for every column
+    of IB at once, then L = -(BB - BI X) summed entry by entry.  The
+    integer Laplacian's rows carry their scales: IB is read from the
+    internal rows, so X is unchanged by them, and each boundary row is
+    divided by its own."""
     require_valid(net)
     qg = quotient_graph(net)
     lap, scales = laplacian(qg)
     nb, ni = len(qg.boundary), len(qg.internal)
-    bi, ii = ([{j - nb: x for j, x in row.items() if j >= nb} for row in rows]
-              for rows in (lap[:nb], lap[nb:]))
-    ib = [{k: row[b] for k, row in enumerate(lap[nb:]) if b in row} for b in range(nb)]
-    sol = solve_many(ii, ib, ncols=ni)
-    if isinstance(sol, Inconsistent) or sol.nullspace:
+    bi = [{j - nb: x for j, x in row.items() if j >= nb} for row in lap[:nb]]
+    ii = RationalMatrix([[row.get(nb + j, 0) for j in range(ni)] for row in lap[nb:]])
+    ib = [[row.get(b, 0) for row in lap[nb:]] for b in range(nb)]
+    sol = dense_solve_many(ii, ib)
+    if sol is None or sol[1]:
         raise ValueError("an internal vertex is isolated from the boundary")
     zero = Fraction(0)
     return RationalMatrix(
-        [[(sum((x * sol.particulars[b][k] for k, x in bi[a].items()), zero)
+        [[(sum((x * sol[0][b][k] for k, x in bi[a].items()), zero)
            - lap[a].get(b, 0)) / scales[a] for b in range(nb)] for a in range(nb)])
 
 
@@ -1178,11 +1177,11 @@ def two_solve_resistance(net):
     nb = resp.nrows
     reduced = -resp.submatrix(range(1, nb), range(1, nb))
     sol = dense_solve_many(reduced, RationalMatrix.identity(nb - 1).rows)
-    if isinstance(sol, Inconsistent):
+    if sol is None:
         raise ValueError(
             "boundary components are disconnected; resistance is infinite"
         )
-    g = [[Fraction(0)] * nb] + [[Fraction(0)] + col for col in sol.particulars]
+    g = [[Fraction(0)] * nb] + [[Fraction(0)] + col for col in sol[0]]
     block_of = {i: k for k, b in enumerate(part.blocks) for i in b}
     ks = [block_of[i] for i in range(1, net.n + 1)]
     return RationalMatrix(

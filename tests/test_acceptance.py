@@ -11,6 +11,7 @@ from conftest import (
     conductance_product,
     cyclic_shift,
     d_matrix,
+    dense_solve_many,
     electrically_equivalent,
     extreme_coordinates,
     is_concordant,
@@ -52,7 +53,7 @@ from cactusnet.grassmann import (
     proportionality_factor,
 )
 from cactusnet.groves import equivalence_factor, lambda_vector
-from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
+from cactusnet.linalg import RationalMatrix
 from cactusnet.network import dual, is_minimal, medial_pairing, validate, ydelta
 
 
@@ -155,12 +156,13 @@ def test_criterion_04_converse_from_symmetric_matrices():
         keys = sorted({k for v in basis for k in v.coords} | set(vec.coords))
         mat = RationalMatrix(
             [[b[k] for b in basis] for k in keys])
-        sol = solve_many(mat, [[vec[k] for k in keys]])
-        assert not isinstance(sol, Inconsistent)  # residual is zero
-        assert not sol.nullspace
+        sol = dense_solve_many(mat, [[vec[k] for k in keys]])
+        assert sol is not None  # residual is zero
+        (coefs,), nullspace = sol
+        assert not nullspace
         # representatives are scaled projectively, so the coefficients
         # are nonnegative up to one global sign
-        nonzero = [coef for coef in sol.particulars[0] if coef != 0]
+        nonzero = [coef for coef in coefs if coef != 0]
         assert nonzero
         assert all(coef > 0 for coef in nonzero) or all(
             coef < 0 for coef in nonzero)

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     dense_laplacian,
     dense_response_matrix,
+    dense_solve_many,
     fraction_chart_from_lstar,
     fraction_chart_from_response,
     fraction_extract_symmetric,
@@ -50,7 +51,7 @@ from cactusnet.electrical import (
 from cactusnet import electrical
 from cactusnet.grassmann import chart_from_lstar, chart_from_response, extract_symmetric
 from cactusnet.groves import lambda_vector
-from cactusnet.linalg import Inconsistent, RationalMatrix, solve_many
+from cactusnet.linalg import RationalMatrix
 from cactusnet.network import CactusNetwork, dual, quotient_graph
 
 
@@ -231,10 +232,11 @@ def per_pair_resistance(net):
         for bv in range(bu + 1, nb):
             rhs = [Fraction(0)] * nb
             rhs[bu], rhs[bv] = Fraction(1), Fraction(-1)
-            sol = solve_many(resp, [rhs])
-            if isinstance(sol, Inconsistent):
+            sol = dense_solve_many(resp, [rhs])
+            if sol is None:
                 return None
-            r = sol.particulars[0][bv] - sol.particulars[0][bu]
+            (v,), _ = sol
+            r = v[bv] - v[bu]
             for i in part.blocks[bu]:
                 for j in part.blocks[bv]:
                     rows[i - 1][j - 1] = rows[j - 1][i - 1] = r
@@ -315,9 +317,9 @@ def test_one_solve_per_matrix(monkeypatch):
     integer Laplacian that pivots only on the internal rows; the
     resistance is one Gauss-Jordan ``_reduce`` call on the Laplacian with
     block 0 grounded and a unit current per other boundary block, and
-    never calls ``response_matrix``.  Neither calls ``solve_many``.  Every
-    row holds only integers, at its vertex and its neighbours (and its
-    current), and no dense matrix is passed."""
+    never calls ``response_matrix``.  Every row holds only integers, at
+    its vertex and its neighbours (and its current), and no dense matrix
+    is passed."""
     reductions, responses = [], []
     reduce = electrical._reduce
 
@@ -330,7 +332,6 @@ def test_one_solve_per_matrix(monkeypatch):
                            sum(map(len, rows)) - inside))
         return reduce(rows, ncols, diagonal)
 
-    assert not hasattr(electrical, "solve_many")
     monkeypatch.setattr(electrical, "_reduce", reducing)
     net = random_planar_net(random.Random(3), 6, connected=True)
     response_matrix(net)
@@ -370,7 +371,7 @@ def response_networks():
 
 
 def test_kron_response_matches_the_solve_many_oracle():
-    """The Kron-reduced response equals the response of one ``solve_many``
+    """The Kron-reduced response equals the response of one dense solve
     on the internal block and the dense Schur complement, or fails with
     the same error as both."""
     failures = 0

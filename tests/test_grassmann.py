@@ -460,10 +460,10 @@ def test_chart_round_trips_random_symmetric(rng):
 
 
 def test_charts_refuse_non_square_matrices():
-    """A chart is built from an n x n matrix only."""
+    """A chart, and L* from R, are built from an n x n matrix only."""
     for m in (RationalMatrix([[1, 2, 3], [4, 5, 6]]),
               RationalMatrix([[1, 2], [3, 4], [5, 6]]), RationalMatrix([[]])):
-        for chart in (chart_from_response, chart_from_lstar):
+        for chart in (chart_from_response, chart_from_lstar, lstar_from_resistance):
             with pytest.raises(ValueError, match="must be square"):
                 chart(m)
 
@@ -674,7 +674,7 @@ def test_duality_via_cyclic_shift(rng):
 
 def test_extract_solves_once(monkeypatch):
     """Extraction is one Gauss-Jordan ``_reduce`` over the chart's n + 1
-    integer rows, pivot columns first, with no ``solve_many``."""
+    integer rows, pivot columns first."""
     calls = []
     reduce = grassmann._reduce
 
@@ -683,7 +683,6 @@ def test_extract_solves_once(monkeypatch):
         calls.append((len(rows), ncols, diagonal, sum(map(len, rows))))
         return reduce(rows, ncols, diagonal)
 
-    assert not hasattr(grassmann, "solve_many")
     monkeypatch.setattr(grassmann, "_reduce", reducing)
     resp = response_matrix(make_y(1, 2, 3))
     assert extract_symmetric(chart_from_response(resp), "response") == resp

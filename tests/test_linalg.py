@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     block_rank,
     dense_determinant,
+    dense_eliminate,
     dense_matmul,
     dense_rank,
     dense_solve_many,
@@ -21,13 +22,7 @@ from conftest import (
     is_symmetric,
     matvec,
 )
-from cactusnet import linalg
-from cactusnet.linalg import (
-    Inconsistent,
-    RationalMatrix,
-    _reduce,
-    solve_many,
-)
+from cactusnet.linalg import RationalMatrix, _reduce
 
 
 def random_matrix(rng, rows, cols, sparse=False):
@@ -100,8 +95,6 @@ def test_float_entries_are_refused():
         RationalMatrix([[0.1]])
     with pytest.raises(TypeError):
         RationalMatrix([[1, 2]]).scale(0.5)
-    with pytest.raises(TypeError):
-        solve_many(RationalMatrix([[1]]), [[0.5]])
     for v in ([0.1, 0.2], [0.0, 1]):
         with pytest.raises(TypeError):
             matvec(RationalMatrix([[1, 2]]), v)
@@ -120,6 +113,34 @@ def true_rows(rows, scales):
     integer row times m / d for (m, d) = scales[i]."""
     return [{j: Fraction(x * m, d) for j, x in row.items()}
             for row, (m, d) in zip(rows, scales)]
+
+
+def reduce_augmented(a, rhs):
+    """The kernel's Gauss-Jordan pass over [A | b_1 ... b_k], right-hand
+    side k at key ``a.ncols + k``: its pivots and the true rows it leaves,
+    each pivot row over its pivot entry."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a.rows]
+    for k, b in enumerate(rhs):
+        for i, x in enumerate(b):
+            if x:
+                rows[i][a.ncols + k] = Fraction(x)
+    pivots, scales = _reduce(rows, a.ncols)
+    return pivots, true_rows(rows, scales)
+
+
+def stray_keys(pivots, rows):
+    """The right-hand side keys left in rows without a pivot."""
+    taken = {i for i, _, _ in pivots}
+    return {j for i, row in enumerate(rows) if i not in taken for j in row}
+
+
+def solution(pivots, rows, ncols, key):
+    """The solution for right-hand side ``key`` read from the kernel's
+    pivot rows, free variables zero."""
+    x = [Fraction(0)] * ncols
+    for i, c, _ in pivots:
+        x[c] = rows[i].get(key, Fraction(0))
+    return x
 
 
 def test_block_rank_matches_the_dense_rank():
@@ -193,6 +214,8 @@ def test_rank_against_sympy():
 
 
 def test_solve_consistent_systems():
+    """On a consistent system the kernel leaves no right-hand side in a
+    row without a pivot, and the pivot rows give a solution."""
     rng = random.Random(17)
     for _ in range(30):
         rows = rng.randint(1, 5)
@@ -200,30 +223,28 @@ def test_solve_consistent_systems():
         a = random_matrix(rng, rows, cols, sparse=True)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         b = matvec(a, x)
-        sol = solve_many(a, [b])
-        assert not isinstance(sol, Inconsistent)
-        assert matvec(a, sol.particulars[0]) == b
-        for v in sol.nullspace:
-            assert all(y == 0 for y in matvec(a, v))
-        assert len(sol.nullspace) == cols - a.rank()
+        pivots, reduced = reduce_augmented(a, [b])
+        assert not stray_keys(pivots, reduced)
+        assert len(pivots) == a.rank()
+        assert matvec(a, solution(pivots, reduced, cols, cols)) == b
 
 
 def test_solve_inconsistent_certificate():
+    """Further keys undergo the kernel's row operations: after b, an
+    identity block records them, so a row without a pivot that keeps b
+    holds there a certificate y with y^T A = 0 and y^T b != 0."""
     rng = random.Random(19)
     found = 0
     for _ in range(200):
         a = random_matrix(rng, 4, 3, sparse=True)
         b = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-        sol = solve_many(a, [b])
-        if isinstance(sol, Inconsistent):
+        pivots, reduced = reduce_augmented(a, [b] + RationalMatrix.identity(4).rows)
+        taken = {i for i, _, _ in pivots}
+        kept = [row for i, row in enumerate(reduced) if i not in taken and 3 in row]
+        assert bool(kept) == (dense_solve_many(a, [b]) is None)
+        if kept:
             found += 1
-            cert = sol.certificate
-            # certificate is a left null vector of A not orthogonal to b
-            lhs = [
-                sum(cert[i] * a[(i, j)] for i in range(4)) for j in range(3)
-            ]
-            assert all(x == 0 for x in lhs)
-            assert sum(c * y for c, y in zip(cert, b)) != 0
+            assert_certifies([kept[0].get(4 + i, Fraction(0)) for i in range(4)], a, b)
     assert found >= 5
 
 
@@ -260,8 +281,12 @@ def to_fractions(vec):
 
 
 def test_solve_many_matches_sympy():
-    """Particular solutions (free variables zero) and the nullspace basis
-    agree exactly with sympy's Gauss-Jordan solve and nullspace."""
+    """The kernel's Gauss-Jordan pass over [A | B], the solve behind the
+    former ``solve_many``, agrees exactly with sympy: its pivot rows
+    restricted to A are sympy's reduced row echelon form, the nullspace
+    basis read from them is sympy's, and the solutions read from them
+    (free variables zero) are sympy's Gauss-Jordan solutions, alone or
+    with other right-hand sides."""
     rng = random.Random(29)
     with_kernel = 0
     for _ in range(40):
@@ -271,63 +296,70 @@ def test_solve_many_matches_sympy():
         xs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                for _ in range(cols)] for _ in range(rng.randint(1, 4))]
         rhs = [matvec(a, x) for x in xs]
-        sol = solve_many(a, rhs)
-        assert not isinstance(sol, Inconsistent)
+        pivots, reduced = reduce_augmented(a, rhs)
+        assert not stray_keys(pivots, reduced)
         sa = to_sympy(a)
-        assert [to_fractions(v) for v in sa.nullspace()] == sol.nullspace
-        with_kernel += bool(sol.nullspace)
-        assert len(sol.particulars) == len(rhs)
-        for b, x in zip(rhs, sol.particulars):
+        rref, pivot_cols = sa.rref()
+        assert [c for _, c, _ in pivots] == list(pivot_cols)
+        for r, (i, _, _) in enumerate(pivots):
+            expected = to_fractions(rref.row(r))
+            assert {j: x for j, x in reduced[i].items() if j < cols} == \
+                {j: x for j, x in enumerate(expected) if x}
+        free = [j for j in range(cols) if j not in pivot_cols]
+        nullspace = []
+        for f in free:
+            v = [Fraction(int(j == f)) for j in range(cols)]
+            for i, c, _ in pivots:
+                v[c] = -reduced[i].get(f, Fraction(0))
+            nullspace.append(v)
+        assert [to_fractions(v) for v in sa.nullspace()] == nullspace
+        with_kernel += bool(nullspace)
+        for k, b in enumerate(rhs):
+            x = solution(pivots, reduced, cols, cols + k)
             assert matvec(a, x) == b
             gen, params = sa.gauss_jordan_solve(sympy.Matrix(
                 [sympy.Rational(y.numerator, y.denominator) for y in b]))
-            expected = gen.subs({t: 0 for t in params})
-            assert to_fractions(expected) == x
-            assert solve_many(a, [b]).particulars == [x]
+            assert to_fractions(gen.subs({t: 0 for t in params})) == x
+            alone = reduce_augmented(a, [b])
+            assert solution(*alone, cols, cols) == x
     assert with_kernel >= 5
 
 
 def test_solve_many_inconsistent_certificate():
+    """A right-hand side that sympy cannot solve stays in a row without a
+    pivot, one it can solve does not, and an identity block after them
+    gives a certificate y with y^T A = 0 and y^T b != 0, whether b is
+    reduced alone or after a consistent right-hand side."""
     rng = random.Random(31)
     found = 0
     for _ in range(100):
         a = random_matrix(rng, 4, 3, sparse=True)
         consistent = matvec(a, [Fraction(rng.randint(-3, 3)) for _ in range(3)])
         other = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-        rhs = [consistent, other]
-        sol = solve_many(a, rhs)
+        identity = RationalMatrix.identity(4).rows
+        pivots, reduced = reduce_augmented(a, [consistent, other] + identity)
+        stray = stray_keys(pivots, reduced)
+        assert 3 not in stray
         sa = to_sympy(a)
         try:
             sa.gauss_jordan_solve(sympy.Matrix(other))
         except ValueError:
-            assert isinstance(sol, Inconsistent)
+            assert 4 in stray
         else:
-            assert not isinstance(sol, Inconsistent)
+            assert 4 not in stray
             continue
         found += 1
-        cert = sol.certificate
-        lhs = [sum(cert[i] * a[(i, j)] for i in range(4)) for j in range(3)]
-        assert all(x == 0 for x in lhs)
-        assert sum(c * y for c, y in zip(cert, other)) != 0
-        # a single-column solve reports the same certificate
-        assert solve_many(a, [other]).certificate == cert
+        taken = {i for i, _, _ in pivots}
+        kept = next(row for i, row in enumerate(reduced)
+                    if i not in taken and 4 in row)
+        assert_certifies([kept.get(5 + i, Fraction(0)) for i in range(4)], a, other)
+        # reduced alone, b again stays in a row that holds a certificate
+        pivots, reduced = reduce_augmented(a, [other] + identity)
+        taken = {i for i, _, _ in pivots}
+        kept = next(row for i, row in enumerate(reduced)
+                    if i not in taken and 3 in row)
+        assert_certifies([kept.get(4 + i, Fraction(0)) for i in range(4)], a, other)
     assert found >= 5
-
-
-def test_solve_many_shapes():
-    a = RationalMatrix([[1, 2], [2, 4]])
-    sol = solve_many(a, [])
-    assert sol.particulars == [] and sol.nullspace == [[-2, 1]]
-    empty = solve_many(RationalMatrix([]), [])
-    assert empty.particulars == [] and empty.nullspace == []
-    with pytest.raises(ValueError):
-        solve_many(a, [[1, 2, 3]])
-
-
-def first_inconsistent(a, rhs):
-    """Index of the first column the dense oracle cannot solve, or None."""
-    return next((k for k, b in enumerate(rhs)
-                 if isinstance(dense_solve_many(a, [b]), Inconsistent)), None)
 
 
 def assert_certifies(cert, a, b):
@@ -367,54 +399,42 @@ def sparse_systems(draw):
 @given(sparse_systems())
 @settings(max_examples=150, deadline=None)
 def test_sparse_kernel_matches_the_dense_oracle(system):
-    """Rank, determinant, particular solutions and nullspace equal the
-    dense Gauss-Jordan oracle's, from dense and from sparse rows, and every
-    certificate of an inconsistent column is valid."""
+    """Rank and determinant equal the dense Gauss-Jordan oracle's, and so
+    does the kernel's Gauss-Jordan pass over [A | B]: on a consistent
+    system each pivot row over its pivot entry is the dense reduced row,
+    and on an inconsistent one both leave a row without a pivot that keeps
+    a nonzero right-hand side (the pivot rows may then differ)."""
     a, rhs = system
     assert a.rank() == dense_rank(a)
     size = min(a.nrows, a.ncols)
     square = a.submatrix(range(size), range(size))
     assert square.determinant() == dense_determinant(square)
-    sol = solve_many(a, rhs)
-    def sparse(vectors):
-        return [{j: x for j, x in enumerate(v) if x} for v in vectors]
-
-    assert solve_many(sparse(a.rows), sparse(rhs), ncols=a.ncols) == sol
-    expected = dense_solve_many(a, rhs)
-    bad = first_inconsistent(a, rhs)
-    if bad is None:
-        assert sol == expected
-    else:
-        assert isinstance(sol, Inconsistent) and isinstance(expected, Inconsistent)
-        assert_certifies(sol.certificate, a, rhs[bad])
-        assert solve_many(a, [rhs[bad]]) == sol
+    pivots, reduced = reduce_augmented(a, rhs)
+    dense = [row + [b[i] for b in rhs] for i, row in enumerate(a.rows)]
+    dense_pivots = dense_eliminate(dense, a.ncols)[0]
+    assert [c for _, c, _ in pivots] == dense_pivots
+    inconsistent = any(x for row in dense[len(dense_pivots):] for x in row)
+    assert bool(stray_keys(pivots, reduced)) == inconsistent
+    if not inconsistent:
+        for (i, _, _), row in zip(pivots, dense):
+            assert reduced[i] == {j: x for j, x in enumerate(row) if x}
 
 
 def test_sparse_kernel_on_empty_and_zero_rows():
-    """No rows, zero rows and zero columns: the nullspace is every free
-    unit vector and a nonzero right-hand side of a zero row is
-    inconsistent."""
-    assert solve_many([], [], ncols=3).nullspace == [
-        [Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert solve_many([], [[]], ncols=2).particulars == [[0, 0]]
+    """No rows, zero rows, zero columns and int entries: no pivots where
+    there is no nonzero entry, and a nonzero right-hand side of a zero row
+    stays in that row."""
+    assert _reduce([], 3) == ([], [])
+    assert _reduce([{}, {}], 0) == ([], [(1, 1), (1, 1)])
     zero = RationalMatrix.zeros(2, 2)
     assert zero.rank() == 0 and zero.determinant() == 0
-    sol = solve_many(zero, [[0, 0], [0, 5]])
-    assert sol == Inconsistent([Fraction(0), Fraction(1)])
+    pivots, reduced = reduce_augmented(zero, [[0, 0], [0, 5]])
+    assert pivots == [] and reduced == [{}, {3: Fraction(5)}]
     assert RationalMatrix([]).determinant() == 1
-    with pytest.raises(ValueError, match="row width"):
-        solve_many([{2: 1}], [], ncols=2)
-    with pytest.raises(ValueError, match="row width"):
-        solve_many([[1, 2, 3]], [], ncols=2)
-    with pytest.raises(ValueError, match="rhs length"):
-        solve_many([{0: 1}], [{1: 1}], ncols=1)
-    # sparse right-hand sides give the same solutions as dense ones
-    a = RationalMatrix([[1, 2, 0], [0, 1, 1]])
-    assert solve_many(a, [{1: 3}, {}]) == solve_many(a, [[0, 3], [0, 0]])
-    with pytest.raises(TypeError):
-        solve_many([{0: 0.0}], [], ncols=1)
-    with pytest.raises(TypeError, match="ncols"):
-        solve_many([{0: 1}], [])
+    rows = [{}, {0: 2, 1: 4, 2: 6}, {1: 3}]
+    assert _reduce(rows, 2) == ([(1, 0, Fraction(2)), (2, 1, Fraction(3))],
+                                [(1, 1)] * 3)
+    assert rows == [{}, {0: 1, 2: 3}, {1: 1}]
 
 
 @st.composite
@@ -457,8 +477,7 @@ def test_fraction_free_kernel_matches_the_fraction_oracle(system, gauss_jordan,
     """The fraction-free kernel takes the same pivots, with the same
     values, as the elimination over Fractions, and leaves the same true
     rows (primitive integer rows over their scales), in both modes and
-    from int or Fraction entries; so ``solve_many`` gives the same
-    solutions or the same certificate."""
+    from int or Fraction entries."""
     rows, ncols = system
     ncols = ncols if gauss_jordan else None
     got, expected = copy_rows(rows, integers), copy_rows(rows, False)
@@ -467,17 +486,6 @@ def test_fraction_free_kernel_matches_the_fraction_oracle(system, gauss_jordan,
     assert true_rows(got, scales) == expected
     assert all(type(x) is int for row in got for x in row.values())
     assert all(math.gcd(*row.values()) == 1 for row in got if row)
-    if ncols is None:
-        return
-    a = [{j: x for j, x in row.items() if j < ncols} for row in rows]
-    rhs = [{i: row[j] for i, row in enumerate(rows) if j in row}
-           for j in range(ncols, ncols + 3)]
-    with pytest.MonkeyPatch.context() as patch:
-        # its rows are true rows already, each pivot row 1 at its pivot
-        patch.setattr(linalg, "_reduce", lambda rows, ncols: (
-            fraction_reduce(rows, ncols), [(1, 1)] * len(rows)))
-        oracle = solve_many(a, rhs, ncols=ncols)
-    assert solve_many(a, rhs, ncols=ncols) == oracle
 
 
 def test_diagonal_mode_leaves_the_schur_complement():

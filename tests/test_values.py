@@ -13,7 +13,6 @@ import pytest
 
 from cactusnet.combinat import KrewerasPair, Matching, NoncrossingPartition
 from cactusnet.groves import GroveMeasurements
-from cactusnet.linalg import Inconsistent, Solutions
 from cactusnet.network import CactusNetwork, Edge, QuotientGraph, ValidationReport
 
 SIGMA = NoncrossingPartition(3, ((1,), (2, 3)))
@@ -30,10 +29,6 @@ VALUES = {
            {"id": "e", "ends": ("b1", "v"), "conductance": Fraction(1, 3)}),
     GroveMeasurements: ({"n": 2, "values": {SIGMA: Fraction(2)}},
                         {"n": 2, "values": {}}),
-    Inconsistent: ({"certificate": [Fraction(1), Fraction(-1)]},
-                   {"certificate": [Fraction(1)]}),
-    Solutions: ({"particulars": [[Fraction(1)]], "nullspace": []},
-                {"particulars": [[Fraction(2)]], "nullspace": []}),
     ValidationReport: ({"checks": [("planar", True, "")]},
                        {"checks": [("planar", False, "no")]}),
     QuotientGraph: ({"boundary": ((1,), (2,)), "internal": ("v",),
