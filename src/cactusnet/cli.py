@@ -22,7 +22,7 @@ import sys
 from types import SimpleNamespace
 
 from . import electrical, grassmann, groves, netfile, network
-from .combinat import _block_name, catalan, noncrossing_runs
+from .combinat import catalan, noncrossing_runs
 
 
 class _InvalidInput(Exception):
@@ -47,11 +47,8 @@ def cmd_lambda(net, args):
             f"dense lambda output for n = {net.n} has Cat_{net.n} = "
             f"{catalan(net.n)} entries (limit n <= {groves.DENSE_LAMBDA_MAX_N})"
         )
-    lam = groves.lambda_vector(net)
-    # str(s) block by block, each of the at most 2^n - 1 blocks named once
-    names = {b: _block_name(b) for b in {b for s in lam.values for b in s.blocks}}
-    nonzero = {",".join(map(names.__getitem__, s.blocks)): netfile.format_rational(v)
-               for s, v in lam.values.items()}
+    nonzero = {name: netfile._rational_text(*pq)
+               for name, pq in groves.lambda_vector(net).named().items()}
     # streamed: the Cat_n entries are written run by run as they are named
     netfile.write_lambda(noncrossing_runs(net.n), nonzero, sys.stdout,
                          compact=args.compact)

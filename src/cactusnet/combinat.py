@@ -182,16 +182,11 @@ class NoncrossingPartition(FrozenRecord):
         return len(self.blocks)
 
     def __str__(self) -> str:
-        return ",".join(map(_block_name, self.blocks))
+        return ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
 _set_n = NoncrossingPartition.n.__set__
 _set_blocks = NoncrossingPartition.blocks.__set__
-
-
-def _block_name(block) -> str:
-    """Render a block tuple, e.g. (1, 2) -> "{1,2}"."""
-    return "{" + ",".join(map(str, block)) + "}"
 
 
 # the mids of a block with no inner gap: one empty rest, no product

@@ -17,12 +17,17 @@ holds a boundary block iff its root index is < nboundary, a forest is a
 grove iff no root is >= nboundary, and the first nboundary characters
 key the induced partition.  ``enumerate_groves`` yields that key and the
 weight product each forest carries, and ``lambda_vector`` sums the
-products under the key into one integer per class: the class fixes its
-number of trees, hence its grove size.
+products under the key into one integer per class: a class of c trees
+has groves of vertices - c edges, so it measures its sum over d to that
+power, d the lcm of the conductance denominators.  ``GroveMeasurements``
+keeps the sums; ``named`` names them from their roots, ``values`` builds
+their partitions on first read.
 """
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 
 from .combinat import NoncrossingPartition, Record
 from .linalg import _sparse_ratio
@@ -90,7 +95,7 @@ def enumerate_groves(net, weight):
                           chosen + (eid,), product * w))
 
 
-def _partitions(qg: QuotientGraph, classes):
+def _partitions(boundary, classes):
     """Yield, for each class of roots in order, the partition of [n] whose
     blocks join the boundary blocks sharing a root (a root string, read with ``ord``).
 
@@ -99,11 +104,11 @@ def _partitions(qg: QuotientGraph, classes):
     not proved again.  A root is the least boundary index in its tree, so
     the groups come in canonical order; each is sorted already unless the
     shape glues labels."""
-    n = sum(map(len, qg.boundary))
-    glued = n > len(qg.boundary)  # a glued block may precede a smaller label
+    n = sum(map(len, boundary))
+    glued = n > len(boundary)  # a glued block may precede a smaller label
     for roots in classes:
         groups = {}
-        for i, root, block in zip(range(len(roots)), map(ord, roots), qg.boundary):
+        for i, root, block in zip(range(len(roots)), map(ord, roots), boundary):
             groups[root] = block if root == i else groups[root] + block
         blocks = groups.values()
         yield NoncrossingPartition(n, tuple(
@@ -114,32 +119,61 @@ class GroveMeasurements(Record):
     """Measurement vector indexed by noncrossing partitions of [n].
 
     ``values`` may omit partitions: a missing partition measures 0.
-    ``lambda_vector`` stores only the nonzero values.
+    ``lambda_vector`` fills ``boundary``, ``d``, ``nvertices`` and ``classes``
+    {roots: sum}; ``values`` is then a view of them, built on first read.
     """
 
     _fields = ("n", "values")
 
-    def __init__(self, n: int, values: dict):
-        self.n = n
-        self.values = values  # NoncrossingPartition -> Fraction
+    def __init__(self, n: int, values: dict = None, *, boundary=(), d=1,
+                 nvertices=0, classes=None):
+        self.n, self.boundary, self.d = n, boundary, d
+        self.nvertices, self.classes = nvertices, classes
+        if values is not None:
+            self.values = values  # NoncrossingPartition -> Fraction
+
+    @cached_property
+    def values(self) -> dict:
+        return dict(zip(_partitions(self.boundary, self.classes), [
+            Fraction(s, self.d ** (self.nvertices - len(set(roots))))
+            for roots, s in self.classes.items()]))
 
     def __getitem__(self, sigma) -> Fraction:
         return self.values.get(sigma, _ZERO)
+
+    def named(self) -> dict:
+        """{str(sigma): (p, q)}, p/q in lowest terms, named from the root
+        strings without building a partition.  The labels are read in order,
+        each under its block's root, so every group comes out sorted."""
+        owner = sorted((x, i) for i, b in enumerate(self.boundary) for x in b)
+        opens, adds = [f"{{{x}" for x, _ in owner], [f",{x}" for x, _ in owner]
+        glued, named = len(owner) > len(self.boundary), {}
+        pick = itemgetter(*(i for _, i in owner))  # the root of each label
+        for roots, s in self.classes.items():
+            groups = {}
+            for root, first, more in zip(pick(roots) if glued else roots, opens, adds):
+                if root in groups:
+                    groups[root] += more
+                else:
+                    groups[root] = first
+            q = self.d ** (self.nvertices - len(groups))
+            g = math.gcd(s, q)
+            named["},".join(groups.values()) + "}"] = (s // g, q // g)
+        return named
 
 
 def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     """The grove measurements of a valid network, nonzero values only.
 
     Each grove's integer weight, carried by the search, is added under its
-    roots, one integer per class; each class then becomes one Fraction.
+    roots, one integer per class: ``GroveMeasurements``'s integer form.
 
     Raises ``ValueError`` when no grove exists, that is when some internal
     vertex has no path to the boundary, so the vector is never zero.
     """
     require_valid(net)
     qg = quotient_graph(net)
-    # Integer weights a_e = c_e * d, d the lcm of the denominators: a grove
-    # of k edges weighs (product of its a_e) / d**k.
+    # weights a_e = c_e * d: a grove of k edges weighs (product of a_e) / d**k
     d = math.lcm(*(c.denominator for *_, c in qg.edges))
     weight = {eid: c.numerator * (d // c.denominator) for eid, _, _, c in qg.edges}
     classes = {}  # boundary roots -> sum of integer weights
@@ -148,12 +182,8 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     if not classes:
         # only a component without a boundary block rules out every grove
         raise ValueError("an internal vertex is isolated from the boundary")
-    # A grove is spanning and each of its c trees holds a boundary block,
-    # so every grove of a class has len(vertices) - c edges.
-    nvertices = len(qg.vertices)
-    return GroveMeasurements(net.n, dict(zip(_partitions(qg, classes), [
-        Fraction(s, d ** (nvertices - len(set(roots))))
-        for roots, s in classes.items()])))
+    return GroveMeasurements(net.n, boundary=qg.boundary, d=d,
+                             nvertices=len(qg.vertices), classes=classes)
 
 
 def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):

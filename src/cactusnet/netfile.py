@@ -22,9 +22,13 @@ from .linalg import RationalMatrix
 from .network import CactusNetwork, boundary_name
 
 
+def _rational_text(p: int, q: int) -> str:  # p/q in lowest terms, q > 0
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def format_rational(x: Fraction) -> str:
     x = x if type(x) is Fraction else Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _rational_text(x.numerator, x.denominator)
 
 
 # the characters of "p" and "p/q"; int() alone would also take spaces,
@@ -158,8 +162,8 @@ def exterior_to_doc(vec: ExteriorVector) -> dict:
                        reverse=True):
         t = terms[mask]
         g = math.gcd(t, denom)
-        doc[(low[mask & half] + high[mask >> n])[:-1]] = (
-            str(t // g) if g == denom else f"{t // g}/{denom // g}")
+        doc[(low[mask & half] + high[mask >> n])[:-1]] = _rational_text(
+            t // g, denom // g)
     return doc
 
 
@@ -211,7 +215,8 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
     (``combinat.noncrossing_runs``).  Names and values are written
     unquoted, so neither may need a JSON escape.  A run with few nonzero
     entries is written as stretches of "0" entries, each joined in one
-    call, between its nonzero ones; a run with many, entry by entry.
+    call, between its nonzero ones; a run with many, entry by entry.  An
+    entry no run names raises ``ValueError`` before the closing brace.
     """
     colon, sep, lead, close = ((":", ",", "{", "}") if compact
                                else (": ", ",\n  ", "{\n  ", "\n}"))
@@ -227,13 +232,14 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
     texts, room, opening = [], STREAM_BATCH, lead
     for first, rests in runs:
         head = '"' + first
-        tails = tails_of.get(first[:-1])
+        tails = tails_of.pop(first[:-1], None)  # what is left is not placed
         # (start, stop, tail): rests[start:stop] all end in tail, or each
         # in its own tail if tail is None
         if tails is None:
             stretches = ((0, len(rests), zero),)
         elif len(tails) * 10 > len(rests):  # dense: cheaper entry by entry
             stretches = ((0, len(rests), None),)
+            placed = sum(map(tails.__contains__, rests))
         else:
             stretches, start = [], 0
             for i in itertools.compress(range(len(rests)),
@@ -241,6 +247,9 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
                 stretches += ((start, i, zero), (i, i + 1, tails[rests[i]]))
                 start = i + 1
             stretches.append((start, len(rests), zero))
+            placed = len(stretches) // 2
+        if tails and placed < len(tails):
+            tails_of[first[:-1]] = tails.keys() - set(rests)
         for start, stop, tail in stretches:
             while start < stop:
                 cut = min(stop, start + room)
@@ -256,4 +265,8 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
                     texts, room, opening = [], STREAM_BATCH, sep
     if texts:
         stream.write(opening + sep.join(texts))
+    for name in nonzero if tails_of else ():
+        first, _, rest = name.partition("}")
+        if rest in tails_of.get(first, ()):
+            raise ValueError(f"no noncrossing partition is named {name}")
     stream.write(close + "\n" if texts or opening == sep else "{}\n")

@@ -9,16 +9,17 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from cactusnet import cli, groves, netfile
 from cactusnet.combinat import (
     KrewerasPair,
     NoncrossingPartition,
-    _block_name,
     _crossing,
     canonical_blocks,
     circle_position,
     concordant_index_pairs,
+    enumerate_noncrossing,
     format_element,
     kreweras_complement,
 )
@@ -33,6 +34,7 @@ from cactusnet.linalg import RationalMatrix, _exact
 from cactusnet.network import (
     CactusNetwork,
     CombMap,
+    Edge,
     arc_key,
     quotient_graph,
     require_valid,
@@ -105,6 +107,15 @@ def make_glued_later():
         [("x", ("b1", "b2"), Fraction(2)), ("y", ("b2", "b3"), Fraction(3))],
         {"b1": ["x"], "b2": ["y", "x"], "b3": ["y"]},
     )
+
+
+def make_glued_pendant(b1_rotation):
+    """Shape {1,3},{2},{4}, an edge b1 - b4 and a pendant b1 - p, whose
+    edge "ep" may sit on either side of "e14" in ``b1_rotation``."""
+    return CactusNetwork.build(
+        4, [(1, 3), (2,), (4,)], ["p"],
+        [("e14", ("b1", "b4"), Fraction(2)), ("ep", ("b1", "p"), Fraction(3))],
+        {"b1": b1_rotation, "b4": ["e14"], "p": ["ep"]})
 
 
 def make_shorted():
@@ -304,6 +315,22 @@ def random_planar_net(rng, n, connected=False):
         n, [(i,) for i in range(1, n + 1)], internal, edges, rotations)
 
 
+def random_glued_wheel(rng, n):
+    """``random_planar_net`` under a random noncrossing shape, plus a
+    pendant b<i> - p at a random slot of b<i>'s rotation, with one
+    boundary rotation shuffled."""
+    net = random_planar_net(rng, n)
+    rotations = {v: list(rot) for v, rot in net.rotations.items()}
+    i = rng.randint(1, n)
+    rotations[f"b{i}"].insert(rng.randint(0, len(rotations[f"b{i}"])), "ep")
+    rotations["p"] = ["ep"]
+    rng.shuffle(rotations[f"b{rng.randint(1, n)}"])
+    return CactusNetwork.build(
+        n, rng.choice(enumerate_noncrossing(n)).blocks,
+        [*net.internal_vertices, "p"],
+        [*net.edges, Edge("ep", (f"b{i}", "p"), Fraction(1))], rotations)
+
+
 def oracle_networks():
     """Test networks, grids with small and 30-bit conductances, and
     random wheels, connected or not."""
@@ -415,7 +442,7 @@ def grove_partition(net, edge_ids):
     for eid in edge_ids:
         root = _joined(root, *ends[eid])
     return next(groves._partitions(
-        qg, ["".join(map(chr, root[:len(qg.boundary)]))]))
+        qg.boundary, ["".join(map(chr, root[:len(qg.boundary)]))]))
 
 
 def electrically_equivalent(net1, net2) -> bool:
@@ -565,7 +592,7 @@ def unit_noncrossing_blocks(n: int) -> list:
 def unit_name_runs(n: int):
     """The runs ``(first, rests)`` of ``combinat.noncrossing_runs``, from
     the tuple walk with a string unit."""
-    runs = unit_noncrossing_runs(n, lambda b: "," + _block_name(b), "")
+    runs = unit_noncrossing_runs(n, lambda b: "," + partition_name([b]), "")
     return ((head[1:], lasts if mids == ("",) else
              [m + r for m in mids for r in lasts])
             for head, mids, lasts in runs)
@@ -1145,26 +1172,32 @@ def dense_response_matrix(net):
     return -(bb - dense_matmul(bi, x))
 
 
-def solve_many_response(net):
+def sympy_response(net):
     """Oracle for the Kron-reduced response matrix: the internal block of
-    the integer Laplacian solved by ``dense_solve_many`` for every column
-    of IB at once, then L = -(BB - BI X) summed entry by entry.  The
-    integer Laplacian's rows carry their scales: IB is read from the
-    internal rows, so X is unchanged by them, and each boundary row is
-    divided by its own."""
+    the integer Laplacian solved by sympy's exact Gauss-Jordan solver for
+    every column of IB at once, then L = -(BB - BI X) summed entry by
+    entry.  The integer Laplacian's rows carry their scales: IB is read
+    from the internal rows, so X is unchanged by them, and each boundary
+    row is divided by its own."""
     require_valid(net)
     qg = quotient_graph(net)
     lap, scales = laplacian(qg)
     nb, ni = len(qg.boundary), len(qg.internal)
     bi = [{j - nb: x for j, x in row.items() if j >= nb} for row in lap[:nb]]
-    ii = RationalMatrix([[row.get(nb + j, 0) for j in range(ni)] for row in lap[nb:]])
-    ib = [[row.get(b, 0) for row in lap[nb:]] for b in range(nb)]
-    sol = dense_solve_many(ii, ib)
-    if sol is None or sol[1]:
-        raise ValueError("an internal vertex is isolated from the boundary")
+    x = []  # X, one row per internal vertex
+    if ni:
+        ii = sympy.Matrix([[row.get(nb + j, 0) for j in range(ni)] for row in lap[nb:]])
+        ib = sympy.Matrix([[row.get(b, 0) for b in range(nb)] for row in lap[nb:]])
+        try:
+            sol, free = ii.gauss_jordan_solve(ib)
+        except ValueError:  # no solution
+            sol = None
+        if sol is None or free.rows:  # none, or not one
+            raise ValueError("an internal vertex is isolated from the boundary")
+        x = [[Fraction(int(v.p), int(v.q)) for v in sol.row(k)] for k in range(ni)]
     zero = Fraction(0)
     return RationalMatrix(
-        [[(sum((x * sol[0][b][k] for k, x in bi[a].items()), zero)
+        [[(sum((v * x[k][b] for k, v in bi[a].items()), zero)
            - lap[a].get(b, 0)) / scales[a] for b in range(nb)] for a in range(nb)])
 
 

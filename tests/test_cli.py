@@ -122,6 +122,21 @@ def test_lambda_output_matches_the_dense_oracle(capsys, tmp_path):
             0, json.dumps(doc, separators=(",", ":")) + "\n", "")
 
 
+def test_lambda_builds_no_partition(paths, capsys, monkeypatch):
+    """lambda names its entries from the grove search's root strings: with
+    the partition builder broken it still prints the document of the
+    glued and of the unglued network."""
+    want = {name: run(capsys, "lambda", paths[name]) for name in ("glued", "y")}
+
+    def refuse(boundary, classes):
+        raise AssertionError("lambda built a partition")
+
+    monkeypatch.setattr(groves, "_partitions", refuse)
+    for name in ("glued", "y"):
+        assert run(capsys, "lambda", paths[name]) == want[name]
+        assert want[name][0] == 0
+
+
 def test_over_cap_lambda_fails_before_any_name(capsys, tmp_path, monkeypatch):
     class KeepAll(random.Random):
         def random(self):

@@ -35,7 +35,7 @@ from conftest import (
     oracle_networks,
     outcome,
     random_planar_net,
-    solve_many_response,
+    sympy_response,
     two_solve_resistance,
 )
 from cactusnet.combinat import (
@@ -370,14 +370,14 @@ def response_networks():
     return nets
 
 
-def test_kron_response_matches_the_solve_many_oracle():
-    """The Kron-reduced response equals the response of one dense solve
+def test_kron_response_matches_the_sympy_oracle():
+    """The Kron-reduced response equals the response of one sympy solve
     on the internal block and the dense Schur complement, or fails with
     the same error as both."""
     failures = 0
     for net in response_networks():
         try:
-            expect = solve_many_response(net)
+            expect = sympy_response(net)
         except ValueError as exc:
             failures += 1
             for compute in (dense_response_matrix, response_matrix):

@@ -15,6 +15,7 @@ from conftest import (
     make_disconnected,
     make_edgeless,
     make_glued_later,
+    make_glued_pendant,
     make_glued_tree,
     make_grid,
     make_grid4,
@@ -26,6 +27,7 @@ from conftest import (
     one_block,
     path_halving_groves,
     path_halving_partition,
+    random_glued_wheel,
     random_planar_net,
     recursive_groves,
 )
@@ -39,7 +41,7 @@ from cactusnet.groves import (
     lambda_vector,
     proportionality_factor,
 )
-from cactusnet.network import CactusNetwork, Edge, quotient_graph
+from cactusnet.network import CactusNetwork, Edge, quotient_graph, validate
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71)
@@ -128,7 +130,7 @@ def test_groves_match_brute_force(builder):
     assert listed == sorted(listed)  # deterministic lexicographic order
     assert listed == list(path_halving_groves(qg))
     assert set(listed) == brute_force_groves(qg)
-    built = groves._partitions(qg, [roots for _, roots, _ in triples])
+    built = groves._partitions(qg.boundary, [roots for _, roots, _ in triples])
     for (grove, *_), sigma in zip(triples, built, strict=True):
         assert grove_partition(qg, grove) == brute_force_partition(qg, grove)
         assert sigma == brute_force_partition(qg, grove)
@@ -145,7 +147,7 @@ def test_groves_match_brute_force_random(rng):
         listed = [grove for grove, *_ in triples]
         assert listed == list(path_halving_groves(qg))
         assert set(listed) == brute_force_groves(qg)
-        built = groves._partitions(qg, [roots for _, roots, _ in triples])
+        built = groves._partitions(qg.boundary, [roots for _, roots, _ in triples])
         for (grove, *_), sigma in zip(triples, built, strict=True):
             assert sigma == brute_force_partition(qg, grove)
 
@@ -161,7 +163,7 @@ def assert_grove_invariants(qg, pairs):
         classes.add(roots)
         count += 1
     classes = list(classes)
-    built = groves._partitions(qg, map(root_string, classes))
+    built = groves._partitions(qg.boundary, map(root_string, classes))
     for roots, sigma in zip(classes, built, strict=True):
         groups = {}
         for root, block in zip(roots, qg.boundary):
@@ -213,7 +215,7 @@ def test_search_matches_the_recursive_oracle_at_the_cap():
 
 def test_partition_sorts_a_glued_block_joining_a_later_label():
     qg = quotient_graph(make_glued_later())
-    assert next(groves._partitions(qg, [root_string((0, 0, 2))])).blocks == ((1, 2, 4), (3,))
+    assert next(groves._partitions(qg.boundary, [root_string((0, 0, 2))])).blocks == ((1, 2, 4), (3,))
     lam = lambda_vector(make_glued_later())
     assert lam[NoncrossingPartition(4, ((1, 2, 4), (3,)))] == 2
 
@@ -243,12 +245,12 @@ def test_lambda_classes_equal_the_proved_partitions(monkeypatch):
     build = groves._partitions
     proved = []
 
-    def checked(qg, classes):
+    def checked(boundary, classes):
         classes = list(classes)
-        built = list(build(qg, classes))
+        built = list(build(boundary, classes))
         for roots, sigma in zip(classes, built, strict=True):
             groups = {}
-            for root, block in zip(roots, qg.boundary):
+            for root, block in zip(roots, boundary):
                 groups.setdefault(root, []).extend(block)
             assert sigma == NoncrossingPartition.from_blocks(sigma.n, groups.values())
         proved.extend(built)
@@ -263,8 +265,36 @@ def test_lambda_classes_equal_the_proved_partitions(monkeypatch):
     for net in nets:
         before = len(proved)
         lam = lambda_vector(net)
-        assert proved[before:] == list(lam.values)
+        measured = list(lam.values)  # the view builds the partitions here
+        assert proved[before:] == measured
     assert len(proved) > 1000
+
+
+def test_named_view_matches_the_values_view():
+    """``named`` equals the values view, name for name and in the same
+    order, on random wheels, the glued fixtures (with pendants) and
+    conductances whose denominators give d > 1."""
+    rng = random.Random(31)
+    nets = [random_planar_net(rng, rng.randint(2, 8)) for _ in range(150)]
+    nets += [random_glued_wheel(rng, rng.randint(3, 6)) for _ in range(150)]
+    nets += [make_glued_tree(), make_glued_later(),
+             make_y(Fraction(1, 2), 3, Fraction(5, 6)),
+             make_delta(Fraction(1, 3), 1, Fraction(1, 2))]
+    nets += [make_glued_pendant(rot) for rot in (["e14", "ep"], ["ep", "e14"])]
+    checked = {"glued": 0, "d > 1": 0}
+    for net in nets:
+        if not validate(net).ok:
+            continue
+        try:
+            lam = lambda_vector(net)
+        except ValueError:
+            continue
+        named = lam.named()
+        want = {str(s): (v.numerator, v.denominator) for s, v in lam.values.items()}
+        assert list(named.items()) == list(want.items())
+        checked["glued"] += len(quotient_graph(net).boundary) < net.n
+        checked["d > 1"] += lam.d > 1
+    assert min(checked.values()) > 20
 
 
 def test_lambda_vector_loops_never_contribute():

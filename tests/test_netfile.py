@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,25 @@ def test_write_lambda_matches_write_pairs(n):
                     netfile.write_lambda(noncrossing_runs(n), nonzero, got,
                                          compact)
                 assert got.writes == want.writes, (key, batch, compact)
+
+
+@pytest.mark.parametrize("n, nonzero, unplaced", [
+    (3, {"{2},{1},{3}": "5"}, "{2},{1},{3}"),   # no run starts with {2}
+    (4, {"{1,3},{2,4}": "5"}, "{1,3},{2,4}"),   # a dense run
+    (4, {"{1},{2},{3},{4}": "2", "{1},{3},{2},{4}": "3", "{1,3},{2,4}": "5"},
+     "{1},{3},{2},{4}"),
+    (7, {"{1},{2},{3},{4},{5},{6},{7}": "1", "{1},{2,4},{3,5},{6},{7}": "2"},
+     "{1},{2,4},{3,5},{6},{7}"),                # a sparse run
+])
+def test_write_lambda_refuses_an_entry_no_run_names(n, nonzero, unplaced):
+    """An entry that names no noncrossing partition of [n] raises, naming
+    the first such entry, before the closing brace is written, instead of
+    being left out of an all-"0" document."""
+    for compact in (False, True):
+        out = RecordingStream()
+        with pytest.raises(ValueError, match=re.escape(unplaced) + "$"):
+            netfile.write_lambda(noncrossing_runs(n), nonzero, out, compact)
+        assert not "".join(out.writes).endswith("}\n")
 
 
 def test_partition_names_need_no_json_escape():

@@ -12,11 +12,13 @@ from conftest import (
     make_delta,
     make_disconnected,
     make_edgeless,
+    make_glued_pendant,
     make_glued_tree,
     make_shorted,
     make_single_edge,
     make_y,
     make_y_with_pendant,
+    random_glued_wheel,
     random_planar_net,
 )
 from cactusnet import cli, netfile, network
@@ -26,7 +28,6 @@ from cactusnet.groves import equivalence_factor, lambda_vector
 from cactusnet.network import (
     CactusNetwork,
     CombMap,
-    Edge,
     dual,
     is_minimal,
     medial_pairing,
@@ -132,10 +133,7 @@ GLUED_13 = [[1, 3], [2], [4]]
 def test_pendant_fits_either_lobe_at_a_glued_label():
     """A pendant at b1 reaches no other label, so it may sit in the lobe
     before label 1, after the edge to b4 that must lie there."""
-    edges = [("e14", ("b1", "b4"), 2), ("ep", ("b1", "p"), 3)]
-    nets = [CactusNetwork.build(4, GLUED_13, ["p"], edges,
-                                {"b1": rot, "b4": ["e14"], "p": ["ep"]})
-            for rot in (["e14", "ep"], ["ep", "e14"])]
+    nets = [make_glued_pendant(rot) for rot in (["e14", "ep"], ["ep", "e14"])]
     for net in nets:
         assert validate(net).ok
     assert lambda_vector(nets[0]) == lambda_vector(nets[1])
@@ -165,22 +163,6 @@ def test_glued_lobes_in_clockwise_order_validate():
         4, GLUED_13, [], [("e12", ("b1", "b2"), 1), ("e14", ("b1", "b4"), 1)],
         {"b1": ["e12", "e14"], "b2": ["e12"], "b4": ["e14"]})
     assert validate(net).ok
-
-
-def random_glued_wheel(rng, n):
-    """``random_planar_net`` under a random noncrossing shape, plus a
-    pendant b<i> - p at a random slot of b<i>'s rotation, with one
-    boundary rotation shuffled."""
-    net = random_planar_net(rng, n)
-    rotations = {v: list(rot) for v, rot in net.rotations.items()}
-    i = rng.randint(1, n)
-    rotations[f"b{i}"].insert(rng.randint(0, len(rotations[f"b{i}"])), "ep")
-    rotations["p"] = ["ep"]
-    rng.shuffle(rotations[f"b{rng.randint(1, n)}"])
-    return CactusNetwork.build(
-        n, rng.choice(enumerate_noncrossing(n)).blocks,
-        [*net.internal_vertices, "p"],
-        [*net.edges, Edge("ep", (f"b{i}", "p"), Fraction(1))], rotations)
 
 
 def test_comb_map_matches_the_lobe_list_oracle():
