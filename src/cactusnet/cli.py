@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 invalid input file (one that does not load or
 fails validation; ``validate`` prints its report first), 2 precondition
 violation, 3 internal error (an identity the library guarantees broke,
 or any other unexpected exception; always a bug, reported without a
-traceback).  Only a command line that ``parse_args`` cannot read in one
+traceback; a streamed ``lambda`` may have written part of its
+document).  Only a command line that ``parse_args`` cannot read in one
 pass imports argparse; a malformed one raises ``SystemExit(2)`` after
 argparse's usage message, ``-h`` ``SystemExit(0)`` after its help.
 """

@@ -277,12 +277,17 @@ def enumerate_noncrossing(n: int) -> tuple:
 
     The length is the Catalan number Cat_n.
     """
-    block = {}  # "1,3" -> (1, 3), each block read once
-    return tuple(
-        NoncrossingPartition(n, tuple(
-            block.get(b) or block.setdefault(b, tuple(map(int, b.split(","))))
-            for b in name[1:-1].split("},{")))
-        for name in noncrossing_names(n))
+    cache = {}
+    return tuple(NoncrossingPartition(n, _name_blocks(name, cache))
+                 for name in noncrossing_names(n))
+
+
+def _name_blocks(name: str, cache: dict) -> tuple:
+    """The blocks of the partition named ``name``: "{1,3},{2}" gives
+    ((1, 3), (2,)).  ``cache`` maps the text of each block read so far to
+    its tuple, so a block shared by many names is read once."""
+    return tuple(cache.get(b) or cache.setdefault(b, tuple(map(int, b.split(","))))
+                 for b in name[1:-1].split("},{"))
 
 
 def catalan(n: int) -> int:
@@ -305,7 +310,7 @@ class KrewerasPair(FrozenRecord):
 
     @classmethod
     def of(cls, sigma: NoncrossingPartition) -> "KrewerasPair":
-        return cls(sigma, _kreweras_tilde_blocks(sigma))
+        return cls(sigma, _kreweras_tilde_blocks(sigma.n, sigma.blocks))
 
     @property
     def n(self) -> int:
@@ -315,8 +320,9 @@ class KrewerasPair(FrozenRecord):
         return self.sigma.blocks + self.tilde_blocks
 
 
-def _kreweras_tilde_blocks(sigma: NoncrossingPartition) -> tuple:
-    """Kreweras complement of sigma, as blocks of the labels n+1..2n.
+def _kreweras_tilde_blocks(n: int, blocks: tuple) -> tuple:
+    """Kreweras complement of the noncrossing partition sigma of [n] with
+    these canonical blocks, as blocks of the labels n+1..2n.
 
     With sigma read as the permutation sending each label to the next one
     in its block (cyclically), the complement is sigma^-1 c for the long
@@ -326,13 +332,12 @@ def _kreweras_tilde_blocks(sigma: NoncrossingPartition) -> tuple:
     Two checks guard it: the block counts sum to n + 1, and the union of
     sigma and the complement does not cross on the circle.
     """
-    n = sigma.n
     prev = [0] * (n + 1)
     # the block of each circle position, label x at 2x - 2 and k~ at
     # 2k - 1, for the check that the union is noncrossing
     block_of = [0] * (2 * n)
     sizes = []
-    for i, b in enumerate(sigma.blocks):
+    for i, b in enumerate(blocks):
         p = b[-1]
         for x in b:
             prev[x] = p
@@ -354,17 +359,17 @@ def _kreweras_tilde_blocks(sigma: NoncrossingPartition) -> tuple:
         tilde.append(tuple(cycle))
         sizes.append(len(cycle))
     tilde = tuple(tilde)
-    if len(tilde) != n + 1 - sigma.num_blocks():
-        raise AssertionError(f"Kreweras block count wrong for {sigma}")
+    if len(tilde) != n + 1 - len(blocks):
+        raise AssertionError(f"Kreweras block count wrong for {blocks}")
     if _crossing_scan(block_of, sizes):
-        raise AssertionError(f"Kreweras union crosses for {sigma}")
+        raise AssertionError(f"Kreweras union crosses for {blocks}")
     return tilde
 
 
 def kreweras_complement(sigma: NoncrossingPartition) -> NoncrossingPartition:
     """The Kreweras complement, relabeled k~ -> k as a partition of [n]."""
     n = sigma.n
-    tilde = _kreweras_tilde_blocks(sigma)
+    tilde = _kreweras_tilde_blocks(n, sigma.blocks)
     return NoncrossingPartition.from_blocks(
         n, [tuple(x - n for x in b) for b in tilde]
     )

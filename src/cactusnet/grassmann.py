@@ -5,6 +5,9 @@ over column positions 0..2n-1 in the interleaved order 1, 1~, 2, 2~,
 ..., n, n~ (see combinat).  A network's measurement vector maps to such
 an exterior vector whose coefficients, read in a basis of concordant
 wedges, are the Plucker coordinates of an isotropic point of Gr(n+1, 2n).
+``lam_map`` reads the measurements by name (``GroveMeasurements.named``),
+each partition's blocks parsed back from its name, and builds no
+partition.
 
 An ``ExteriorVector`` is held in integer form: each coordinate an
 integer over one denominator, keyed by the bitmask of its positions (bit
@@ -16,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .combinat import KrewerasPair, _kreweras_tilde_blocks, circle_position
+from .combinat import KrewerasPair, _kreweras_tilde_blocks, _name_blocks, circle_position
 from .groves import GroveMeasurements
 from .linalg import RationalMatrix, _common_denominator, _exact, _reduce, _sparse_ratio
 
@@ -125,17 +128,17 @@ def f_sigma(pair: KrewerasPair) -> ExteriorVector:
 
 def lam_map(measurements: GroveMeasurements) -> ExteriorVector:
     """Exterior vector of a measurement vector: sum of Lambda_sigma
-    f_sigma, over the lcm of the Lambda denominators."""
-    values = [(sigma, val) for sigma, val in measurements.values.items() if val]
-    denom = math.lcm(*(val.denominator for _, val in values))
-    bits = _position_bits(measurements.n)
-    out = {}
-    for sigma, val in values:
-        weight = val.numerator * (denom // val.denominator)
-        blocks = sigma.blocks + _kreweras_tilde_blocks(sigma)
-        for mask in _concordant_masks(bits, blocks):
+    f_sigma, over the lcm of the Lambda denominators.  Each sigma's
+    blocks are read back from its name."""
+    n, named = measurements.n, measurements.named()
+    denom = math.lcm(*(q for _, q in named.values()))
+    bits = _position_bits(n)
+    out, cache = {}, {}
+    for name, (p, q) in named.items():
+        weight = p * (denom // q)
+        blocks = _name_blocks(name, cache)
+        for mask in _concordant_masks(bits, blocks + _kreweras_tilde_blocks(n, blocks)):
             out[mask] = out.get(mask, 0) + weight
-    n = measurements.n
     return ExteriorVector._of(n, n + 1, denom, {mask: t for mask, t in out.items() if t})
 
 

@@ -5,9 +5,9 @@ every connected component contains a boundary vertex.  Each grove
 induces a partition of the boundary labels 1..n (labels sharing a tree);
 for a planar embedded network that partition is noncrossing.  The
 measurement vector collects, for every noncrossing partition, the sum of
-conductance products over groves inducing it.  It is stored sparsely:
-``GroveMeasurements.values`` holds only the partitions some grove
-induces, and every other partition measures 0.
+conductance products over groves inducing it.  It is stored sparsely, as
+integer sums over the partitions some grove induces; every other
+partition measures 0.
 
 The search walks the forests depth first on one explicit stack.  Each
 forest is a quick-find root string over the vertices of the quotient
@@ -20,8 +20,10 @@ weight product each forest carries, and ``lambda_vector`` sums the
 products under the key into one integer per class: a class of c trees
 has groves of vertices - c edges, so it measures its sum over d to that
 power, d the lcm of the conductance denominators.  ``GroveMeasurements``
-keeps the sums; ``named`` names them from their roots, ``values`` builds
-their partitions on first read.
+keeps the sums, and ``named`` names each one from its roots, as the
+``str`` of its partition: the names are how ``lambda``, ``lam_map`` and
+``equivalence_factor`` read Lambda.  ``values``, keyed by partitions, is
+built from the names on first read.
 """
 
 import math
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from .combinat import NoncrossingPartition, Record
+from .combinat import NoncrossingPartition, Record, _name_blocks
 from .linalg import _sparse_ratio
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
@@ -44,28 +46,20 @@ DENSE_LAMBDA_MAX_N = 13
 _ZERO = Fraction(0)
 
 
-def _as_quotient(net) -> QuotientGraph:
-    if isinstance(net, QuotientGraph):
-        return net
-    require_valid(net)
-    return quotient_graph(net)
-
-
-def enumerate_groves(net, weight):
+def enumerate_groves(qg: QuotientGraph, weight):
     """Yield ``(grove, roots, product)``, the groves in lexicographic order.
 
     ``grove`` is the sorted tuple of the grove's edge ids.  ``roots`` is
     the string of the first nboundary quick-find roots: boundary blocks
     with equal roots share a tree, so it keys the induced partition (see
-    ``_partitions``).  ``product`` is the integer 1 times ``weight[e]``
-    for each grove edge e; ``weight`` maps every quotient edge id.  Accepts
-    a valid network or its quotient graph.  Loop edges of the quotient
-    never appear in a grove.
+    ``GroveMeasurements.named``).  ``product`` is the integer 1 times
+    ``weight[e]`` for each grove edge e; ``weight`` maps every edge id of
+    the quotient graph ``qg``.  Loop edges of the quotient never appear in
+    a grove.
 
     A stacked forest is ``(next edge, roots, loose trees, chosen ids,
     product)``; its children are pushed last edge first, so they pop in order.
     """
-    qg = _as_quotient(net)
     if len(qg.edges) > GROVE_EDGE_CAP:
         raise ValueError(
             f"too many edges for grove enumeration (cap {GROVE_EDGE_CAP})"
@@ -95,56 +89,37 @@ def enumerate_groves(net, weight):
                           chosen + (eid,), product * w))
 
 
-def _partitions(boundary, classes):
-    """Yield, for each class of roots in order, the partition of [n] whose
-    blocks join the boundary blocks sharing a root (a root string, read with ``ord``).
-
-    The boundary blocks of a valid network partition [n], and a grove of
-    a planar network induces a noncrossing partition, so the blocks are
-    not proved again.  A root is the least boundary index in its tree, so
-    the groups come in canonical order; each is sorted already unless the
-    shape glues labels."""
-    n = sum(map(len, boundary))
-    glued = n > len(boundary)  # a glued block may precede a smaller label
-    for roots in classes:
-        groups = {}
-        for i, root, block in zip(range(len(roots)), map(ord, roots), boundary):
-            groups[root] = block if root == i else groups[root] + block
-        blocks = groups.values()
-        yield NoncrossingPartition(n, tuple(
-            map(tuple, map(sorted, blocks))) if glued else tuple(blocks))
-
-
 class GroveMeasurements(Record):
-    """Measurement vector indexed by noncrossing partitions of [n].
+    """Measurement vector indexed by noncrossing partitions of [n], held
+    as the integer sums of its classes.
 
-    ``values`` may omit partitions: a missing partition measures 0.
-    ``lambda_vector`` fills ``boundary``, ``d``, ``nvertices`` and ``classes``
-    {roots: sum}; ``values`` is then a view of them, built on first read.
+    ``classes`` maps each root string over the ``boundary`` blocks of a
+    quotient graph with ``nvertices`` vertices to the sum s of its grove
+    weights: a class of c distinct roots measures s / d**(nvertices - c).
+    A partition that no class names measures 0.
     """
 
-    _fields = ("n", "values")
+    _fields = ("n", "boundary", "d", "nvertices", "classes")
 
-    def __init__(self, n: int, values: dict = None, *, boundary=(), d=1,
-                 nvertices=0, classes=None):
+    def __init__(self, n: int, boundary: tuple, d: int, nvertices: int, classes: dict):
         self.n, self.boundary, self.d = n, boundary, d
         self.nvertices, self.classes = nvertices, classes
-        if values is not None:
-            self.values = values  # NoncrossingPartition -> Fraction
 
     @cached_property
     def values(self) -> dict:
-        return dict(zip(_partitions(self.boundary, self.classes), [
-            Fraction(s, self.d ** (self.nvertices - len(set(roots))))
-            for roots, s in self.classes.items()]))
+        """{NoncrossingPartition: Fraction}, read back from ``named``."""
+        blocks = {}
+        return {NoncrossingPartition(self.n, _name_blocks(name, blocks)): Fraction(p, q)
+                for name, (p, q) in self.named().items()}
 
     def __getitem__(self, sigma) -> Fraction:
         return self.values.get(sigma, _ZERO)
 
     def named(self) -> dict:
-        """{str(sigma): (p, q)}, p/q in lowest terms, named from the root
-        strings without building a partition.  The labels are read in order,
-        each under its block's root, so every group comes out sorted."""
+        """{str(sigma): (p, q)}, p/q in lowest terms, one entry per class in
+        order, named from the root strings without building a partition.
+        The labels are read in order, each under its block's root, so
+        every group comes out sorted and the groups in canonical order."""
         owner = sorted((x, i) for i, b in enumerate(self.boundary) for x in b)
         opens, adds = [f"{{{x}" for x, _ in owner], [f",{x}" for x, _ in owner]
         glued, named = len(owner) > len(self.boundary), {}
@@ -182,8 +157,7 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     if not classes:
         # only a component without a boundary block rules out every grove
         raise ValueError("an internal vertex is isolated from the boundary")
-    return GroveMeasurements(net.n, boundary=qg.boundary, d=d,
-                             nvertices=len(qg.vertices), classes=classes)
+    return GroveMeasurements(net.n, qg.boundary, d, len(qg.vertices), classes)
 
 
 def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):
@@ -194,7 +168,10 @@ def proportionality_factor(m1: GroveMeasurements, m2: GroveMeasurements):
     """
     if m1.n != m2.n:
         return None
-    return _sparse_ratio(m1.values, m2.values)
+    # by name: root strings over two networks' boundaries need not agree
+    u, v = ({name: Fraction(p, q) for name, (p, q) in m.named().items()}
+            for m in (m1, m2))
+    return _sparse_ratio(u, v)
 
 
 def equivalence_factor(net1: CactusNetwork, net2: CactusNetwork):

@@ -216,7 +216,8 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
     unquoted, so neither may need a JSON escape.  A run with few nonzero
     entries is written as stretches of "0" entries, each joined in one
     call, between its nonzero ones; a run with many, entry by entry.  An
-    entry no run names raises ``ValueError`` before the closing brace.
+    entry no run names is a naming slip, a bug: it raises
+    ``AssertionError`` before the closing brace.
     """
     colon, sep, lead, close = ((":", ",", "{", "}") if compact
                                else (": ", ",\n  ", "{\n  ", "\n}"))
@@ -268,5 +269,5 @@ def write_lambda(runs, nonzero: dict, stream, compact: bool = False) -> None:
     for name in nonzero if tails_of else ():
         first, _, rest = name.partition("}")
         if rest in tails_of.get(first, ()):
-            raise ValueError(f"no noncrossing partition is named {name}")
+            raise AssertionError(f"no noncrossing partition is named {name}")
     stream.write(close + "\n" if texts or opening == sep else "{}\n")

@@ -406,11 +406,11 @@ def _joined(root, u, v):
     return [ru if r == rv else r for r in root]
 
 
-def recursive_groves(net):
+def recursive_groves(qg):
     """Oracle for ``groves.enumerate_groves``: the same quick-find search
-    as a recursion of generators.  Yields the same ``(grove, roots)``
-    pairs in the same order, and enforces the same edge cap."""
-    qg = groves._as_quotient(net)
+    of the quotient graph ``qg`` as a recursion of generators.  Yields the
+    same ``(grove, roots)`` pairs in the same order, and enforces the same
+    edge cap."""
     if len(qg.edges) > groves.GROVE_EDGE_CAP:
         raise ValueError("too many edges for grove enumeration")
     index = {v: i for i, v in enumerate(qg.vertices)}
@@ -433,16 +433,24 @@ def recursive_groves(net):
     yield from extend(0, list(range(nvertices)), nvertices - nboundary, [])
 
 
-def grove_partition(net, edge_ids):
-    """The boundary partition induced by a grove, through the roots of
-    ``_joined`` and the classes of ``groves._partitions``."""
-    qg = groves._as_quotient(net)
+def root_partition(qg, roots):
+    """The partition of the class of the root string ``roots`` over the
+    boundary of ``qg``: the one key of a one-class ``GroveMeasurements``'s
+    ``values`` view, which reads it back from ``named``."""
+    n = sum(map(len, qg.boundary))
+    (sigma,) = groves.GroveMeasurements(
+        n, qg.boundary, 1, len(qg.vertices), {roots: 1}).values
+    return sigma
+
+
+def grove_partition(qg, edge_ids):
+    """The boundary partition induced by a grove of the quotient graph
+    ``qg``, through the roots of ``_joined`` and ``root_partition``."""
     ends = _quotient_ends(qg)
     root = list(range(len(qg.vertices)))
     for eid in edge_ids:
         root = _joined(root, *ends[eid])
-    return next(groves._partitions(
-        qg.boundary, ["".join(map(chr, root[:len(qg.boundary)]))]))
+    return root_partition(qg, "".join(map(chr, root[:len(qg.boundary)])))
 
 
 def electrically_equivalent(net1, net2) -> bool:

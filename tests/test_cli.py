@@ -26,7 +26,7 @@ from conftest import (
     partition_name,
     random_planar_net,
 )
-from cactusnet import cli, electrical, grassmann, groves, netfile
+from cactusnet import cli, combinat, electrical, grassmann, groves, netfile
 from cactusnet.cli import main
 from cactusnet.combinat import NoncrossingPartition, catalan
 from cactusnet.grassmann import lam_map
@@ -124,17 +124,36 @@ def test_lambda_output_matches_the_dense_oracle(capsys, tmp_path):
 
 def test_lambda_builds_no_partition(paths, capsys, monkeypatch):
     """lambda names its entries from the grove search's root strings: with
-    the partition builder broken it still prints the document of the
+    the parser that reads a partition's blocks back from its name broken,
+    in every module that binds it, it still prints the document of the
     glued and of the unglued network."""
     want = {name: run(capsys, "lambda", paths[name]) for name in ("glued", "y")}
 
-    def refuse(boundary, classes):
+    def refuse(name, cache):
         raise AssertionError("lambda built a partition")
 
-    monkeypatch.setattr(groves, "_partitions", refuse)
+    for module in (combinat, groves, grassmann):
+        monkeypatch.setattr(module, "_name_blocks", refuse)
     for name in ("glued", "y"):
         assert run(capsys, "lambda", paths[name]) == want[name]
         assert want[name][0] == 0
+
+
+def test_lambda_naming_slip_is_an_internal_error(paths, capsys, monkeypatch):
+    """A name that no noncrossing partition has, slipped into the named
+    classes, is a bug: lambda exits 3 with one internal error line, after
+    the part of the document written before the slip was found."""
+    named = groves.GroveMeasurements.named
+
+    def slipped(self):
+        return {**named(self), "{2},{1},{3}": (1, 1)}
+
+    monkeypatch.setattr(groves.GroveMeasurements, "named", slipped)
+    code, out, err = run(capsys, "lambda", paths["y"])
+    assert code == 3
+    assert err == ("internal error: AssertionError: "
+                   "no noncrossing partition is named {2},{1},{3}\n")
+    assert out.startswith('{\n  "{1},{2},{3}": "6"') and not out.endswith("}\n")
 
 
 def test_over_cap_lambda_fails_before_any_name(capsys, tmp_path, monkeypatch):

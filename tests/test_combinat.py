@@ -209,18 +209,17 @@ def test_kreweras_matches_the_pairwise_oracle(n):
     """The one-pass cycle reading against the pairwise "same face of the
     disc" union-find, for every noncrossing partition of [n]."""
     for sigma in enumerate_noncrossing(n):
-        assert _kreweras_tilde_blocks(sigma) == pairwise_kreweras_tilde_blocks(sigma)
+        assert _kreweras_tilde_blocks(n, sigma.blocks) == pairwise_kreweras_tilde_blocks(sigma)
 
 
 def test_kreweras_checks_raise(monkeypatch):
-    # a crossing sigma, built past from_blocks, has too few complement blocks
-    crossing = NoncrossingPartition(4, ((1, 3), (2, 4)))
+    # the blocks of a crossing sigma have too few complement blocks
     with pytest.raises(AssertionError, match="block count"):
-        _kreweras_tilde_blocks(crossing)
+        _kreweras_tilde_blocks(4, ((1, 3), (2, 4)))
     # the union scan is a guard against a wrong complement: force it
     monkeypatch.setattr(combinat, "_crossing_scan", lambda block_of, left: True)
     with pytest.raises(AssertionError, match="crosses"):
-        _kreweras_tilde_blocks(NoncrossingPartition.singletons(3))
+        _kreweras_tilde_blocks(3, ((1,), (2,), (3,)))
 
 
 def test_kreweras_complement_is_bijective():

@@ -30,6 +30,7 @@ from conftest import (
     random_glued_wheel,
     random_planar_net,
     recursive_groves,
+    root_partition,
 )
 from cactusnet import groves
 from cactusnet.combinat import NoncrossingPartition, enumerate_noncrossing
@@ -41,7 +42,8 @@ from cactusnet.groves import (
     lambda_vector,
     proportionality_factor,
 )
-from cactusnet.network import CactusNetwork, Edge, quotient_graph, validate
+from cactusnet.linalg import _sparse_ratio
+from cactusnet.network import CactusNetwork, Edge, quotient_graph, validate, ydelta
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71)
@@ -72,6 +74,15 @@ def searched_pairs(qg):
 
 def root_string(roots):
     return "".join(map(chr, roots))
+
+
+def proved_partition(boundary, roots):
+    """The partition whose blocks join the boundary blocks sharing a root,
+    proved by ``NoncrossingPartition.from_blocks``."""
+    groups = {}
+    for root, block in zip(roots, boundary):
+        groups.setdefault(root, []).extend(block)
+    return NoncrossingPartition.from_blocks(sum(map(len, boundary)), groups.values())
 
 
 def brute_force_groves(qg):
@@ -130,10 +141,9 @@ def test_groves_match_brute_force(builder):
     assert listed == sorted(listed)  # deterministic lexicographic order
     assert listed == list(path_halving_groves(qg))
     assert set(listed) == brute_force_groves(qg)
-    built = groves._partitions(qg.boundary, [roots for _, roots, _ in triples])
-    for (grove, *_), sigma in zip(triples, built, strict=True):
+    for grove, roots, _ in triples:
         assert grove_partition(qg, grove) == brute_force_partition(qg, grove)
-        assert sigma == brute_force_partition(qg, grove)
+        assert root_partition(qg, roots) == brute_force_partition(qg, grove)
 
 
 def test_groves_match_brute_force_random(rng):
@@ -147,14 +157,13 @@ def test_groves_match_brute_force_random(rng):
         listed = [grove for grove, *_ in triples]
         assert listed == list(path_halving_groves(qg))
         assert set(listed) == brute_force_groves(qg)
-        built = groves._partitions(qg.boundary, [roots for _, roots, _ in triples])
-        for (grove, *_), sigma in zip(triples, built, strict=True):
-            assert sigma == brute_force_partition(qg, grove)
+        for grove, roots, _ in triples:
+            assert root_partition(qg, roots) == brute_force_partition(qg, grove)
 
 
 def assert_grove_invariants(qg, pairs):
     """Each grove of c trees has len(vertices) - c edges, and each class
-    builds the partition that from_blocks proves from its blocks.
+    is named by the partition that from_blocks proves from its blocks.
     Returns the number of pairs."""
     n = sum(len(b) for b in qg.boundary)
     classes, count = set(), 0
@@ -163,12 +172,10 @@ def assert_grove_invariants(qg, pairs):
         classes.add(roots)
         count += 1
     classes = list(classes)
-    built = groves._partitions(qg.boundary, map(root_string, classes))
-    for roots, sigma in zip(classes, built, strict=True):
-        groups = {}
-        for root, block in zip(roots, qg.boundary):
-            groups.setdefault(root, []).extend(block)
-        assert sigma == NoncrossingPartition.from_blocks(n, groups.values())
+    lam = GroveMeasurements(n, qg.boundary, 1, len(qg.vertices),
+                            dict.fromkeys(map(root_string, classes), 1))
+    for roots, sigma in zip(classes, lam.values, strict=True):
+        assert sigma == proved_partition(qg.boundary, roots)
     return count
 
 
@@ -215,7 +222,7 @@ def test_search_matches_the_recursive_oracle_at_the_cap():
 
 def test_partition_sorts_a_glued_block_joining_a_later_label():
     qg = quotient_graph(make_glued_later())
-    assert next(groves._partitions(qg.boundary, [root_string((0, 0, 2))])).blocks == ((1, 2, 4), (3,))
+    assert root_partition(qg, root_string((0, 0, 2))).blocks == ((1, 2, 4), (3,))
     lam = lambda_vector(make_glued_later())
     assert lam[NoncrossingPartition(4, ((1, 2, 4), (3,)))] == 2
 
@@ -239,41 +246,29 @@ def test_lambda_vector_y():
         assert lam[sigma] == expect[str(sigma)]
 
 
-def test_lambda_classes_equal_the_proved_partitions(monkeypatch):
-    """Every class that lambda_vector measures is the partition that
+def test_lambda_classes_equal_the_proved_partitions():
+    """Every class that lambda_vector measures is keyed, in the values
+    view and in class order, by the partition that
     NoncrossingPartition.from_blocks proves from the same blocks."""
-    build = groves._partitions
-    proved = []
-
-    def checked(boundary, classes):
-        classes = list(classes)
-        built = list(build(boundary, classes))
-        for roots, sigma in zip(classes, built, strict=True):
-            groups = {}
-            for root, block in zip(roots, boundary):
-                groups.setdefault(root, []).extend(block)
-            assert sigma == NoncrossingPartition.from_blocks(sigma.n, groups.values())
-        proved.extend(built)
-        return built
-
-    monkeypatch.setattr(groves, "_partitions", checked)
     rng = random.Random(9)
     nets = [make_glued_tree(), make_shorted(), make_disconnected(), make_grid4(),
             make_grid(3, rng), make_grid(4, rng), make_subdivided_wheel(),
             make_two_hubs()]
     nets += [random_planar_net(rng, rng.randint(2, 7)) for _ in range(80)]
+    proved = 0
     for net in nets:
-        before = len(proved)
         lam = lambda_vector(net)
-        measured = list(lam.values)  # the view builds the partitions here
-        assert proved[before:] == measured
-    assert len(proved) > 1000
+        for roots, sigma in zip(lam.classes, lam.values, strict=True):
+            assert sigma == proved_partition(lam.boundary, roots)
+        proved += len(lam.classes)
+    assert proved > 1000
 
 
 def test_named_view_matches_the_values_view():
-    """``named`` equals the values view, name for name and in the same
-    order, on random wheels, the glued fixtures (with pendants) and
-    conductances whose denominators give d > 1."""
+    """``named`` equals the values view, and the names and lowest terms
+    proved from the classes, name for name and in the same order, on
+    random wheels, the glued fixtures (with pendants) and conductances
+    whose denominators give d > 1."""
     rng = random.Random(31)
     nets = [random_planar_net(rng, rng.randint(2, 8)) for _ in range(150)]
     nets += [random_glued_wheel(rng, rng.randint(3, 6)) for _ in range(150)]
@@ -292,6 +287,11 @@ def test_named_view_matches_the_values_view():
         named = lam.named()
         want = {str(s): (v.numerator, v.denominator) for s, v in lam.values.items()}
         assert list(named.items()) == list(want.items())
+        proved = {}
+        for roots, s in lam.classes.items():
+            v = Fraction(s, lam.d ** (lam.nvertices - len(set(roots))))
+            proved[str(proved_partition(lam.boundary, roots))] = (v.numerator, v.denominator)
+        assert list(named.items()) == list(proved.items())
         checked["glued"] += len(quotient_graph(net).boundary) < net.n
         checked["d > 1"] += lam.d > 1
     assert min(checked.values()) > 20
@@ -306,7 +306,8 @@ def test_lambda_vector_loops_never_contribute():
         {"b1": ["e1", "loop"], "b2": ["e2"], "b3": ["loop"],
          "v": ["e1", "e2"]},
     )
-    for grove, *_ in enumerate_groves(net, {e.id: e.conductance for e in net.edges}):
+    weight = {e.id: e.conductance for e in net.edges}
+    for grove, *_ in enumerate_groves(quotient_graph(net), weight):
         assert "loop" not in grove
 
 
@@ -343,8 +344,63 @@ def test_equivalence_rejects_different_networks():
     assert equivalence_factor(make_y(1, 2, 3), make_y(1, 2, 4)) is None
 
 
+def y_sites(nets):
+    """(net, its Y-Delta rewrite at the hub v) for each net whose v has
+    three edges."""
+    return [(net, ydelta(net, "v", "ytod")) for net in nets
+            if len(net.rotations.get("v", ())) == 3]
+
+
+def make_glued_first():
+    """``make_glued_later`` with every label turned one step: shape
+    {1,2},{3},{4}.  Its root strings and their sums are those of
+    ``make_glued_later``, but they name other partitions."""
+    return CactusNetwork.build(
+        4, [(1, 2), (3,), (4,)], [],
+        [("x", ("b1", "b3"), Fraction(2)), ("y", ("b3", "b4"), Fraction(3))],
+        {"b1": ["x"], "b3": ["y", "x"], "b4": ["y"]})
+
+
+def test_equivalence_factor_matches_the_values_oracle():
+    """equivalence_factor, which compares the classes by name, against
+    the ratio of the two values views: on glued networks and their Y-Delta
+    rewrites; on networks with the same n whose root strings run over
+    different boundaries (glued and unglued, or two glued shapes with as
+    many blocks), which are never equivalent; and on random wheels."""
+    rng = random.Random(77)
+    glued = [net for net in [make_shorted()] + [
+        random_glued_wheel(rng, rng.randint(3, 6)) for _ in range(80)]
+        if validate(net).ok]
+    other = [(net, random_planar_net(rng, net.n, connected=True)) for net in glued]
+    other += [(a, b) for a, b in itertools.combinations(glued, 2)
+              if a.n == b.n and len(a.shape) == len(b.shape) and a.shape != b.shape]
+    other.append((make_glued_later(), make_glued_first()))
+    wheels = [random_planar_net(rng, rng.randint(2, 6)) for _ in range(80)]
+    pairs = {
+        "glued rewrite": y_sites(glued),
+        "other boundary": other + [(b, a) for a, b in other],
+        "wheel rewrite": y_sites(wheels),
+        "wheels": list(zip(wheels, wheels[1:])) + [(w, w) for w in wheels],
+    }
+    for kind, found in pairs.items():
+        checked = 0
+        for a, b in found:
+            try:
+                want = _sparse_ratio(lambda_vector(b).values, lambda_vector(a).values)
+            except ValueError:
+                continue  # an internal vertex is isolated: no grove
+            got = equivalence_factor(a, b)
+            assert got == want, kind
+            if kind == "other boundary":
+                assert got is None
+            elif kind != "wheels" or a is b:
+                assert got is not None, kind
+            checked += 1
+        assert checked >= 8, kind
+
+
 def test_proportionality_factor_zero_vectors():
-    z = GroveMeasurements(2, {})
+    z = GroveMeasurements(2, ((1,), (2,)), 1, 2, {})
     lam = lambda_vector(make_single_edge())
     assert proportionality_factor(z, lam) is None
     assert proportionality_factor(lam, z) is None
@@ -444,18 +500,15 @@ def test_lambda_vector_consumes_one_grove_search(monkeypatch):
 
 
 def test_grove_functions_refuse_invalid_networks():
-    """Edge e2 ends at an unknown vertex w: every grove entry point
-    raises the validation error, not a KeyError from the search."""
+    """Edge e2 ends at an unknown vertex w: lambda_vector raises the
+    validation error, not a KeyError from the search."""
     net = CactusNetwork.build(
         2, [(1,), (2,)], [],
         [("e1", ("b1", "b2"), Fraction(1)), ("e2", ("b2", "w"), Fraction(1))],
         {"b1": ["e1"], "b2": ["e1", "e2"]},
     )
-    for call in (lambda: list(enumerate_groves(net, {"e1": 1, "e2": 1})),
-                 lambda: grove_partition(net, ("e1",)),
-                 lambda: lambda_vector(net)):
-        with pytest.raises(ValueError, match="invalid network"):
-            call()
+    with pytest.raises(ValueError, match="invalid network"):
+        lambda_vector(net)
 
 
 def test_over_cap_lambda_fails_before_any_catalan_table():
@@ -470,9 +523,15 @@ def test_over_cap_lambda_fails_before_any_catalan_table():
 
 def test_proportionality_factor_ignores_explicit_zeros():
     sparse = lambda_vector(make_disconnected())
-    dense = GroveMeasurements(3, {s: sparse[s] for s in enumerate_noncrossing(3)})
+    # the boundary blocks are the singletons, so the root of label x is
+    # the least label of its block, less one
+    every = {"".join(chr(sigma.block_of(x)[0] - 1) for x in (1, 2, 3)): 0
+             for sigma in enumerate_noncrossing(3)}
+    dense = GroveMeasurements(3, sparse.boundary, sparse.d, sparse.nvertices,
+                              {**every, **sparse.classes})
     assert 0 in dense.values.values()
-    double = GroveMeasurements(3, {s: 2 * v for s, v in sparse.values.items()})
+    double = GroveMeasurements(3, sparse.boundary, sparse.d, sparse.nvertices,
+                               {roots: 2 * s for roots, s in sparse.classes.items()})
     assert proportionality_factor(dense, double) == 2
     assert proportionality_factor(double, dense) == Fraction(1, 2)
     assert proportionality_factor(dense, sparse) == 1

@@ -258,12 +258,13 @@ def test_write_lambda_matches_write_pairs(n):
      "{1},{2,4},{3,5},{6},{7}"),                # a sparse run
 ])
 def test_write_lambda_refuses_an_entry_no_run_names(n, nonzero, unplaced):
-    """An entry that names no noncrossing partition of [n] raises, naming
-    the first such entry, before the closing brace is written, instead of
-    being left out of an all-"0" document."""
+    """An entry that names no noncrossing partition of [n] is a naming
+    slip: it raises AssertionError, naming the first such entry, before
+    the closing brace is written, instead of being left out of an all-"0"
+    document."""
     for compact in (False, True):
         out = RecordingStream()
-        with pytest.raises(ValueError, match=re.escape(unplaced) + "$"):
+        with pytest.raises(AssertionError, match=re.escape(unplaced) + "$"):
             netfile.write_lambda(noncrossing_runs(n), nonzero, out, compact)
         assert not "".join(out.writes).endswith("}\n")
 

@@ -27,8 +27,10 @@ VALUES = {
                {"n": 2, "pairs": ((1, 4), (2, 3))}),
     Edge: ({"id": "e", "ends": ("b1", "v"), "conductance": Fraction(1, 2)},
            {"id": "e", "ends": ("b1", "v"), "conductance": Fraction(1, 3)}),
-    GroveMeasurements: ({"n": 2, "values": {SIGMA: Fraction(2)}},
-                        {"n": 2, "values": {}}),
+    GroveMeasurements: ({"n": 2, "boundary": ((1,), (2,)), "d": 1, "nvertices": 2,
+                         "classes": {"\x00\x01": 2}},
+                        {"n": 2, "boundary": ((1,), (2,)), "d": 1, "nvertices": 2,
+                         "classes": {}}),
     ValidationReport: ({"checks": [("planar", True, "")]},
                        {"checks": [("planar", False, "no")]}),
     QuotientGraph: ({"boundary": ((1,), (2,)), "internal": ("v",),
