@@ -51,10 +51,8 @@ class Record:
 class FrozenRecord(Record):
     """A hashable record whose fields are set once, by ``__init__``.
 
-    Subclasses write ``__init__`` through ``object.__setattr__`` or a
-    slot's setter.  Equality and the hash read ``_fields``; a class whose
-    instances are compared or hashed in a hot loop may write them field
-    by field instead.
+    Subclasses write ``__init__`` through ``object.__setattr__``.
+    Equality and the hash read ``_fields``.
     """
 
     __slots__ = ()
@@ -147,17 +145,8 @@ class NoncrossingPartition(FrozenRecord):
     __slots__ = _fields = ("n", "blocks")
 
     def __init__(self, n: int, blocks: tuple):
-        _set_n(self, n)  # the slots' own setters: the quickest way in
-        _set_blocks(self, blocks)
-
-    # field by field: the partition is the key of every measurement dict
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "NoncrossingPartition":
@@ -178,15 +167,8 @@ class NoncrossingPartition(FrozenRecord):
                 return b
         raise ValueError(f"label {label} not in [{self.n}]")
 
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def __str__(self) -> str:
         return ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-
-
-_set_n = NoncrossingPartition.n.__set__
-_set_blocks = NoncrossingPartition.blocks.__set__
 
 
 # the mids of a block with no inner gap: one empty rest, no product

@@ -13,16 +13,16 @@ the quotient Laplacian with boundary block 0 grounded gives them all.
 
 Where integers end: ``laplacian`` builds integer rows, each over its own
 positive scale, and the kernel takes them as they are and leaves its rows
-in integers, each over a scale it returns.  The response reads L from the
-boundary rows, one Fraction per entry; R reads its solution from the
-pivot rows over the lcm of their pivot entries, and R and L* sum in
-integers and build one Fraction per output entry.
+in integers, each over a scale it returns.  The response brings the
+boundary rows over the lcm of their least denominators; R reads its
+solution from the pivot rows over the lcm of their pivot entries, and R
+and L* sum in integers.  Each hands its integer rows and their
+denominator to ``RationalMatrix._of``, so no Fraction is built.
 """
 
 import math
-from fractions import Fraction
 
-from .linalg import RationalMatrix, _common_denominator, _reduce
+from .linalg import RationalMatrix, _reduce
 from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
 
 
@@ -63,9 +63,18 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
     if len(pivots) < len(internal):
         raise ValueError("an internal vertex is isolated from the boundary")
     # scaling the internal rows leaves the Schur complement as it is, so
-    # boundary row a, over its kept scale m / d, is scales[a] times -L's row a
-    return RationalMatrix([[Fraction(-row.get(b, 0) * m, d * s) for b in range(nb)]
-                           for row, (m, d), s in zip(lap[:nb], kept, scales)])
+    # boundary row a, over its kept scale m / d, is scales[a] times -L's
+    # row a: L's row a is p / q = -m / (d * scales[a]) times that primitive
+    # row, so q is the least denominator of the row
+    ratios = []
+    for (m, d), s in zip(kept[:nb], scales):
+        q = d * s
+        h = math.gcd(m, q) if q > 0 else -math.gcd(m, q)  # so that q // h > 0
+        ratios.append((-m // h, q // h))
+    denom = math.lcm(*(q for _, q in ratios))
+    return RationalMatrix._of(denom, [
+        [row.get(b, 0) * p * (denom // q) for b in range(nb)]
+        for row, (p, q) in zip(lap[:nb], ratios)])
 
 
 def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
@@ -103,11 +112,10 @@ def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
     denom = math.lcm(*(by_col[u][u] for u in range(nb - 1)))
     g = [[0] * nb] + [[0] + [by_col[u].get(nc + v, 0) * (denom // by_col[u][u])
                              for v in range(nb - 1)] for u in range(nb - 1)]
-    r = [[Fraction(g[u][u] + g[v][v] - 2 * g[u][v], denom) for v in range(nb)]
-         for u in range(nb)]
     block_of = {i: k for k, b in enumerate(qg.boundary) for i in b}
     ks = [block_of[i] for i in range(1, net.n + 1)]
-    return RationalMatrix([[r[u][v] for v in ks] for u in ks])
+    return RationalMatrix._of(denom, [[g[u][u] + g[v][v] - 2 * g[u][v] for v in ks]
+                                      for u in ks])
 
 
 def lstar_from_resistance(r: RationalMatrix) -> RationalMatrix:
@@ -120,10 +128,10 @@ def lstar_from_resistance(r: RationalMatrix) -> RationalMatrix:
     if r.nrows != r.ncols:
         raise ValueError("resistance matrix must be square")
     n = r.nrows
-    denom, ri = _common_denominator(r.rows)
+    denom, ri = r.denom, r.ints
     nxt = [*range(1, n), 0]                       # cyclic successor
     m = [[ri[i][j] + ri[nxt[i]][nxt[j]] - ri[nxt[i]][j] - ri[i][nxt[j]]
           if i != j else 0 for j in range(n)] for i in range(n)]
     for i, row in enumerate(m):
         row[i] = -sum(row)
-    return RationalMatrix([[Fraction(x, 2 * denom) for x in row] for row in m])
+    return RationalMatrix._of(2 * denom, m)

@@ -9,10 +9,14 @@ wedges, are the Plucker coordinates of an isotropic point of Gr(n+1, 2n).
 each partition's blocks parsed back from its name, and builds no
 partition.
 
-An ``ExteriorVector`` is held in integer form: each coordinate an
-integer over one denominator, keyed by the bitmask of its positions (bit
-p for position p).  ``lam_map``, ``kappa`` and ``is_totally_nonnegative``
-work on that form; ``coords`` reads it as Fractions keyed by tuples.
+Where integers end: an ``ExteriorVector`` is held in integer form, each
+coordinate an integer over one denominator, keyed by the bitmask of its
+positions (bit p for position p).  ``lam_map``, ``kappa`` and
+``is_totally_nonnegative`` work on that form; ``coords`` reads it as
+Fractions keyed by tuples.  The charts, ``extract_symmetric`` and the
+contraction read a ``RationalMatrix``'s integer rows and denominator,
+and the charts and the extraction hand back integer rows over one
+denominator, so none of them builds a Fraction.
 """
 
 import itertools
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 from .combinat import KrewerasPair, _kreweras_tilde_blocks, _name_blocks, circle_position
 from .groves import GroveMeasurements
-from .linalg import RationalMatrix, _common_denominator, _exact, _reduce, _sparse_ratio
+from .linalg import RationalMatrix, _exact, _reduce, _sparse_ratio
 
 
 class ExteriorVector:
@@ -174,7 +178,7 @@ def _negate_even_labels(rows, n: int):
 def omega(n: int) -> RationalMatrix:
     """Gram matrix of the skew form whose isotropic planes have nonnegative
     Plucker coordinates exactly on network images."""
-    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    m = [[0] * (2 * n) for _ in range(2 * n)]
 
     def put(p, q, v):
         m[p][q] += v
@@ -184,8 +188,8 @@ def omega(n: int) -> RationalMatrix:
         put(circle_position(n, i), circle_position(n, n + i), 1)
     for j in range(1, n):
         put(circle_position(n, j + 1), circle_position(n, n + j), 1)
-    put(circle_position(n, 1), circle_position(n, 2 * n), Fraction((-1) ** n))
-    return RationalMatrix(m)
+    put(circle_position(n, 1), circle_position(n, 2 * n), (-1) ** n)
+    return RationalMatrix._of(1, m)
 
 
 def omega_kernel(n: int):
@@ -203,16 +207,13 @@ def omega_kernel(n: int):
 # ---------------------------------------------------------------------------
 
 def _pairs(form: RationalMatrix):
-    """(F, pairs): the lcm F of the form's denominators and, for each
-    nonzero entry form[p][q] with p < q, the triple (bitmask of p and q,
-    bitmask of the positions strictly between them, F * form[p][q]).
-    Contraction reads only these upper entries."""
-    rows = form.rows
-    denom = math.lcm(*(x.denominator for row in rows for x in row))
-    return denom, [((1 << p) | (1 << q), (1 << q) - (2 << p),
-                    x.numerator * (denom // x.denominator))
-                   for p, row in enumerate(rows)
-                   for q, x in enumerate(row) if q > p and x]
+    """(F, pairs): the form's denominator F and, for each nonzero entry
+    form[p][q] with p < q, the triple (bitmask of p and q, bitmask of the
+    positions strictly between them, F * form[p][q]).  Contraction reads
+    only these upper entries."""
+    return form.denom, [((1 << p) | (1 << q), (1 << q) - (2 << p), x)
+                        for p, row in enumerate(form.ints)
+                        for q, x in enumerate(row) if q > p and x]
 
 
 def _contract(pairs, terms: dict) -> dict:
@@ -234,7 +235,7 @@ def _contract(pairs, terms: dict) -> dict:
 
 def kappa(form: RationalMatrix, vec: ExteriorVector) -> ExteriorVector:
     """Contract a vector of wedge^k R^{2n} with a 2n x 2n skew form: degree
-    k - 2 over ``F * vec.denom``, F the lcm of the form's denominators."""
+    k - 2 over ``F * vec.denom``, F the form's denominator."""
     if (form.nrows, form.ncols) != (2 * vec.n,) * 2:
         raise ValueError(f"form must be {2 * vec.n} x {2 * vec.n}")
     fdenom, pairs = _pairs(form)
@@ -290,8 +291,7 @@ def _chart(denom: int, sums, plain_pivots: bool) -> RationalMatrix:
     Row pattern: a top row of ones on the non-pivot columns, then one row
     per label j with a 1 in the pivot column of j and ``sums[j][i]`` in
     the other column of label i, everything multiplied by the sign matrix.
-    The pattern is built over ``denom`` and signed in integers; each
-    entry then becomes one Fraction.
+    The pattern is built over ``denom`` and signed in integers.
     """
     n = len(sums)
     pivot_cols, other_cols = _chart_columns(n, plain_pivots)
@@ -302,9 +302,7 @@ def _chart(denom: int, sums, plain_pivots: bool) -> RationalMatrix:
         row[pc] = denom
         for c, s in zip(other_cols, sums_j):
             row[c] = s
-    units = {0: Fraction(0), denom: Fraction(1), -denom: Fraction(-1)}
-    return RationalMatrix([[units[x] if x in units else Fraction(x, denom) for x in row]
-                           for row in _negate_even_labels(rows, n)])
+    return RationalMatrix._of(denom, _negate_even_labels(rows, n))
 
 
 def chart_from_response(resp: RationalMatrix) -> RationalMatrix:
@@ -315,11 +313,10 @@ def chart_from_response(resp: RationalMatrix) -> RationalMatrix:
     """
     if resp.nrows != resp.ncols:
         raise ValueError("response matrix must be square")
-    denom, rows = _common_denominator(resp.rows)
     return _chart(
-        denom,
+        resp.denom,
         [list(itertools.accumulate(reversed(col[1:]), initial=0))[::-1]
-         for col in zip(*rows)],
+         for col in zip(*resp.ints)],
         plain_pivots=True,
     )
 
@@ -333,10 +330,9 @@ def chart_from_lstar(lstar: RationalMatrix) -> RationalMatrix:
     """
     if lstar.nrows != lstar.ncols:
         raise ValueError("dual response matrix must be square")
-    denom, rows = _common_denominator(lstar.rows)
     return _chart(
-        denom,
-        [list(itertools.accumulate(col[:-1], initial=0)) for col in zip(*rows)],
+        lstar.denom,
+        [list(itertools.accumulate(col[:-1], initial=0)) for col in zip(*lstar.ints)],
         plain_pivots=False,
     )
 
@@ -353,9 +349,9 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
         raise ValueError("matrix must be (n+1) x 2n")
     if mode not in ("response", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
-    # m over its common denominator, which cancels in the differences below,
-    # its pivot columns first: one Gauss-Jordan pass clears them
-    md = _negate_even_labels(_common_denominator(m.rows)[1], n)
+    # m over its denominator, which cancels in the differences below, its
+    # pivot columns first: one Gauss-Jordan pass clears them
+    md = _negate_even_labels([row[:] for row in m.ints], n)
     pivot_cols, other_cols = _chart_columns(n, mode == "response")
     cols = list(enumerate(pivot_cols + other_cols))
     rows = [{k: row[c] for k, c in cols if row[c]} for row in md]
@@ -369,8 +365,9 @@ def extract_symmetric(m: RationalMatrix, mode: str) -> RationalMatrix:
     # plus a multiple of the constant top row, whatever representative m
     # is: only differences of its entries are invariants of the plane
     step = -1 if mode == "response" else 1
-    by_label = sorted((c, rows[i]) for i, c, _ in pivots)
-    return RationalMatrix(
-        [[Fraction(row.get(n + (i + step) % n, 0) - row.get(n + i, 0), row[j])
-          for j, row in by_label] for i in range(n)]
-    )
+    # over the lcm of the pivot entries
+    by_label = [rows[i] for _, i in sorted((c, i) for i, c, _ in pivots)]
+    denom = math.lcm(*(row[j] for j, row in enumerate(by_label)))
+    return RationalMatrix._of(denom, [
+        [(row.get(n + (i + step) % n, 0) - row.get(n + i, 0)) * (denom // row[j])
+         for j, row in enumerate(by_label)] for i in range(n)])

@@ -47,18 +47,18 @@ _ZERO = Fraction(0)
 
 
 def enumerate_groves(qg: QuotientGraph, weight):
-    """Yield ``(grove, roots, product)``, the groves in lexicographic order.
+    """Yield ``(roots, product)`` for each grove, the groves in
+    lexicographic order of their sorted edge ids.
 
-    ``grove`` is the sorted tuple of the grove's edge ids.  ``roots`` is
-    the string of the first nboundary quick-find roots: boundary blocks
-    with equal roots share a tree, so it keys the induced partition (see
-    ``GroveMeasurements.named``).  ``product`` is the integer 1 times
-    ``weight[e]`` for each grove edge e; ``weight`` maps every edge id of
-    the quotient graph ``qg``.  Loop edges of the quotient never appear in
-    a grove.
+    ``roots`` is the string of the first nboundary quick-find roots:
+    boundary blocks with equal roots share a tree, so it keys the induced
+    partition (see ``GroveMeasurements.named``).  ``product`` is the
+    integer 1 times ``weight[e]`` for each grove edge e; ``weight`` maps
+    every edge id of the quotient graph ``qg``.  Loop edges of the
+    quotient never appear in a grove.
 
-    A stacked forest is ``(next edge, roots, loose trees, chosen ids,
-    product)``; its children are pushed last edge first, so they pop in order.
+    A stacked forest is ``(next edge, roots, loose trees, product)``; its
+    children are pushed last edge first, so they pop in order.
     """
     if len(qg.edges) > GROVE_EDGE_CAP:
         raise ValueError(
@@ -66,27 +66,27 @@ def enumerate_groves(qg: QuotientGraph, weight):
         )
     index = {v: i for i, v in enumerate(qg.vertices)}  # boundary block b has index b
     edges = sorted((eid, index[u], index[v]) for eid, u, v, _ in qg.edges)
-    # (index of the next edge, edge, weight) from the last edge back; a
+    # (index of the next edge, ends, weight) from the last edge back; a
     # forest whose next edge is k may still add the first E - k of them
-    backward = [(k + 1, eid, u, v, weight[eid])
+    backward = [(k + 1, u, v, weight[eid])
                 for k, (eid, u, v) in enumerate(edges)][::-1]
     tails = [backward[:len(edges) - k] for k in range(len(edges) + 1)]
     nboundary, nvertices = len(qg.boundary), len(qg.vertices)
     internal = chr(nboundary)  # the least root of a tree without a block
     # loose counts the trees without a boundary block
-    stack = [(0, "".join(map(chr, range(nvertices))), nvertices - nboundary, (), 1)]
+    stack = [(0, "".join(map(chr, range(nvertices))), nvertices - nboundary, 1)]
     while stack:
-        start, root, loose, chosen, product = stack.pop()
+        start, root, loose, product = stack.pop()
         if not loose:
-            yield chosen, root[:nboundary], product
-        for after, eid, u, v, w in tails[start]:
+            yield root[:nboundary], product
+        for after, u, v, w in tails[start]:
             ru, rv = root[u], root[v]
             if ru == rv:
                 continue  # would close a cycle
             if ru > rv:
                 ru, rv = rv, ru  # the larger root gives way to the smaller
             stack.append((after, root.replace(rv, ru), loose - (rv >= internal),
-                          chosen + (eid,), product * w))
+                          product * w))
 
 
 class GroveMeasurements(Record):
@@ -152,7 +152,7 @@ def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
     d = math.lcm(*(c.denominator for *_, c in qg.edges))
     weight = {eid: c.numerator * (d // c.denominator) for eid, _, _, c in qg.edges}
     classes = {}  # boundary roots -> sum of integer weights
-    for _, roots, product in enumerate_groves(qg, weight):
+    for roots, product in enumerate_groves(qg, weight):
         classes[roots] = classes.get(roots, 0) + product
     if not classes:
         # only a component without a boundary block rules out every grove

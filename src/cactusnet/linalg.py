@@ -1,25 +1,27 @@
 """Exact-rational matrices and one sparse, fraction-free elimination kernel.
 
-Where integers end: the kernel ``_reduce`` takes rows of ints as they
+Where integers end: a ``RationalMatrix`` is held as integer rows over
+one denominator, the least common one of its entries.  The library builds
+its matrices from integer rows (``_of``) and reads ``denom`` and ``ints``,
+so only the ``rows`` view, ``__getitem__`` and ``determinant`` build
+Fractions.  An entry given to ``RationalMatrix`` may be anything exact; a
+``float`` is refused.  The kernel ``_reduce`` takes rows of ints as they
 are (the scaled Laplacian, the signed rows of a chart) and leaves each a
 primitive integer row over a scale it returns, so its callers read the
-rows directly and build one Fraction per entry they hand out; its
-Fraction edge is ``RationalMatrix``.  A matrix
-entry that is already a ``Fraction`` is kept as it is, any other is
-converted, and a ``float`` is refused.  Matrices are stored dense, but
-what the package eliminates is sparse (a Laplacian row holds a vertex
-and its neighbours, a contraction row at most n entries).  So one
-elimination over rows held as dicts of their nonzero entries, each pivot
-on the shortest candidate row, serves rank, determinant (the signed
-product of its pivots) and solving with any number of right-hand sides.
-Each row is held as a primitive integer row and a rational scale, in the
-manner of Bareiss's integer-preserving elimination, so an update costs
-integer products and one gcd rather than a Fraction per entry.  Products
-skip zero entries of both factors.
+rows directly.
+
+Matrices are stored dense, but what the package eliminates is sparse (a
+Laplacian row holds a vertex and its neighbours, a contraction row at
+most n entries).  So one elimination over rows held as dicts of their
+nonzero entries, each pivot on the shortest candidate row, serves rank,
+determinant (the signed product of its pivots) and solving with any
+number of right-hand sides.  Each row is held as a primitive integer row
+and a rational scale, in the manner of Bareiss's integer-preserving
+elimination, so an update costs integer products and one gcd rather than
+a Fraction per entry.  Products skip zero entries of both factors.
 """
 
 import math
-import operator
 from fractions import Fraction
 
 
@@ -30,122 +32,110 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-def _common_denominator(rows) -> tuple:
-    """``(d, integer rows)``: rows of Fractions (or ints) brought to d, the
-    lcm of their denominators, so that each true entry is its integer
-    over d."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    d = math.lcm(*{q for row in ratios for _, q in row})
-    return d, [[p * (d // q) for p, q in row] for row in ratios]
-
-
 class RationalMatrix:
-    """A rectangular matrix of Fractions."""
+    """A rectangular matrix of rationals: entry (i, j) is ``ints[i][j] /
+    denom``, ``ints`` a list of integer rows and ``denom`` the least
+    common denominator of the entries, a positive int.  Being the least,
+    it makes ``(denom, ints)`` unique, so equality compares it directly."""
 
     def __init__(self, rows):
-        self.rows = [[x if type(x) is Fraction else _exact(x) for x in r]
-                     for r in rows]
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
+        rows = [[x if type(x) is Fraction else _exact(x) for x in r] for r in rows]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        denom = math.lcm(*(x.denominator for r in rows for x in r))
+        self.denom = denom
+        self.ints = [[x.numerator * (denom // x.denominator) for x in r] for r in rows]
+
+    @classmethod
+    def _of(cls, denom: int, ints: list) -> "RationalMatrix":
+        """The matrix of the integer rows ``ints`` over the positive
+        ``denom``, the rows taken as they are; their common factor with
+        ``denom`` is divided out."""
+        g = math.gcd(denom, *(x for r in ints for x in r)) if denom > 1 else 1
+        if g > 1:
+            denom, ints = denom // g, [[x // g for x in r] for r in ints]
+        m = cls.__new__(cls)
+        m.denom, m.ints = denom, ints
+        return m
+
+    @property
+    def rows(self) -> list:
+        """The entries as Fractions, a new list of rows on each read."""
+        d = self.denom
+        return [[Fraction(x, d) for x in r] for r in self.ints]
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
+        return len(self.ints[0]) if self.ints else 0
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.ints[i][j], self.denom)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return isinstance(other, RationalMatrix) and \
+            (self.denom, self.ints) == (other.denom, other.ints)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"RationalMatrix[{body}]"
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(map(list, zip(*self.rows)))) if self.rows \
-            else RationalMatrix([])
-
-    def _entrywise(self, op, other) -> "RationalMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch")
-        return RationalMatrix([list(map(op, r1, r2))
-                               for r1, r2 in zip(self.rows, other.rows)])
-
-    def __add__(self, other) -> "RationalMatrix":
-        return self._entrywise(operator.add, other)
-
-    def __sub__(self, other) -> "RationalMatrix":
-        return self._entrywise(operator.sub, other)
-
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, c) -> "RationalMatrix":
-        c = _exact(c)
-        return RationalMatrix([[c * a for a in r] for r in self.rows])
+        return RationalMatrix._of(self.denom, list(map(list, zip(*self.ints))))
 
     def __matmul__(self, other) -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         # row i of the product sums a * (row k of other) over the nonzero
         # entries a = self[i][k], each row of other read as its nonzeros
-        terms = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
-        zero, width = Fraction(0), other.ncols
+        terms = [[(j, b) for j, b in enumerate(row) if b] for row in other.ints]
+        width = other.ncols
         out = []
-        for row in self.rows:
-            acc = [zero] * width
+        for row in self.ints:
+            acc = [0] * width
             for a, kterms in zip(row, terms):
                 if a:
                     for j, b in kterms:
                         acc[j] += a * b
             out.append(acc)
-        return RationalMatrix(out)
+        return RationalMatrix._of(self.denom * other.denom, out)
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        )
+        ints = self.ints
+        return RationalMatrix._of(self.denom, [[ints[i][j] for j in col_idx]
+                                               for i in row_idx])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(map(any, self.ints))
 
     # determinant and rank stay methods, though rank has no library caller:
     # benchmarks/spans.py wraps both by name through the class __dict__
     def determinant(self) -> Fraction:
-        """Determinant: the pivot product, signed by the permutation that
-        takes each pivot row to its pivot column."""
-        if self.nrows != self.ncols:
+        """Determinant: the pivot product of the integer rows, signed by
+        the permutation that takes each pivot row to its pivot column,
+        over ``denom`` to the n-th power."""
+        n = self.nrows
+        if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        pivots = _reduce(_sparse(self.rows))[0]
-        if len(pivots) < self.nrows:
+        pivots = _reduce(_sparse(self.ints))[0]
+        if len(pivots) < n:
             return Fraction(0)
         cols = [c for _, c, _ in sorted(pivots)]      # in row order
         swaps = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
-        return (-1) ** swaps * math.prod((p for _, _, p in pivots), start=Fraction(1))
+        det = math.prod((p for _, _, p in pivots), start=Fraction((-1) ** swaps))
+        return det / self.denom ** n
 
     def rank(self) -> int:
-        return len(_reduce(_sparse(self.rows))[0])
+        return len(_reduce(_sparse(self.ints))[0])
 
 
 def _sparse(rows) -> list:
-    """Rows of Fractions as dicts from column index to nonzero entry, the
-    form the kernel takes."""
+    """Integer rows as dicts from column index to nonzero entry, the form
+    the kernel takes."""
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 

@@ -26,6 +26,11 @@ def _rational_text(p: int, q: int) -> str:  # p/q in lowest terms, q > 0
     return str(p) if q == 1 else f"{p}/{q}"
 
 
+def _ratio_text(p: int, q: int) -> str:  # p/q for any p and q > 0
+    g = math.gcd(p, q)
+    return _rational_text(p // g, q // g)
+
+
 def format_rational(x: Fraction) -> str:
     x = x if type(x) is Fraction else Fraction(x)
     return _rational_text(x.numerator, x.denominator)
@@ -138,7 +143,9 @@ def save_network(net: CactusNetwork, path: str) -> None:
 
 
 def matrix_to_doc(m: RationalMatrix):
-    return [[format_rational(x) for x in row] for row in m.rows]
+    """The entries as text, read from the integer form of ``m``."""
+    d = m.denom
+    return [[_ratio_text(x, d) for x in row] for row in m.ints]
 
 
 def exterior_to_doc(vec: ExteriorVector) -> dict:
@@ -160,10 +167,7 @@ def exterior_to_doc(vec: ExteriorVector) -> dict:
     doc = {}
     for mask in sorted(terms, key=lambda m: rev[m & half] << n | rev[m >> n],
                        reverse=True):
-        t = terms[mask]
-        g = math.gcd(t, denom)
-        doc[(low[mask & half] + high[mask >> n])[:-1]] = _rational_text(
-            t // g, denom // g)
+        doc[(low[mask & half] + high[mask >> n])[:-1]] = _ratio_text(terms[mask], denom)
     return doc
 
 

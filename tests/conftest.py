@@ -4,6 +4,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -482,13 +483,59 @@ def matvec(m, v):
 
 
 def is_symmetric(m) -> bool:
+    rows = m.rows
     return m.nrows == m.ncols and all(
-        m.rows[i][j] == m.rows[j][i] for i in range(m.nrows) for j in range(i))
+        rows[i][j] == rows[j][i] for i in range(m.nrows) for j in range(i))
 
 
 def is_skew_symmetric(m) -> bool:
+    rows = m.rows
     return m.nrows == m.ncols and all(
-        m.rows[i][j] == -m.rows[j][i] for i in range(m.nrows) for j in range(i + 1))
+        rows[i][j] == -rows[j][i] for i in range(m.nrows) for j in range(i + 1))
+
+
+def identity_matrix(n: int) -> RationalMatrix:
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero_matrix(nrows: int, ncols: int) -> RationalMatrix:
+    return RationalMatrix([[0] * ncols for _ in range(nrows)])
+
+
+def _entrywise(op, a, b) -> RationalMatrix:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("dimension mismatch")
+    return RationalMatrix([list(map(op, r1, r2)) for r1, r2 in zip(a.rows, b.rows)])
+
+
+def matrix_sum(a, b) -> RationalMatrix:
+    return _entrywise(operator.add, a, b)
+
+
+def matrix_difference(a, b) -> RationalMatrix:
+    return _entrywise(operator.sub, a, b)
+
+
+def negated(m) -> RationalMatrix:
+    return RationalMatrix([[-x for x in r] for r in m.rows])
+
+
+def scaled(m, c) -> RationalMatrix:
+    """c times m; a float c is refused."""
+    c = _exact(c)
+    return RationalMatrix([[c * x for x in r] for r in m.rows])
+
+
+def fraction_transpose(rows) -> list:
+    """Oracle for ``transpose`` on rows of Fractions."""
+    return [list(col) for col in zip(*rows)]
+
+
+def fraction_matmul(a, b, ncols) -> list:
+    """Oracle for ``@`` on rows of Fractions: a times b, b with ``ncols``
+    columns (b may have no rows)."""
+    return [[sum((x * row[j] for x, row in zip(r, b)), Fraction(0)) for j in range(ncols)]
+            for r in a]
 
 
 def is_concordant(index_set, blocks) -> bool:
@@ -885,9 +932,7 @@ def dense_matmul(a, b):
     every column of b, zeros included."""
     if a.ncols != b.nrows:
         raise ValueError("dimension mismatch")
-    cols = b.transpose().rows
-    return RationalMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
-                           for row in a.rows])
+    return RationalMatrix(fraction_matmul(a.rows, b.rows, b.ncols))
 
 
 def _chart_pattern(sums, plain_pivots):
@@ -952,7 +997,7 @@ def fraction_extract_symmetric(m, mode):
     pivot_cols, other_cols = _chart_columns(n, mode == "response")
     rows = range(n + 1)
     sol = dense_solve_many(md.submatrix(rows, pivot_cols).transpose(),
-                           RationalMatrix.identity(n).rows)
+                           identity_matrix(n).rows)
     if sol is None or len(sol[1]) != 1:
         raise ValueError("plane is not in this chart")
     particulars, nullspace = sol
@@ -977,7 +1022,7 @@ def extract_symmetric_via_d(m, mode):
     pivot_cols, other_cols = (plain, tilde) if mode == "response" else (tilde, plain)
     rows = range(n + 1)
     sol = dense_solve_many(md.submatrix(rows, pivot_cols).transpose(),
-                           RationalMatrix.identity(n).rows)
+                           identity_matrix(n).rows)
     if sol is None or len(sol[1]) != 1:
         raise ValueError("plane is not in this chart")
     particulars, nullspace = sol
@@ -1025,9 +1070,10 @@ def dense_rank(m):
     return len(dense_eliminate([r[:] for r in m.rows], m.ncols)[0])
 
 
-def dense_determinant(m):
-    pivots, sign, product = dense_eliminate([r[:] for r in m.rows], m.ncols)
-    return sign * product if len(pivots) == m.nrows else Fraction(0)
+def dense_determinant(rows):
+    """Oracle for ``determinant`` on a square list of rows of Fractions."""
+    pivots, sign, product = dense_eliminate([r[:] for r in rows], len(rows))
+    return sign * product if len(pivots) == len(rows) else Fraction(0)
 
 
 def dense_solve_many(a, rhs_columns):
@@ -1170,14 +1216,14 @@ def dense_response_matrix(net):
     nb, ni = len(qg.boundary), len(qg.internal)
     bb = lap.submatrix(range(nb), range(nb))
     if ni == 0:
-        return -bb
+        return negated(bb)
     bi = lap.submatrix(range(nb), range(nb, nb + ni))
     ii = lap.submatrix(range(nb, nb + ni), range(nb, nb + ni))
     sol = dense_solve_many(ii, bi.rows)
     if sol is None or sol[1]:
         raise ValueError("an internal vertex is isolated from the boundary")
     x = RationalMatrix(sol[0]).transpose()
-    return -(bb - dense_matmul(bi, x))
+    return negated(matrix_difference(bb, dense_matmul(bi, x)))
 
 
 def sympy_response(net):
@@ -1216,8 +1262,8 @@ def two_solve_resistance(net):
     part = net.shape_partition()
     resp = dense_response_matrix(net)
     nb = resp.nrows
-    reduced = -resp.submatrix(range(1, nb), range(1, nb))
-    sol = dense_solve_many(reduced, RationalMatrix.identity(nb - 1).rows)
+    reduced = negated(resp.submatrix(range(1, nb), range(1, nb)))
+    sol = dense_solve_many(reduced, identity_matrix(nb - 1).rows)
     if sol is None:
         raise ValueError(
             "boundary components are disconnected; resistance is infinite"

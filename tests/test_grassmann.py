@@ -20,6 +20,7 @@ from conftest import (
     fraction_chart_from_lstar,
     fraction_chart_from_response,
     fraction_extract_symmetric,
+    identity_matrix,
     is_skew_symmetric,
     make_delta,
     make_disconnected,
@@ -35,6 +36,7 @@ from conftest import (
     outcome,
     pair_loop_kappa,
     random_planar_net,
+    scaled,
     shift,
     shift_exterior,
     shift_partition,
@@ -219,7 +221,7 @@ def test_omega_structure():
         assert om.rank() == 2 * n - 2
         assert omd.rank() == 2 * n - 2
         assert omd == dd @ om @ dd
-        assert dd @ dd == RationalMatrix.identity(2 * n)
+        assert dd @ dd == identity_matrix(2 * n)
         for v in omega_kernel(n):
             assert all(x == 0 for x in matvec(om, v))
         for v in omega_d_kernel(n):
@@ -528,10 +530,10 @@ def test_integer_charts_and_extract_match_the_fraction_oracles(rng, n):
         # a random point, and one whose pivot column of label 1 is zero
         charts.append(random_rational_matrix(rng, n + 1, 2 * n))
         for c in (0, 1):
-            singular = random_rational_matrix(rng, n + 1, 2 * n)
-            for row in singular.rows:
+            singular = random_rational_matrix(rng, n + 1, 2 * n).rows
+            for row in singular:
                 row[c] = Fraction(0)
-            charts.append(singular)
+            charts.append(RationalMatrix(singular))
         for m in charts:
             for mode in ("response", "dual"):
                 got = outcome(extract_symmetric, m, mode)
@@ -544,13 +546,13 @@ def test_extract_depends_on_the_plane_not_the_representative(rng):
     """Extraction from A @ chart gives L (response) and L* (dual) for every
     invertible A: a scalar, one row added to another, random matrices."""
     for n in (1, 2, 3, 4, 5):
-        add = RationalMatrix.identity(n + 1)
-        add.rows[0][1] += 1  # row 1 added to row 0
-        bases = [RationalMatrix.identity(n + 1).scale(2), add]
+        add = identity_matrix(n + 1).rows
+        add[0][1] += 1  # row 1 added to row 0
+        bases = [scaled(identity_matrix(n + 1), 2), RationalMatrix(add)]
         while len(bases) < 6:
             a = random_rational_matrix(rng, n + 1, n + 1)
             if a.determinant() != 0:
-                bases.append(a.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+                bases.append(scaled(a, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
         for _ in range(3):
             sym = random_symmetric(rng, n, zero_row_sums=True)
             for chart, mode in ((chart_from_response(sym), "response"),

@@ -57,11 +57,13 @@ class KeepAll(random.Random):
 
 
 def weighed_groves(qg):
-    """The search's triples with a distinct prime weight on each edge, so
-    a product names its grove; every product is checked against
-    ``math.prod`` of its grove's weights."""
+    """``(grove, roots, product)`` for each grove the search yields, with
+    a distinct prime weight on each edge, so a product names its grove:
+    the sorted ids of the edges whose primes divide it.  Every product is
+    checked to be ``math.prod`` of its grove's weights."""
     weight = dict(zip(sorted(eid for eid, *_ in qg.edges), PRIMES))
-    for grove, roots, product in enumerate_groves(qg, weight):
+    for roots, product in enumerate_groves(qg, weight):
+        grove = tuple(e for e, p in weight.items() if product % p == 0)
         assert product == math.prod(weight[e] for e in grove)
         yield grove, roots, product
 
@@ -306,9 +308,11 @@ def test_lambda_vector_loops_never_contribute():
         {"b1": ["e1", "loop"], "b2": ["e2"], "b3": ["loop"],
          "v": ["e1", "e2"]},
     )
-    weight = {e.id: e.conductance for e in net.edges}
-    for grove, *_ in enumerate_groves(quotient_graph(net), weight):
-        assert "loop" not in grove
+    # a distinct prime on every edge, the loop's too: a product names its grove
+    weight = dict(zip((e.id for e in net.edges), PRIMES))
+    found = [tuple(e for e, p in weight.items() if product % p == 0)
+             for _, product in enumerate_groves(quotient_graph(net), weight)]
+    assert found == [("e1",), ("e1", "e2"), ("e2",)]
 
 
 def test_edge_cap_enforced():
@@ -488,15 +492,17 @@ def test_lambda_vector_consumes_one_grove_search(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        for grove, roots, product in search(*args):
-            seen.append(grove)
-            yield grove, roots, product
+        for roots, product in search(*args):
+            seen.append(product)
+            yield roots, product
         finished.append(True)
 
     monkeypatch.setattr(groves, "enumerate_groves", counting)
     lambda_vector(net)
     assert len(calls) == 1 and finished == [True]
-    assert seen == list(path_halving_groves(quotient_graph(net)))
+    qg, weight = calls[0]
+    assert seen == [math.prod(weight[e] for e in grove)
+                    for grove in path_halving_groves(qg)]
 
 
 def test_grove_functions_refuse_invalid_networks():
