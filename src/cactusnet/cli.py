@@ -101,7 +101,7 @@ def _chart(net, source: str):
     if source == "response":
         # a glued shape's response matrix is indexed by blocks, and its
         # point has the not-shorted coordinate Lambda(singletons) = 0
-        glued = [b for b in net.shape_partition().blocks if len(b) > 1]
+        glued = [b for b in net.shape if len(b) > 1]
         if glued:
             raise _Precondition(
                 "the not-shorted (response) chart needs every label in its "

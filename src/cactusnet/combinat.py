@@ -161,12 +161,6 @@ class NoncrossingPartition(FrozenRecord):
     def singletons(cls, n: int) -> "NoncrossingPartition":
         return cls(n, tuple((i,) for i in range(1, n + 1)))
 
-    def block_of(self, label: int) -> tuple:
-        for b in self.blocks:
-            if label in b:
-                return b
-        raise ValueError(f"label {label} not in [{self.n}]")
-
     def __str__(self) -> str:
         return ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 

@@ -23,7 +23,7 @@ denominator to ``RationalMatrix._of``, so no Fraction is built.
 import math
 
 from .linalg import RationalMatrix, _reduce
-from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
+from .network import CactusNetwork, QuotientGraph, quotient_graph
 
 
 def laplacian(qg: QuotientGraph) -> tuple:
@@ -54,7 +54,6 @@ def response_matrix(net: CactusNetwork) -> RationalMatrix:
     Internal vertices must all be connected to the boundary: one cut off
     from it is left without a pivot by the Kron reduction.
     """
-    require_valid(net)
     qg = quotient_graph(net)
     lap, scales = laplacian(qg)
     nb = len(qg.boundary)
@@ -88,7 +87,6 @@ def resistance_matrix(net: CactusNetwork) -> RationalMatrix:
     connect to block 0 (otherwise some resistance is infinite) and every
     internal vertex to the boundary.
     """
-    require_valid(net)
     qg = quotient_graph(net)
     nb, size = len(qg.boundary), len(qg.vertices)
     lap, scales = laplacian(qg)

@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from .combinat import NoncrossingPartition, Record, _name_blocks
 from .linalg import _sparse_ratio
-from .network import CactusNetwork, QuotientGraph, quotient_graph, require_valid
+from .network import CactusNetwork, QuotientGraph, quotient_graph
 
 GROVE_EDGE_CAP = 20
 # Largest n whose dense Lambda vector (Cat_n entries) the CLI prints:
@@ -138,15 +138,15 @@ class GroveMeasurements(Record):
 
 
 def lambda_vector(net: CactusNetwork) -> GroveMeasurements:
-    """The grove measurements of a valid network, nonzero values only.
+    """The grove measurements of a network, nonzero values only.
 
     Each grove's integer weight, carried by the search, is added under its
     roots, one integer per class: ``GroveMeasurements``'s integer form.
 
-    Raises ``ValueError`` when no grove exists, that is when some internal
-    vertex has no path to the boundary, so the vector is never zero.
+    Raises ``ValueError`` on an invalid network (from ``quotient_graph``)
+    and when no grove exists, that is when some internal vertex has no
+    path to the boundary, so the vector is never zero.
     """
-    require_valid(net)
     qg = quotient_graph(net)
     # weights a_e = c_e * d: a grove of k edges weighs (product of a_e) / d**k
     d = math.lcm(*(c.denominator for *_, c in qg.edges))

@@ -12,6 +12,11 @@ the quotient: boundary vertices in one shape block are merged (their
 rotations concatenated in increasing label order) and n virtual boundary
 arcs are added along the disc boundary.  Faces are orbits of
 ``d -> sigma(alpha(d))`` on darts.
+
+``validate`` alone builds that map and caches it with its report;
+``quotient_graph``, the strands, Y-Delta and ``dual`` take it from
+``require_valid``, so each refuses an invalid network with
+``ValueError("invalid network: ...")``.
 """
 
 import itertools
@@ -20,7 +25,6 @@ from fractions import Fraction
 from .combinat import (
     FrozenRecord,
     Matching,
-    NoncrossingPartition,
     Record,
     canonical_blocks,
     is_noncrossing,
@@ -80,9 +84,6 @@ class CactusNetwork(Record):
     def boundary_labels(self) -> dict:
         """Boundary vertex name -> its label: "b1" -> 1, ..."""
         return {boundary_name(i): i for i in range(1, self.n + 1)}
-
-    def shape_partition(self) -> NoncrossingPartition:
-        return NoncrossingPartition.from_blocks(self.n, self.shape)
 
     def edge_by_id(self, eid: str) -> Edge:
         for e in self.edges:
@@ -199,7 +200,7 @@ class CombMap:
                                  f"at glued block {block}")
             return after, before
 
-        for block in net.shape_partition().blocks:
+        for block in net.shape:
             # Gluing the k labels of a block pinches the disc into k lobes,
             # lobe j running clockwise from label block[j] to block[j+1].
             # Each label's own wheel, read clockwise as stored (the tail of
@@ -264,7 +265,9 @@ class CombMap:
         return self.sigma_next(self.alpha(d))
 
     def faces(self):
-        """Face orbits of the map, each a list of darts in walk order."""
+        """Face orbits, each a list of darts in walk order; walked once."""
+        if hasattr(self, "_faces"):
+            return self._faces
         seen = set()
         out = []
         for d0 in sorted(self.vertex_of, key=_dart_key):
@@ -279,6 +282,7 @@ class CombMap:
             if d != d0:
                 raise AssertionError("face walk did not close")
             out.append(cyc)
+        self._faces = out
         return out
 
     def euler_ok(self) -> bool:
@@ -327,8 +331,8 @@ def _dart_key(d):
 # ---------------------------------------------------------------------------
 
 def validate(net: CactusNetwork) -> ValidationReport:
-    """Every check on ``net``, cached on the network (immutable by convention:
-    a rewrite returns a new one), so a second call returns the same report."""
+    """Every check on ``net``, cached with the planarity check's map on the
+    network (a rewrite returns a new one): a second call returns the same."""
     if hasattr(net, "_report"):
         return net._report
     rep = ValidationReport()
@@ -362,22 +366,26 @@ def validate(net: CactusNetwork) -> ValidationReport:
                 break
     rep.add("rotations-consistent", rot_ok, rot_msg)
 
-    planar_ok, planar_msg = False, "skipped (earlier failures)"
+    planar_ok, planar_msg, cmap = False, "skipped (earlier failures)", None
     if nc_ok and not loops and not dangling and rot_ok:
         try:
-            planar_ok = CombMap(net).euler_ok()
+            cmap = CombMap(net)
+            planar_ok = cmap.euler_ok()
             planar_msg = "" if planar_ok else "Euler genus check failed"
         except (ValueError, AssertionError) as exc:
             planar_msg = str(exc)
     rep.add("planar-embedding", planar_ok, planar_msg)
-    net._report = rep
+    net._report, net._cmap = rep, cmap
     return rep
 
 
-def require_valid(net: CactusNetwork) -> None:
+def require_valid(net: CactusNetwork) -> CombMap:
+    """The combinatorial map ``validate`` built for ``net``; raises
+    ``ValueError("invalid network: ...")`` when a check fails."""
     rep = validate(net)
     if not rep.ok:
         raise ValueError(f"invalid network: {rep.failures()}")
+    return net._cmap
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +410,9 @@ class QuotientGraph(Record):
 
 
 def quotient_graph(net: CactusNetwork) -> QuotientGraph:
-    part = net.shape_partition()
-    block = {v: part.block_of(i) for v, i in net.boundary_labels().items()}
+    """Gamma of a valid network (checked here), blocks as in ``net.shape``."""
+    require_valid(net)
+    block = {boundary_name(i): b for b in net.shape for i in b}
     plain, loops = [], []
     for e in net.edges:
         ku, kv = (block.get(v, v) for v in e.ends)
@@ -412,7 +421,7 @@ def quotient_graph(net: CactusNetwork) -> QuotientGraph:
         else:
             plain.append((e.id, ku, kv, e.conductance))
     return QuotientGraph(
-        boundary=part.blocks,
+        boundary=net.shape,
         internal=tuple(sorted(net.internal_vertices)),
         edges=tuple(plain),
         loop_ids=tuple(loops),
@@ -466,7 +475,7 @@ def trace_strands(net: CactusNetwork):
     directed trace from each boundary point; passages are (edge_id,
     parity) pairs identifying each edge crossing.
     """
-    cmap = CombMap(net)
+    cmap = require_valid(net)
     out = []
     for t in range(1, 2 * net.n + 1):
         state = _t_start(cmap, t)
@@ -548,10 +557,11 @@ def _replace_in_rotation(rot, old_ids, new_ids):
 
 def ydelta(net: CactusNetwork, site, direction: str) -> CactusNetwork:
     """Apply a Y-Delta move; conductances follow A = bc/(a+b+c) etc."""
+    cmap = require_valid(net)
     if direction == "ytod":
         return _y_to_delta(net, site)
     if direction == "dtoy":
-        return _delta_to_y(net, site)
+        return _delta_to_y(cmap, site)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -588,8 +598,7 @@ def _y_to_delta(net: CactusNetwork, center: str) -> CactusNetwork:
     return CactusNetwork.build(net.n, net.shape, internal, edges, rotations)
 
 
-def _triangular_faces(net: CactusNetwork):
-    cmap = CombMap(net)
+def _triangular_faces(cmap: CombMap):
     faces = []
     for f in cmap.faces():
         if len(f) != 3 or any(is_arc(d) for d in f):
@@ -598,17 +607,17 @@ def _triangular_faces(net: CactusNetwork):
         others = [cmap.pre_vertex[cmap.sigma_prev(d)] for d in f]
         if len(set(corners)) == 3 and corners == others:
             faces.append((f, corners))
-    return cmap, faces
+    return faces
 
 
-def _delta_to_y(net: CactusNetwork, corners) -> CactusNetwork:
+def _delta_to_y(cmap: CombMap, corners) -> CactusNetwork:
+    net = cmap.net
     if isinstance(corners, str):
         corners = corners.split(",")
     corners = tuple(corners)
     if len(set(corners)) != 3:
         raise ValueError("a Delta site needs three distinct corner vertices")
-    cmap, faces = _triangular_faces(net)
-    match = [(f, cs) for f, cs in faces if set(cs) == set(corners)]
+    match = [(f, cs) for f, cs in _triangular_faces(cmap) if set(cs) == set(corners)]
     if not match:
         raise ValueError(f"no triangular face with corners {corners}")
     f, walk_corners = min(match, key=lambda fc: _dart_key(min(fc[0], key=_dart_key)))
@@ -651,8 +660,7 @@ def dual(net: CactusNetwork) -> CactusNetwork:
     reciprocals of the primal ones.  Raises ValueError when an edge's dual
     would be a loop, which ``validate`` rejects.
     """
-    require_valid(net)
-    cmap = CombMap(net)
+    cmap = require_valid(net)
     faces = cmap.faces()
     outer = cmap.outer_face(faces)
     inner = [f for f in faces if f is not outer]

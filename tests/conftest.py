@@ -1259,7 +1259,7 @@ def two_solve_resistance(net):
     """Oracle for the resistance matrix: the response matrix (one solve on
     the internal block), then the grounded response -L inverted by a
     second solve; with G that inverse, R(u, v) = G_uu + G_vv - 2 G_uv."""
-    part = net.shape_partition()
+    part = NoncrossingPartition.from_blocks(net.n, net.shape)
     resp = dense_response_matrix(net)
     nb = resp.nrows
     reduced = negated(resp.submatrix(range(1, nb), range(1, nb)))
@@ -1340,6 +1340,42 @@ def dense_kappa_kernel_dimension(n, form):
     return len(images) - dense_rank(dense)
 
 
+def mutation_sources():
+    """The fixture network documents that the seeded fuzz tests mutate."""
+    return [netfile.network_to_dict(net) for net in (
+        make_y(1, 2, 3), make_delta(1, 2, 3), make_glued_tree(), make_shorted(),
+        make_y_with_pendant(), make_disconnected())]
+
+
+def mutated(rng, doc):
+    """A copy of a network document with one random fault of the kinds a
+    hand-edited file might hold."""
+    doc = json.loads(json.dumps(doc))
+    edges, rotations = doc["edges"], doc["rotations"]
+    names = [f"b{i}" for i in range(1, doc["n"] + 1)] + doc["internal_vertices"]
+    kind = rng.randrange(8)
+    if kind == 0 and edges:  # retarget an edge end
+        rng.choice(edges)["ends"][rng.randrange(2)] = rng.choice(names + ["zz"])
+    elif kind == 1 and rotations:  # shuffle a rotation
+        rng.shuffle(rotations[rng.choice(sorted(rotations))])
+    elif kind == 2 and rotations:  # extend a rotation
+        ids = [e["id"] for e in edges] + ["zz"]
+        rotations[rng.choice(sorted(rotations))].append(rng.choice(ids))
+    elif kind == 3 and len(doc["shape"]) > 1:  # merge two shape blocks
+        i, j = sorted(rng.sample(range(len(doc["shape"])), 2))
+        doc["shape"][i] += doc["shape"].pop(j)
+    elif kind == 4 and edges:  # drop an edge
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == 5:  # shift n
+        doc["n"] += rng.choice([-1, 1])
+    elif kind == 6 and edges:  # a bad conductance
+        rng.choice(edges)["conductance"] = rng.choice(
+            ["0", "-1", "1/0", "0/3", "x", "", 2, None])
+    elif kind == 7 and doc["internal_vertices"]:  # drop an internal vertex
+        doc["internal_vertices"].remove(rng.choice(doc["internal_vertices"]))
+    return doc
+
+
 def lobe_list_comb_map(net):
     """Oracle for the ``CombMap`` constructor: each glued label's edges
     are sorted into a ``fwd`` list (the lobe after the label, taken by an
@@ -1350,7 +1386,7 @@ def lobe_list_comb_map(net):
     cmap = object.__new__(CombMap)
     cmap.net = net
     n = net.n
-    part = net.shape_partition()
+    part = NoncrossingPartition.from_blocks(net.n, net.shape)
     label = net.boundary_labels()
     cmap.rot, cmap.pre_vertex = {}, {}
     end_of = {}

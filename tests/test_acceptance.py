@@ -254,13 +254,13 @@ def test_criterion_10_cross_formula_identities():
         vec = lam_map(lam)
         L = response_matrix(net)
         R = resistance_matrix(net)
-        part = net.shape_partition()
+        part = NoncrossingPartition.from_blocks(n, net.shape)
+        block_index = {i: k for k, b in enumerate(part.blocks) for i in b}
         sing = lam[NoncrossingPartition.singletons(n)]
         top = lam[one_block(n)]
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                bi = part.blocks.index(part.block_of(i))
-                bj = part.blocks.index(part.block_of(j))
+                bi, bj = block_index[i], block_index[j]
                 if bi == bj:
                     continue
                 # measurement-ratio form of the response entries

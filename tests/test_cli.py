@@ -23,6 +23,8 @@ from conftest import (
     make_shorted,
     make_y,
     make_y_with_pendant,
+    mutated,
+    mutation_sources,
     partition_name,
     random_planar_net,
 )
@@ -789,42 +791,11 @@ def test_every_network_file_is_loaded_and_validated(paths, capsys, tmp_path, com
             assert out == "" and "shape-noncrossing" in err
 
 
-def mutated(rng, doc):
-    """A copy of a network document with one random fault of the kinds a
-    hand-edited file might hold."""
-    doc = json.loads(json.dumps(doc))
-    edges, rotations = doc["edges"], doc["rotations"]
-    names = [f"b{i}" for i in range(1, doc["n"] + 1)] + doc["internal_vertices"]
-    kind = rng.randrange(8)
-    if kind == 0 and edges:  # retarget an edge end
-        rng.choice(edges)["ends"][rng.randrange(2)] = rng.choice(names + ["zz"])
-    elif kind == 1 and rotations:  # shuffle a rotation
-        rng.shuffle(rotations[rng.choice(sorted(rotations))])
-    elif kind == 2 and rotations:  # extend a rotation
-        ids = [e["id"] for e in edges] + ["zz"]
-        rotations[rng.choice(sorted(rotations))].append(rng.choice(ids))
-    elif kind == 3 and len(doc["shape"]) > 1:  # merge two shape blocks
-        i, j = sorted(rng.sample(range(len(doc["shape"])), 2))
-        doc["shape"][i] += doc["shape"].pop(j)
-    elif kind == 4 and edges:  # drop an edge
-        edges.pop(rng.randrange(len(edges)))
-    elif kind == 5:  # shift n
-        doc["n"] += rng.choice([-1, 1])
-    elif kind == 6 and edges:  # a bad conductance
-        rng.choice(edges)["conductance"] = rng.choice(
-            ["0", "-1", "1/0", "0/3", "x", "", 2, None])
-    elif kind == 7 and doc["internal_vertices"]:  # drop an internal vertex
-        doc["internal_vertices"].remove(rng.choice(doc["internal_vertices"]))
-    return doc
-
-
 def test_mutated_networks_exit_0_1_or_2(paths, capsys, tmp_path):
     """Seeded fuzz: every command on mutated fixture networks exits 0, 1
     or 2 and never reports an internal error."""
     rng = random.Random(17)
-    docs = [netfile.network_to_dict(net) for net in (
-        make_y(1, 2, 3), make_delta(1, 2, 3), make_glued_tree(), make_shorted(),
-        make_y_with_pendant(), make_disconnected())]
+    docs = mutation_sources()
     commands = [c for c in command_argvs("", "") if c != "kernel-dim"]
     bad = tmp_path / "mutated.json"
     codes = set()

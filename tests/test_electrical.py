@@ -139,7 +139,7 @@ def test_resistance_matches_pseudoinverse(rng):
         minus_l = -np.array(
             [[float(x) for x in row] for row in response_matrix(net).rows])
         pinv = np.linalg.pinv(minus_l)
-        part = net.shape_partition()
+        part = NoncrossingPartition.from_blocks(net.n, net.shape)
         for bi, bu in enumerate(part.blocks):
             for bj, bv in enumerate(part.blocks):
                 expect = pinv[bi, bi] + pinv[bj, bj] - 2 * pinv[bi, bj]
@@ -224,7 +224,7 @@ def test_resistance_from_concordant_sums(rng):
 def per_pair_resistance(net):
     """Exact oracle: one solve of L V = e_u - e_v per pair of blocks,
     R(u, v) = V[v] - V[u]; None when some pair is disconnected."""
-    part = net.shape_partition()
+    part = NoncrossingPartition.from_blocks(net.n, net.shape)
     resp = response_matrix(net)
     nb = resp.nrows
     rows = [[Fraction(0)] * net.n for _ in range(net.n)]

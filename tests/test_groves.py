@@ -531,7 +531,8 @@ def test_proportionality_factor_ignores_explicit_zeros():
     sparse = lambda_vector(make_disconnected())
     # the boundary blocks are the singletons, so the root of label x is
     # the least label of its block, less one
-    every = {"".join(chr(sigma.block_of(x)[0] - 1) for x in (1, 2, 3)): 0
+    every = {"".join(chr(next(b for b in sigma.blocks if x in b)[0] - 1)
+                     for x in (1, 2, 3)): 0
              for sigma in enumerate_noncrossing(3)}
     dense = GroveMeasurements(3, sparse.boundary, sparse.d, sparse.nvertices,
                               {**every, **sparse.classes})

@@ -18,12 +18,14 @@ from conftest import (
     make_single_edge,
     make_y,
     make_y_with_pendant,
+    mutated,
+    mutation_sources,
     random_glued_wheel,
     random_planar_net,
 )
 from cactusnet import cli, netfile, network
 from cactusnet.combinat import enumerate_noncrossing
-from cactusnet.electrical import response_matrix
+from cactusnet.electrical import resistance_matrix, response_matrix
 from cactusnet.groves import equivalence_factor, lambda_vector
 from cactusnet.network import (
     CactusNetwork,
@@ -33,6 +35,7 @@ from cactusnet.network import (
     medial_pairing,
     quotient_graph,
     require_valid,
+    trace_strands,
     validate,
     ydelta,
 )
@@ -360,14 +363,21 @@ def comb_maps(monkeypatch):
 
 def test_validate_caches_its_report_on_the_network(comb_maps):
     """A second validate of the same object checks nothing again; the
-    library entry points that call it reuse the report."""
+    library entry points that call it reuse the report and its map."""
     net = make_y(1, 2, 3)
     report = validate(net)
     assert comb_maps == [net]
     assert validate(net) is report
-    require_valid(net)
+    cmap = require_valid(net)
+    assert isinstance(cmap, CombMap) and cmap.net is net
+    assert require_valid(net) is cmap
     response_matrix(net)
     lambda_vector(net)
+    quotient_graph(net)
+    medial_pairing(net)
+    is_minimal(net)
+    dual(net)
+    ydelta(net, "v", "ytod")
     assert comb_maps == [net]
 
 
@@ -402,3 +412,71 @@ def test_equiv_validates_each_network_once(comb_maps, tmp_path, capsys):
     assert len(comb_maps) == 2 and comb_maps[0] is not comb_maps[1]
     assert [net.n for net in comb_maps] == [3, 3]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["medial"], ["minimal"], ["dual"],
+    ["ydelta", "--site", "b1,b2,b3", "--direction", "dtoy"],
+], ids=lambda argv: argv[-1])
+def test_a_map_request_builds_one_map_and_walks_its_faces_once(
+        comb_maps, monkeypatch, tmp_path, capsys, argv):
+    """The strands, Y-Delta and the dual read the map ``validate`` built,
+    and the faces that its Euler check walked."""
+    path = str(tmp_path / "delta.json")
+    netfile.save_network(make_delta(1, 2, 3), path)
+    steps = []
+    walk = network.CombMap.face_next
+    monkeypatch.setattr(network.CombMap, "face_next",
+                        lambda cmap, d: steps.append(cmap) or walk(cmap, d))
+    assert cli.main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    [net] = comb_maps
+    cmap = require_valid(net)
+    assert steps == [cmap] * len(cmap.vertex_of)
+
+
+# every library entry point that reads a network, with a site for Y-Delta
+ENTRY_POINTS = {
+    "quotient_graph": quotient_graph,
+    "trace_strands": trace_strands,
+    "medial_pairing": medial_pairing,
+    "is_minimal": is_minimal,
+    "dual": dual,
+    "ytod": lambda net: ydelta(net, "v", "ytod"),
+    "dtoy": lambda net: ydelta(net, "b1,b2,b3", "dtoy"),
+    "response_matrix": response_matrix,
+    "resistance_matrix": resistance_matrix,
+    "lambda_vector": lambda_vector,
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_refuse_a_reversed_rotation(name):
+    """A star whose hub is listed counterclockwise fails only the
+    planar-embedding check, and every entry point refuses it."""
+    net = make_y(1, 2, 3)
+    bad = net.replace(rotations=dict(net.rotations, v=("e3", "e2", "e1")))
+    with pytest.raises(ValueError, match=r"^invalid network: \[\('planar-embedding'"):
+        ENTRY_POINTS[name](bad)
+
+
+def test_entry_points_refuse_every_invalid_mutant():
+    """Seeded fuzz on the mutations of the command-line fuzz: each entry
+    point, on a fresh copy of a mutant that loads but that ``validate``
+    rejects, raises the validation error."""
+    rng = random.Random(17)
+    docs = mutation_sources()
+    rejected = 0
+    for _ in range(300):
+        doc = mutated(rng, rng.choice(docs))
+        try:
+            net = netfile.network_from_dict(doc)
+        except ValueError:
+            continue
+        if validate(net).ok:
+            continue
+        rejected += 1
+        for name, entry in ENTRY_POINTS.items():
+            with pytest.raises(ValueError, match="^invalid network"):
+                entry(netfile.network_from_dict(doc))
+    assert rejected >= 100
